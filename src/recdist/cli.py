@@ -108,11 +108,11 @@ def _opts(args) -> SolveOptions:
     )
 
 
-def _rng(args) -> np.random.Generator:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("RECDIST_SEED", "0"))
-    return np.random.default_rng(seed)
+def _seed(args) -> int:
+    """The seed a run uses: --seed, else RECDIST_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("RECDIST_SEED", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,11 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise UsageError("--runs must be at least 1")
     spec, solver = _spec_and_solver(args)
-    rng = _rng(args)
+    seed = _seed(args)
+    rng = np.random.default_rng(seed)
     draws = sample_many(spec, args.n, args.runs, rng)
     mean = float(np.mean(draws))
     var = float(np.var(draws))
@@ -142,7 +145,7 @@ def _cmd_simulate(args) -> int:
         "model": args.model or args.spec_json,
         "n": args.n,
         "runs": args.runs,
-        "seed": args.seed,
+        "seed": seed,
         "mean": mean,
         "variance": var,
         "third_abs_central": float(np.mean(np.abs(draws - mean) ** 3)),
@@ -238,7 +241,7 @@ def _cmd_verify(args) -> int:
         "gate_applicable": gate.applicable,
         "c_is_fitted": entry.c_is_fitted,
     }
-    cond = clt.check_conditions(solver, params, ns, rng=_rng(args))
+    cond = clt.check_conditions(solver, params, ns, rng=np.random.default_rng(_seed(args)))
     payload["conditions"] = {
         "rows": [
             {"n": c.n, "drift": c.drift, "index_l3": c.index_l3, "toll_l3_ratio": c.toll_l3_ratio}
@@ -261,7 +264,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
-    rng = _rng(args)
+    seed = _seed(args)
+    rng = np.random.default_rng(seed)
     if args.equation == "quickselect":
         eq = fixed_point.quickselect_equation(args.population, args.iterations)
     else:
@@ -271,7 +275,7 @@ def _cmd_fixed_point(args) -> int:
         "equation": args.equation,
         "population": args.population,
         "iterations": args.iterations,
-        "seed": args.seed,
+        "seed": seed,
         "mean": res.mean,
         "second_moment": res.second_moment,
         "third_moment": res.third_moment,

@@ -86,13 +86,6 @@ def rate_exponent(params: CltParams, k: int = 1) -> RateGate:
     return RateGate(beta, beta > 1.0)
 
 
-def estimate_drift_margin(solver: Solver, params: CltParams, ns: Sequence[int]) -> float:
-    """Heuristic margin for the index drift: minus the largest observed mean of
-    ln((product of child sizes or 1)/n) over the probe window."""
-    worst = max(row.drift for row in check_conditions(solver, params, ns).rows)
-    return -worst
-
-
 def conservative_delta(eps: float, gamma: float, beta: float) -> float:
     """The padding value used in the rate-transfer argument: eps*(eta^1)/(6 eta)
     with eta = gamma + 1 - beta. Exposed for reproducing that bookkeeping."""
@@ -196,7 +189,10 @@ class SurrogateGapTerms:
 
 
 def surrogate_gap_terms(solver: Solver, n: int, params: CltParams) -> SurrogateGapTerms:
-    acc = accompanying_law(solver, n, params)
+    return _gap_terms(accompanying_law(solver, n, params))
+
+
+def _gap_terms(acc: AccompanyingLaw) -> SurrogateGapTerms:
     w = acc.weights
     tau_gap = abs(acc.sd - 1.0)
     toll_l2 = math.sqrt(float(w @ np.square(acc.shifts)))
@@ -222,7 +218,10 @@ def zeta3_standardized(solver: Solver, n: int, params: CltParams) -> MetricRepor
 
 def zeta3_accompanying(solver: Solver, n: int, params: CltParams) -> MetricReport:
     """Distance of the normal surrogate at n to a normal of matching scale."""
-    acc = accompanying_law(solver, n, params)
+    return _zeta3_surrogate(accompanying_law(solver, n, params))
+
+
+def _zeta3_surrogate(acc: AccompanyingLaw) -> MetricReport:
     if acc.sd == 0.0:
         target: NormalMixture | Pmf = Pmf.delta(0.0)
     else:
@@ -461,7 +460,8 @@ VERIFICATION_COLUMNS = (
 
 
 def verification_row(solver: Solver, n: int, params: CltParams) -> dict:
-    terms = surrogate_gap_terms(solver, n, params)
+    acc = accompanying_law(solver, n, params)  # built once, shared by both uses
+    terms = _gap_terms(acc)
     row = {
         "n": n,
         "sd_ratio": standardized_scale(solver, n, params),
@@ -469,7 +469,7 @@ def verification_row(solver: Solver, n: int, params: CltParams) -> dict:
         "gain_norm3": terms.gain_term ** (1.0 / 3.0),
         "gap_norm3": terms.gap_term ** (1.0 / 3.0),
         "zeta3_std": zeta3_standardized(solver, n, params).value,
-        "zeta3_acc": zeta3_accompanying(solver, n, params).value,
+        "zeta3_acc": _zeta3_surrogate(acc).value,
         "bound_sum": terms.total,
         "kolmogorov": kolmogorov_to_normal(solver, n) if solver.sd(n) > 0 else float("nan"),
     }

@@ -12,10 +12,12 @@ divided by one minus the self weight; when it is shifted upward (its other
 factors being point masses) the resulting shift series is summed until the
 geometric remainder drops below the truncation budget.
 
-Two solve paths exist. Integer-lattice recurrences in floating mode run on
-dense numpy arrays with grouped weight vectors (a matrix-vector product per
-group); everything else, including exact rational mode, goes through a generic
-dictionary accumulator built on :class:`~recdist.pmf.Pmf`.
+There is one solve path. Every law is a dense numpy row on the integer lattice
+of spacing ``1/D``, ``D`` being the lcm of the denominators of the base atoms
+and tolls; rows hold float64 in float mode and Fractions (object dtype) in
+exact mode. Joint-law atoms are shifted adds convolved with the trailing
+children; a float-mode ``vector_law`` adds grouped weight rows, each one
+matrix-vector product over the stacked child rows.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, PreconditionError, UnsupportedExactError
-from .pmf import Pmf
+from .pmf import Pmf, outer_trim
 
 #: mass below which a geometric self-reference series is cut off (the
 #: remainder is added to lost_mass)
@@ -81,8 +83,9 @@ class RecurrenceSpec:
     """Full description of a divide-and-conquer distributional recurrence.
 
     ``joint_law(n)`` tabulates atoms ``(indices, toll, weight)`` with exact
-    rational weights; ``vector_law(n)`` optionally provides the same law as
-    grouped float weight rows for the dense solver. ``sampler(rng, n, size)``
+    rational weights and integer or rational tolls (a float toll is read as
+    its shortest decimal); ``vector_law(n)`` optionally provides the same law as
+    grouped float weight rows, used in float mode. ``sampler(rng, n, size)``
     draws joint atoms in bulk and is required when the joint law cannot be
     tabulated (then only Monte Carlo is available).
     """
@@ -95,7 +98,6 @@ class RecurrenceSpec:
     vector_law: Callable[[int], tuple] | None = None
     sampler: Callable[[np.random.Generator, int, int], tuple] | None = None
     index_law: Callable[[int], Sequence[tuple]] | None = None
-    integer_lattice: bool = True
     exact_cap: int | None = None
 
     def __post_init__(self):
@@ -111,7 +113,14 @@ class RecurrenceSpec:
     def supports_exact(self) -> bool:
         return self.joint_law is not None
 
+    def _check_index(self, n: int) -> None:
+        if n < self.n0:
+            raise PreconditionError(
+                f"{self.name}: no joint law below n0={self.n0} (requested n={n})"
+            )
+
     def joint_atoms(self, n: int) -> list:
+        self._check_index(n)
         if self.joint_law is None:
             raise UnsupportedExactError(
                 f"{self.name}: joint law is sampler-only; exact computation unavailable"
@@ -126,6 +135,7 @@ class RecurrenceSpec:
 
     def index_atoms(self, n: int) -> list:
         """Joint law of the index tuple alone (weights collapsed over tolls)."""
+        self._check_index(n)
         if self.index_law is not None:
             return list(self.index_law(n))
         acc: dict = {}
@@ -142,70 +152,73 @@ class MomentRow:
     third_abs_central: object
 
 
-def _check_self_weight(spec: RecurrenceSpec, n: int, self_mass: float) -> None:
-    if self_mass >= 1:
-        raise PreconditionError(
-            f"{spec.name}: joint law at n={n} recurses on n with probability 1"
-        )
+def _rational(x):
+    """A toll or atom value as an exact rational; a float is read as the
+    shortest decimal that prints it (0.1 is 1/10)."""
+    if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise PreconditionError(f"toll or atom value {x} is not finite")
+        return Fraction(repr(float(x)))
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+class _Level(NamedTuple):
+    """One solved index, published to readers in a single append."""
+
+    law: Pmf
+    mean: object
+    variance: object
+    third_abs_central: object
 
 
 class Solver:
     """Bottom-up memoizing solver for one recurrence under fixed options.
 
-    The memo admits concurrent readers; solving new indices is serialized by
-    an internal lock. Identical (spec, options) always reproduce identical
-    laws because the bottom-up order is deterministic.
+    Laws live as dense rows on the integer lattice of spacing ``1/D``, where
+    ``D`` is the lcm of the denominators of the base atoms and of the tolls
+    seen so far; a toll that refines the lattice spreads the stored rows onto
+    the finer one. Float mode uses float64 rows, exact mode object rows of
+    Fractions.
+
+    The memo admits concurrent readers: each level is published as one
+    immutable record. Solving new indices is serialized by an internal lock.
+    Identical (spec, options) always reproduce identical laws because the
+    bottom-up order is deterministic.
     """
 
     def __init__(self, spec: RecurrenceSpec, opts: SolveOptions | None = None):
         self.spec = spec
         self.opts = opts or SolveOptions()
+        self._exact = self.opts.mode == "exact"
+        self._budget = Fraction(self.opts.tail_eps) if self._exact else self.opts.tail_eps
         self._lock = threading.RLock()
-        self._pmfs: list = []
-        self._means: list = []
-        self._vars: list = []
-        self._m3s: list = []
-        if self.opts.mode == "exact":
-            # float probabilities (e.g. from JSON) promote losslessly
-            self._base = tuple(_promote_exact(b) for b in spec.base_laws)
-        else:
-            self._base = spec.base_laws
-        lattice_ok = (
-            self.opts.mode == "float"
-            and spec.integer_lattice
-            and all(
-                all(isinstance(v, (int, np.integer)) or (isinstance(v, Rational) and v.denominator == 1) for v in b.values)
-                for b in spec.base_laws
-            )
-        )
-        self._lattice = lattice_ok
-        # dense state (lattice path)
-        self._rows: list = []
+        self._levels: list = []
+        self._rows: list = []  # (lattice offset, dense row) per solved index
+        self._den = math.lcm(*(_rational(v).denominator for b in spec.base_laws for v in b.values))
+        # grouped float weight rows run as products with the stacked rows
+        self._vectors = spec.vector_law is not None and not self._exact
         self._mat: np.ndarray | None = None
         self._col_lo = 0
         self._inner_cache: dict = {}
+        self._atom_pos: dict = {}
 
     # ---- public surface ----
 
     def law(self, n: int) -> Pmf:
         """Exact law of the recurrence at index n."""
-        self._ensure(n)
-        return self._pmfs[n]
+        return self._level(n).law
 
     def mean(self, n: int):
-        self._ensure(n)
-        return self._means[n]
+        return self._level(n).mean
 
     def variance(self, n: int):
-        self._ensure(n)
-        return self._vars[n]
+        return self._level(n).variance
 
     def sd(self, n: int) -> float:
         return math.sqrt(float(self.variance(n)))
 
     def third_abs_central(self, n: int):
-        self._ensure(n)
-        return self._m3s[n]
+        return self._level(n).third_abs_central
 
     def moment_rows(self, ns: Sequence[int]) -> list:
         return [
@@ -214,177 +227,274 @@ class Solver:
         ]
 
     def means_upto(self, n: int) -> np.ndarray:
-        self._ensure(n)
-        return np.array([float(m) for m in self._means[: n + 1]])
+        self._level(n)
+        return np.array([float(lv.mean) for lv in self._levels[: n + 1]])
 
     def sds_upto(self, n: int) -> np.ndarray:
-        self._ensure(n)
-        return np.sqrt(np.array([float(v) for v in self._vars[: n + 1]]))
+        self._level(n)
+        return np.sqrt(np.array([float(lv.variance) for lv in self._levels[: n + 1]]))
 
     # ---- solve loop ----
 
-    def _ensure(self, n: int) -> None:
-        if n < len(self._pmfs):
-            return
-        cap = self.spec.exact_cap
-        if cap is not None and n > cap:
-            raise CapacityError(
-                f"{self.spec.name}: exact solve capped at n={cap} (requested {n})"
-            )
-        with self._lock:
-            for m in range(len(self._pmfs), n + 1):
-                if self._lattice:
-                    self._solve_lattice(m)
-                else:
-                    self._solve_generic(m)
-
-    # ---- generic dictionary path (exact mode and non-lattice laws) ----
-
-    def _weight(self, w):
-        if self.opts.mode == "exact":
-            if isinstance(w, float):
-                raise PreconditionError("exact mode requires rational joint weights")
-            return w
-        return float(w)
-
-    def _solve_generic(self, m: int) -> None:
-        spec = self.spec
-        if m < spec.n0:
-            self._store_pmf(m, self._base[m])
-            return
-        atoms = spec.joint_atoms(m)
-        exact = self.opts.mode == "exact"
-        zero = Fraction(0) if exact else 0.0
-        acc: dict = {}
-        self_terms: list = []
-
-        # group K>=2 atoms by their trailing indices so each child law is
-        # convolved once per group rather than once per atom
-        if spec.k == 1:
-            grouped: dict = {(): [(idx[0], toll, self._weight(w)) for idx, toll, w in atoms]}
-        else:
-            grouped = {}
-            for idx, toll, w in atoms:
-                grouped.setdefault(tuple(idx[1:]), []).append((idx[0], toll, self._weight(w)))
-
-        for others, rows in grouped.items():
-            if any(i == m for i in others):
-                # self-reference through a trailing factor: the leading factor
-                # must collapse to a point mass for the shift algebra to apply
-                for first, toll, w in rows:
-                    self_terms.append(self._self_term(m, (first, *others), toll, w))
-                continue
-            inner: dict = {}
-            for first, toll, w in rows:
-                if first == m:
-                    self_terms.append(self._self_term(m, (first, *others), toll, w))
-                    continue
-                child = self._pmfs[first]
-                for v, p in zip(child.values, child.probs):
-                    key = v + toll
-                    inner[key] = inner.get(key, zero) + w * p
-            items = list(inner.items())
-            for i in others:
-                items = _dict_convolve(items, self._pmfs[i], zero)
-            for v, p in items:
-                acc[v] = acc.get(v, zero) + p
-
-        acc = self._resolve_self(acc, self_terms, zero)
-        self._finish_generic(m, acc)
-
-    def _self_term(self, m: int, idx: tuple, toll, w):
-        """Reduce a self-referential atom to (coefficient, lattice shift)."""
-        occurrences = sum(1 for i in idx if i == m)
-        if occurrences > 1:
-            raise UnsupportedExactError(
-                f"{self.spec.name}: joint law at n={m} multiplies the unknown law "
-                "with itself; exact solve unsupported"
-            )
-        shift = toll
-        for i in idx:
-            if i == m:
-                continue
-            child = self._pmfs[i]
-            if len(child.values) != 1:
-                raise UnsupportedExactError(
-                    f"{self.spec.name}: self-referential atom at n={m} pairs the "
-                    "unknown law with a non-degenerate factor"
+    def _level(self, n: int) -> _Level:
+        if n < 0:
+            raise PreconditionError(f"{self.spec.name}: index must be nonnegative (got {n})")
+        if n >= len(self._levels):
+            cap = self.spec.exact_cap
+            if cap is not None and n > cap:
+                raise CapacityError(
+                    f"{self.spec.name}: exact solve capped at n={cap} (requested {n})"
                 )
-            shift = shift + child.values[0]
-        return (self._weight(w), shift)
+            with self._lock:
+                for m in range(len(self._levels), n + 1):
+                    self._solve(m)
+        return self._levels[n]
 
-    def _resolve_self(self, acc: dict, self_terms: list, zero) -> dict:
+    def _span(self, m: int, size: int) -> int:
+        """Refuse a dense row wider than ``max_support``, before allocating it."""
+        if size > self.opts.max_support:
+            raise CapacityError(
+                f"{self.spec.name}: lattice span {size} exceeds max_support "
+                f"{self.opts.max_support} at n={m}"
+            )
+        return size
+
+    def _zeros(self, m: int, size: int) -> np.ndarray:
+        if self._exact:  # Fraction zeros keep exact rows free of float division
+            return np.full(self._span(m, size), Fraction(0), dtype=object)
+        return np.zeros(self._span(m, size))
+
+    def _convolve(self, m: int, vec: np.ndarray, arr: np.ndarray) -> np.ndarray:
+        if not self._exact:
+            self._span(m, len(vec) + len(arr) - 1)
+            return np.convolve(vec, arr)
+        # Fraction products only between atoms: gapped supports (all values
+        # odd, say) leave many zeros in a row
+        out = self._zeros(m, len(vec) + len(arr) - 1)
+        nz = np.flatnonzero(arr)
+        for i in np.flatnonzero(vec):
+            out[i + nz] += vec[i] * arr[nz]
+        return out
+
+    def _atoms_of(self, i: int) -> np.ndarray:
+        """Positions of the atoms in stored row i (exact mode), memoized."""
+        if i not in self._atom_pos:
+            self._atom_pos[i] = np.flatnonzero(self._rows[i][1])
+        return self._atom_pos[i]
+
+    def _solve(self, m: int) -> None:
+        spec, exact = self.spec, self._exact
+        if m < spec.n0:
+            base = spec.base_laws[m]
+            ks = [int(_rational(v) * self._den) for v in base.values]
+            row = self._zeros(m, ks[-1] - ks[0] + 1)
+            for k, p in zip(ks, base.probs):
+                if exact:  # float probabilities (e.g. from JSON) promote losslessly
+                    row[k - ks[0]] = p if isinstance(p, Rational) else Fraction(p)
+                else:
+                    row[k - ks[0]] = float(p)
+            self._publish(m, ks[0], row, 0 * self._budget)
+            return
+        groups, atoms = spec.vector_law(m) if self._vectors else ((), spec.joint_atoms(m))
+
+        # joint-law atoms: self-referential ones apart, the rest grouped by
+        # trailing indices so each child law is convolved once per group
+        den = self._den
+        self_atoms: list = []
+        by_others: dict = {}
+        for idx, toll, w in atoms:
+            if type(toll) is not int:
+                toll = _rational(toll)
+                den = math.lcm(den, toll.denominator)
+            if not exact:
+                w = float(w)
+            elif not isinstance(w, Rational):
+                raise PreconditionError("exact mode requires rational joint weights")
+            if m in idx:
+                self_atoms.append((idx, toll, w))
+            else:
+                by_others.setdefault(tuple(idx[1:]), []).append((idx[0], toll, w))
+        if den != self._den:
+            self._refine(m, den)
+        units = lambda t: t * den if type(t) is int else int(t * den)
+
+        if len(groups) > 4 and self.opts.tail_eps > 0 and all(g.mass is not None for g in groups):
+            # drop negligible trailing groups; the shortfall lands in lost_mass
+            order = sorted(range(len(groups)), key=lambda i: (-groups[i].mass, i))
+            total_mass = sum(g.mass for g in groups)
+            budget = self.opts.tail_eps / 4.0
+            kept, cum = [], 0.0
+            for i in order:
+                kept.append(groups[i])
+                cum += groups[i].mass
+                if total_mass - cum <= budget:
+                    break
+            groups = kept
+        self_terms: list = []
+        pieces: list = []  # (offset, array) contributions
+
+        for g in groups:
+            if m in g.others:
+                raise UnsupportedExactError(
+                    f"{spec.name}: self-reference through a trailing group index"
+                )
+            weights = g.weights
+            hi_idx = g.first_start + len(weights) - 1
+            if hi_idx >= m:
+                coef = float(weights[m - g.first_start]) * g.scale
+                if coef:
+                    self_terms.append(self._self_atom_term(m, (m, *g.others), g.toll * den, coef))
+                weights = weights.copy()
+                weights[m - g.first_start :] = 0.0
+                hi_idx = m - 1
+            inner = self._inner_mix(g, weights, hi_idx)
+            if inner is None:
+                continue
+            off, vec = inner
+            for i in g.others:
+                off_i, arr_i = self._rows[i]
+                vec = self._convolve(m, vec, arr_i)
+                off += off_i
+            pieces.append((off + g.toll * den, vec * g.scale))
+
+        for idx, toll, w in self_atoms:
+            self_terms.append(self._self_atom_term(m, idx, units(toll), w))
+        for others, rows in by_others.items():
+            rows = [(f, units(t), w) for f, t, w in rows]
+            lo_i = min(self._rows[f][0] + t for f, t, _ in rows)
+            hi_i = max(self._rows[f][0] + len(self._rows[f][1]) - 1 + t for f, t, _ in rows)
+            inner = self._zeros(m, hi_i - lo_i + 1)
+            for f, t, w in rows:
+                off_f, arr_f = self._rows[f]
+                start = off_f + t - lo_i
+                if exact:
+                    pos = self._atoms_of(f)
+                    inner[start + pos] += w * arr_f[pos]
+                else:
+                    inner[start : start + len(arr_f)] += w * arr_f
+            off = lo_i
+            for i in others:
+                off_i, arr_i = self._rows[i]
+                inner = self._convolve(m, inner, arr_i)
+                off += off_i
+            pieces.append((off, inner))
+
+        if not pieces:
+            raise PreconditionError(f"law at n={m} has no mass")
+        lo = min(off for off, _ in pieces)
+        hi = max(off + len(vec) - 1 for off, vec in pieces)
+        acc = self._zeros(m, hi - lo + 1)
+        for off, vec in pieces:
+            if exact:
+                pos = np.flatnonzero(vec)
+                acc[off - lo + pos] += vec[pos]
+            else:
+                acc[off - lo : off - lo + len(vec)] += vec
+        self._publish(m, lo, self._eliminate_self(m, acc, self_terms), self._budget)
+
+    def _refine(self, m: int, den: int) -> None:
+        """Spread every stored row onto the finer lattice of spacing 1/den."""
+        f = den // self._den
+        rows = []
+        for off, arr in self._rows:
+            fine = self._zeros(m, (len(arr) - 1) * f + 1)
+            fine[::f] = arr
+            rows.append((off * f, fine))
+        self._rows, self._den = rows, den
+        self._atom_pos.clear()
+        if self._mat is not None:
+            self._mat = None
+            self._inner_cache.clear()
+            for i, (off, arr) in enumerate(rows):
+                self._mat_write(i, off, arr)
+
+    def _self_atom_term(self, m: int, idx: tuple, shift: int, coef) -> tuple:
+        """Reduce a self-referential atom to (coefficient, lattice shift): the
+        unknown law may occur once, next to point-mass factors only."""
+        if sum(1 for i in idx if i == m) > 1:
+            raise UnsupportedExactError(
+                f"{self.spec.name}: joint law at n={m} multiplies the unknown law with itself"
+            )
+        for i in idx:
+            if i != m:
+                off_i, arr_i = self._rows[i]
+                if len(arr_i) != 1:
+                    raise UnsupportedExactError(
+                        f"{self.spec.name}: self atom at n={m} paired with a non-degenerate factor"
+                    )
+                shift += off_i
+        return coef, shift
+
+    def _eliminate_self(self, m: int, acc: np.ndarray, self_terms: list) -> np.ndarray:
+        """Remove self-referential atoms from the mixture of smaller terms.
+
+        An unshifted self weight c0 divides the rest by 1 - c0. Upward shifts
+        add a geometric series, summed until its remainder drops below the
+        truncation budget; the remainder stays missing and lands in lost_mass.
+        """
         if not self_terms:
             return acc
-        c0 = sum((c for c, s in self_terms if s == 0), zero)
+        c0 = sum(c for c, s in self_terms if s == 0)
         shifted = [(c, s) for c, s in self_terms if s != 0]
         if any(s < 0 for _, s in shifted):
             raise UnsupportedExactError("self-referential shifts must be nonnegative")
-        total_self = c0 + sum((c for c, _ in shifted), zero)
-        if total_self >= 1:
-            raise PreconditionError("self weight at or above 1; law is not determined")
-        denom = 1 - c0
-        out = {v: p / denom for v, p in acc.items()}
-        if not shifted:
-            return out
-        ratio = sum((c for c, _ in shifted), zero) / denom
-        eps = max(self.opts.tail_eps / 4.0, _GEO_EPS_FLOOR)
-        term = dict(out)
-        guard = 0
-        while True:
-            term_mass = float(sum(term.values(), zero))
-            # remaining geometric mass if the series stops here; it simply
-            # stays missing and lands in lost_mass downstream
-            if term_mass * float(ratio) / max(1.0 - float(ratio), 1e-15) <= eps:
-                break
-            new_term: dict = {}
-            for c, s in shifted:
-                cf = c / denom
-                for v, p in term.items():
-                    key = v + s
-                    new_term[key] = new_term.get(key, zero) + cf * p
-            for v, p in new_term.items():
-                out[v] = out.get(v, zero) + p
-            term = new_term
-            guard += 1
-            if guard > 10_000:
-                raise CapacityError("self-reference series failed to converge")
-        return out
-
-    def _finish_generic(self, m: int, acc: dict) -> None:
-        acc = {v: p for v, p in acc.items() if p > 0}
-        if not acc:
-            raise PreconditionError(f"law at n={m} has no mass")
-        total = sum(acc.values()) if self.opts.mode == "exact" else math.fsum(acc.values())
-        lost = max(1 - total, 0 * total)
-        pmf = Pmf.from_atoms(acc.items(), lost)
-        pmf = pmf.truncate_tail(
-            Fraction(self.opts.tail_eps) if self.opts.mode == "exact" else self.opts.tail_eps
-        )
-        if len(pmf.values) > self.opts.max_support:
-            raise CapacityError(
-                f"{self.spec.name}: support {len(pmf.values)} exceeds cap at n={m}"
+        if c0 + sum(c for c, _ in shifted) >= 1:
+            raise PreconditionError(
+                f"{self.spec.name}: joint law at n={m} recurses on n with probability 1"
             )
-        self._store_pmf(m, pmf)
+        denom = 1 - c0
+        acc = acc / denom
+        if not shifted:
+            return acc
+        ratio = float(sum(c for c, _ in shifted) / denom)
+        eps = max(self.opts.tail_eps / 4.0, _GEO_EPS_FLOOR)
+        smax = max(s for _, s in shifted)
+        out = term = acc
+        for _ in range(10_000):
+            if float(term.sum()) * ratio / max(1.0 - ratio, 1e-15) <= eps:
+                return out
+            new_term = self._zeros(m, len(term) + smax)
+            for c, s in shifted:
+                new_term[s : s + len(term)] += (c / denom) * term
+            out = np.concatenate([out, self._zeros(m, len(new_term) - len(out))])
+            out += new_term
+            term = new_term
+        raise CapacityError("self-reference series failed to converge")
 
-    def _store_pmf(self, m: int, pmf: Pmf) -> None:
-        assert m == len(self._pmfs)
-        self._pmfs.append(pmf)
-        self._means.append(pmf.moment(1))
-        self._vars.append(pmf.moment(2, central=True))
-        self._m3s.append(pmf.abs_central_moment(3))
-        if self._lattice:
-            off = int(pmf.values[0])
-            arr = np.zeros(int(pmf.values[-1]) - off + 1)
-            arr[(pmf.values_f - off).astype(int)] = pmf.probs_f
-            self._append_row(m, off, arr)
+    def _publish(self, m: int, lo: int, acc: np.ndarray, budget) -> None:
+        """Truncate level m's dense mixture, then store its law, moments and row."""
+        nz = np.flatnonzero(acc)
+        if nz.size == 0:
+            raise PreconditionError(f"law at n={m} has no mass")
+        probs = acc[nz]
+        first, last, _ = outer_trim(probs, budget)
+        nz, p = nz[first : last + 1], probs[first : last + 1]
+        row = acc[nz[0] : nz[-1] + 1]
+        ks = lo + nz  # lattice points of the kept atoms
+        den = self._den
+        if self._exact:
+            p = p.tolist()
+            kl = ks.tolist()
+            total = sum(p)
+            mu = sum(q * k for q, k in zip(p, kl))  # in lattice units
+            mean = mu / den
+            var = sum(q * (k - mu) ** 2 for q, k in zip(p, kl)) / den**2
+            m3 = sum(q * abs(k - mu) ** 3 for q, k in zip(p, kl)) / den**3
+        else:
+            total = float(np.sum(row))
+            v = ks / den
+            mean = float(v @ p)
+            var = max(float(((v - mean) ** 2) @ p), 0.0)
+            m3 = float((np.abs(v - mean) ** 3) @ p)
+            p = p.tolist()
+        self._rows.append((lo + int(nz[0]), row))
+        if self._vectors:
+            self._mat_write(m, lo + int(nz[0]), row)
+        values = ks.tolist() if den == 1 else [_lattice_value(k, den) for k in ks.tolist()]
+        law = Pmf(tuple(values), tuple(p), max(1 - total, 0 * total))
+        self._levels.append(_Level(law, mean, var, m3))
 
-    # ---- dense lattice path ----
-
-    def _append_row(self, m: int, off: int, arr: np.ndarray) -> None:
-        assert m == len(self._rows)
-        self._rows.append((off, arr))
-        self._mat_write(m, off, arr)
+    # ---- grouped weight rows (float mode with a vector law) ----
 
     def _mat_write(self, m: int, off: int, arr: np.ndarray) -> None:
         lo, hi = off, off + len(arr) - 1
@@ -406,131 +516,6 @@ class Solver:
             self._mat = grown
         self._mat[m, lo - self._col_lo : hi + 1 - self._col_lo] = arr
 
-    def _vector_groups(self, m: int) -> tuple:
-        spec = self.spec
-        if spec.vector_law is not None:
-            return spec.vector_law(m)
-        groups: list = []
-        lone: list = []
-        if spec.k == 1:
-            by_toll: dict = {}
-            for idx, toll, w in spec.joint_atoms(m):
-                by_toll.setdefault(int(toll), []).append((idx[0], float(w)))
-            for toll, rows in by_toll.items():
-                start = min(i for i, _ in rows)
-                vec = np.zeros(max(i for i, _ in rows) - start + 1)
-                for i, w in rows:
-                    vec[i - start] += w
-                groups.append(VectorGroup(start, vec, 1.0, (), toll))
-        else:
-            for idx, toll, w in spec.joint_atoms(m):
-                lone.append((tuple(int(i) for i in idx), int(toll), float(w)))
-        return groups, lone
-
-    def _solve_lattice(self, m: int) -> None:
-        spec = self.spec
-        if m < spec.n0:
-            self._store_lattice_base(m)
-            return
-        groups, lone = self._vector_groups(m)
-        if len(groups) > 4 and self.opts.tail_eps > 0 and all(g.mass is not None for g in groups):
-            # drop negligible trailing groups; the shortfall lands in lost_mass
-            order = sorted(range(len(groups)), key=lambda i: (-groups[i].mass, i))
-            total_mass = sum(g.mass for g in groups)
-            budget = self.opts.tail_eps / 4.0
-            kept, cum = [], 0.0
-            for i in order:
-                kept.append(groups[i])
-                cum += groups[i].mass
-                if total_mass - cum <= budget:
-                    break
-            groups = kept
-        self_terms: list = []
-        pieces: list = []  # (offset, array) contributions
-
-        for g in groups:
-            weights = g.weights
-            hi_idx = g.first_start + len(weights) - 1
-            uses_self = hi_idx >= m or any(i == m for i in g.others)
-            if any(i == m for i in g.others):
-                raise UnsupportedExactError(
-                    f"{spec.name}: self-reference through a trailing group index"
-                )
-            if uses_self:
-                coef = float(weights[m - g.first_start]) * g.scale
-                if coef:
-                    shift = g.toll
-                    for i in g.others:
-                        off_i, arr_i = self._rows[i]
-                        if len(arr_i) != 1:
-                            raise UnsupportedExactError(
-                                f"{spec.name}: self atom paired with non-degenerate factor"
-                            )
-                        shift += off_i
-                    self_terms.append((coef, int(shift)))
-                weights = weights.copy()
-                weights[m - g.first_start :] = 0.0
-                hi_idx = m - 1
-            inner = self._inner_mix(g, weights, min(hi_idx, m - 1))
-            if inner is None:
-                continue
-            off, vec = inner
-            for i in g.others:
-                off_i, arr_i = self._rows[i]
-                vec = np.convolve(vec, arr_i)
-                off += off_i
-            pieces.append((off + int(g.toll), vec * g.scale))
-
-        # lone atoms grouped by trailing indices: tolls fold into the leading
-        # mixture so each child law is convolved once per group
-        lone_groups: dict = {}
-        for idx, toll, w in lone:
-            if any(i == m for i in idx):
-                self_terms.append(self._lattice_self_term(m, idx, toll, float(w)))
-                continue
-            lone_groups.setdefault(tuple(idx[1:]), []).append((idx[0], int(toll), float(w)))
-        for others, rows in lone_groups.items():
-            lo_i = min(self._rows[f][0] + t for f, t, _ in rows)
-            hi_i = max(self._rows[f][0] + len(self._rows[f][1]) - 1 + t for f, t, _ in rows)
-            inner = np.zeros(hi_i - lo_i + 1)
-            for f, t, w in rows:
-                off_f, arr_f = self._rows[f]
-                start = off_f + t - lo_i
-                inner[start : start + len(arr_f)] += w * arr_f
-            off = lo_i
-            for i in others:
-                off_i, arr_i = self._rows[i]
-                inner = np.convolve(inner, arr_i)
-                off += off_i
-            pieces.append((off, inner))
-
-        if not pieces:
-            raise PreconditionError(f"law at n={m} has no mass")
-        lo = min(off for off, _ in pieces)
-        hi = max(off + len(vec) - 1 for off, vec in pieces)
-        acc = np.zeros(hi - lo + 1)
-        for off, vec in pieces:
-            acc[off - lo : off - lo + len(vec)] += vec
-        lo, acc = self._resolve_self_lattice(lo, acc, self_terms)
-        self._finish_lattice(m, lo, acc)
-
-    def _lattice_self_term(self, m: int, idx: tuple, toll: int, w: float) -> tuple:
-        if sum(1 for i in idx if i == m) > 1:
-            raise UnsupportedExactError(
-                f"{self.spec.name}: joint law at n={m} multiplies the unknown law with itself"
-            )
-        shift = int(toll)
-        for i in idx:
-            if i == m:
-                continue
-            off_i, arr_i = self._rows[i]
-            if len(arr_i) != 1:
-                raise UnsupportedExactError(
-                    f"{self.spec.name}: self atom paired with non-degenerate factor"
-                )
-            shift += off_i
-        return (w, shift)
-
     def _inner_mix(self, g: VectorGroup, weights: np.ndarray, hi_idx: int):
         """Mixture over the leading index of a group, as (offset, dense array)."""
         if hi_idx < g.first_start:
@@ -551,99 +536,10 @@ class Solver:
             self._inner_cache[g.cache_key] = out
         return out
 
-    def _resolve_self_lattice(self, lo: int, acc: np.ndarray, self_terms: list) -> tuple:
-        if not self_terms:
-            return lo, acc
-        c0 = sum(c for c, s in self_terms if s == 0)
-        shifted = [(c, s) for c, s in self_terms if s != 0]
-        if any(s < 0 for _, s in shifted):
-            raise UnsupportedExactError("self-referential shifts must be nonnegative")
-        _check_self_weight(self.spec, len(self._rows), c0 + sum(c for c, _ in shifted))
-        denom = 1.0 - c0
-        acc = acc / denom
-        if not shifted:
-            return lo, acc
-        ratio = sum(c for c, _ in shifted) / denom
-        eps = max(self.opts.tail_eps / 4.0, _GEO_EPS_FLOOR)
-        smax = max(s for _, s in shifted)
-        out = acc
-        term = acc
-        guard = 0
-        while term.sum() * ratio / max(1.0 - ratio, 1e-15) > eps:
-            new_len = len(term) + smax
-            new_term = np.zeros(new_len)
-            for c, s in shifted:
-                new_term[s : s + len(term)] += (c / denom) * term
-            out = np.concatenate([out, np.zeros(new_len - len(out))]) if new_len > len(out) else out
-            out[: len(new_term)] += new_term
-            term = new_term
-            guard += 1
-            if guard > 10_000:
-                raise CapacityError("self-reference series failed to converge")
-        return lo, out
 
-    def _store_lattice_base(self, m: int) -> None:
-        self._store_pmf(m, self._base[m])
-
-    def _finish_lattice(self, m: int, lo: int, acc: np.ndarray) -> None:
-        nz = np.nonzero(acc)[0]
-        if nz.size == 0:
-            raise PreconditionError(f"law at n={m} has no mass")
-        lo += int(nz[0])
-        acc = acc[nz[0] : nz[-1] + 1]
-        # outer truncation within the per-step budget, smaller end first
-        budget = self.opts.tail_eps
-        removed = 0.0
-        i, j = 0, len(acc) - 1
-        while i < j:
-            low_side = acc[i] <= acc[j]
-            cand = acc[i] if low_side else acc[j]
-            if removed + cand > budget:
-                break
-            removed += float(cand)
-            if low_side:
-                i += 1
-            else:
-                j -= 1
-        acc = acc[i : j + 1]
-        lo += i
-        if len(acc) > self.opts.max_support:
-            raise CapacityError(
-                f"{self.spec.name}: support {len(acc)} exceeds cap at n={m}"
-            )
-        total = float(np.sum(acc))
-        lost = max(0.0, 1.0 - total)
-        mask = acc > 0
-        values = (lo + np.nonzero(mask)[0]).tolist()
-        pmf = Pmf(tuple(int(v) for v in values), tuple(acc[mask].tolist()), lost)
-        assert m == len(self._pmfs)
-        self._pmfs.append(pmf)
-        v = np.asarray(values, dtype=float)
-        p = acc[mask]
-        mu = float(v @ p)
-        self._means.append(mu)
-        self._vars.append(max(float(((v - mu) ** 2) @ p), 0.0))
-        self._m3s.append(float((np.abs(v - mu) ** 3) @ p))
-        self._append_row(m, lo, acc)
-
-
-def _dict_convolve(items: list, other: Pmf, zero) -> list:
-    out: dict = {}
-    for v, p in items:
-        for w, q in zip(other.values, other.probs):
-            key = v + w
-            out[key] = out.get(key, zero) + p * q
-    return list(out.items())
-
-
-def _promote_exact(pmf: Pmf) -> Pmf:
-    if pmf.exact:
-        return pmf
-    return Pmf(
-        tuple(v if isinstance(v, Rational) else Fraction(v) for v in pmf.values),
-        tuple(p if isinstance(p, Rational) else Fraction(p) for p in pmf.probs),
-        pmf.lost_mass if isinstance(pmf.lost_mass, Rational) else Fraction(pmf.lost_mass),
-    )
+def _lattice_value(k: int, den: int):
+    q = Fraction(k, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +597,8 @@ def sample_many(
     Pending subproblems are processed in rounds grouped by index, so each
     round costs a handful of numpy operations per distinct index value.
     """
+    if n < 0:
+        raise PreconditionError(f"{spec.name}: index must be nonnegative (got {n})")
     draw = _joint_sampler(spec)
     totals = np.zeros(size)
     pend_pid = np.arange(size, dtype=np.int64)
@@ -743,7 +641,7 @@ def sample_many(
 def sample(spec: RecurrenceSpec, n: int, rng: np.random.Generator):
     """One draw of the recurrence value at ``n`` with independent subcalls."""
     val = float(sample_many(spec, n, 1, rng)[0])
-    return int(val) if spec.integer_lattice and val == int(val) else val
+    return int(val) if val.is_integer() else val
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +650,13 @@ def sample(spec: RecurrenceSpec, n: int, rng: np.random.Generator):
 
 
 def _parse_number(x):
+    """Fraction strings and JSON numbers as exact rationals; a non-integer
+    JSON number is the decimal it spells (0.1 is 1/10)."""
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
+    if isinstance(x, float):
+        q = _rational(x)
+        return q.numerator if q.denominator == 1 else q
     return x
 
 
@@ -777,19 +678,13 @@ def spec_from_json(doc: dict | str) -> RecurrenceSpec:
         raise PreconditionError("custom recurrences support k in {1, 2}")
     base = tuple(Pmf.from_json_dict(b) for b in doc["base"])
     table: dict = {}
-    lattice = True
     for row in doc["rows"]:
-        n, i1, i2, toll, prob = row
-        idx = (int(i1),) if k == 1 else (int(i1), int(i2))
-        toll = _parse_number(toll)
-        prob = _parse_number(prob)
-        if not isinstance(toll, int):
-            lattice = False
-        table.setdefault(int(n), []).append((idx, toll, prob))
-    lattice = lattice and all(
-        all(isinstance(v, int) or (isinstance(v, Rational) and v.denominator == 1) for v in b.values)
-        for b in base
-    )
+        try:
+            n, i1, i2, toll, prob = row
+            idx = (int(i1),) if k == 1 else (int(i1), int(i2))
+            table.setdefault(int(n), []).append((idx, _parse_number(toll), _parse_number(prob)))
+        except (TypeError, ValueError, ZeroDivisionError, PreconditionError) as exc:
+            raise PreconditionError(f"bad joint-law row {row!r}: {exc}") from None
 
     def joint_law(n: int) -> list:
         if n not in table:
@@ -802,5 +697,4 @@ def spec_from_json(doc: dict | str) -> RecurrenceSpec:
         n0=int(doc["n0"]),
         base_laws=base,
         joint_law=joint_law,
-        integer_lattice=lattice,
     )

@@ -7,9 +7,10 @@ representation
 
 valid when the first two moments of X and Y agree. The representation is a
 known identity for ideal metrics rather than something this artifact can take
-on faith, so :func:`zeta3_lower_probe` rebuilds the extremal test function
-explicitly (a member of the defining function class, evaluated by closed-form
-expectations) and certifies the integral value from below on every run.
+on faith, so the library offers certification through
+:func:`zeta3_lower_probe`: it rebuilds the extremal test function explicitly (a
+member of the defining function class, evaluated by closed-form expectations)
+and bounds the integral value from below. Nothing calls it implicitly.
 
 Discrete-discrete distances are integrated exactly piece by piece; anything
 involving a normal component uses adaptive two-level Gauss quadrature with an
@@ -634,10 +635,6 @@ def zeta3_lower_probe(x: Dist, y: Dist) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cdf_any(d: Dist, ts: np.ndarray) -> np.ndarray:
-    return d.cdf(ts) if isinstance(d, Pmf) else d.cdf(ts)
-
-
 def kolmogorov(x: Dist, y: Dist) -> float:
     """sup_t |F_x(t) - F_y(t)|, evaluated at atoms (both sides) and, for a
     pair of continuous mixtures, at refined stationary points of the gap."""
@@ -653,22 +650,22 @@ def kolmogorov(x: Dist, y: Dist) -> float:
     best = abs(_lost(x) - _lost(y))  # limiting gap above both supports
     if atoms:
         ts = np.unique(np.asarray(atoms, dtype=float))
-        fx, fy = _cdf_any(x, ts), _cdf_any(y, ts)
+        fx, fy = x.cdf(ts), y.cdf(ts)
         best = max(best, float(np.max(np.abs(fx - fy))))
         eps = 1e-12 * np.maximum(1.0, np.abs(ts))
-        fx_l, fy_l = _cdf_any(x, ts - eps), _cdf_any(y, ts - eps)
+        fx_l, fy_l = x.cdf(ts - eps), y.cdf(ts - eps)
         best = max(best, float(np.max(np.abs(fx_l - fy_l))))
     both_cont = not isinstance(x, Pmf) and not isinstance(y, Pmf)
     if both_cont:
         lo, hi = _window((x, y), _WINDOW_SDS)
         ts = np.linspace(lo, hi, 8193)
-        gap = np.abs(_cdf_any(x, ts) - _cdf_any(y, ts))
+        gap = np.abs(x.cdf(ts) - y.cdf(ts))
         k = int(np.argmax(gap))
         best = max(best, float(gap[k]))
         a = ts[max(k - 1, 0)]
         b = ts[min(k + 1, len(ts) - 1)]
         res = minimize_scalar(
-            lambda t: -abs(float(_cdf_any(x, np.array([t]))[0] - _cdf_any(y, np.array([t]))[0])),
+            lambda t: -abs(float(x.cdf(np.array([t]))[0] - y.cdf(np.array([t]))[0])),
             bounds=(a, b),
             method="bounded",
         )

@@ -61,6 +61,25 @@ def _strictly_above(a, b) -> bool:
     return float(a) > float(b)
 
 
+def outer_trim(probs: Sequence, eps) -> tuple:
+    """The outer-truncation rule: repeatedly drop the smaller of the two
+    outermost positive probabilities while the total dropped stays within
+    ``eps``. Returns (first kept index, last kept index, mass dropped)."""
+    lo, hi = 0, len(probs) - 1
+    removed = 0
+    while lo < hi:
+        side_lo = probs[lo] <= probs[hi]
+        cand = probs[lo] if side_lo else probs[hi]
+        if removed + cand > eps:
+            break
+        removed = removed + cand
+        if side_lo:
+            lo += 1
+        else:
+            hi -= 1
+    return lo, hi, removed
+
+
 @dataclass(frozen=True)
 class Pmf:
     """A finite discrete law: strictly increasing atoms plus tracked lost mass."""
@@ -225,7 +244,8 @@ class Pmf:
         return cums[idx]
 
     def truncate_tail(self, eps) -> "Pmf":
-        """Remove lowest-probability outer atoms with total removed mass <= eps.
+        """Remove lowest-probability outer atoms with total removed mass <= eps
+        (:func:`outer_trim`, the rule the solver applies at every level).
 
         Removed mass is added to ``lost_mass``; remaining atoms are NOT
         renormalized, keeping the mass bookkeeping exact.
@@ -234,18 +254,7 @@ class Pmf:
             raise PreconditionError("truncation budget must be nonnegative")
         if eps == 0 or len(self.values) == 1:
             return self
-        lo, hi = 0, len(self.values) - 1
-        removed = 0
-        while lo < hi:
-            side_lo = self.probs[lo] <= self.probs[hi]
-            cand = self.probs[lo] if side_lo else self.probs[hi]
-            if removed + cand > eps:
-                break
-            removed = removed + cand
-            if side_lo:
-                lo += 1
-            else:
-                hi -= 1
+        lo, hi, removed = outer_trim(self.probs, eps)
         if removed == 0:
             return self
         return Pmf(
@@ -254,21 +263,7 @@ class Pmf:
             self.lost_mass + removed,
         )
 
-    def support_diameter(self) -> float:
-        return float(self.values_f[-1] - self.values_f[0])
-
     # ---- comparisons and serialization ----
-
-    def allclose(self, other: "Pmf", atol: float = 1e-10) -> bool:
-        """Same atoms (up to merge tolerance) with probabilities within atol."""
-        if len(self.values) != len(other.values):
-            return False
-        for v, w in zip(self.values, other.values):
-            if not _values_equal(v, w):
-                return False
-        return all(
-            abs(float(p) - float(q)) <= atol for p, q in zip(self.probs, other.probs)
-        )
 
     def to_json_dict(self) -> dict:
         atoms = []

@@ -155,3 +155,34 @@ def test_spec_json_input(tmp_path):
     res = run_cli("dist", "--spec-json", str(path), "--n", "3")
     out = json.loads(res.stdout)
     assert [a[:2] for a in out["pmf"]["atoms"]] == [[1, 1], [2, 1]]
+
+
+def test_negative_index_is_precondition_error():
+    res = run_cli("dist", "--model", "unsuccessful-search", "--n", "-1")
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_below_n0_is_precondition_error():
+    res = run_cli("verify", "--model", "unsuccessful-search", "--ns", "1,2")
+    assert res.returncode == 4
+    assert "n0=2" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_simulate_zero_runs_is_usage_error():
+    res = run_cli("simulate", "--model", "node-depth", "--n", "20", "--runs", "0")
+    assert res.returncode == 2
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--model", "node-depth", "--n", "20", "--runs", "500"),
+    ("fixed-point", "--equation", "dickman", "--population", "1000", "--iterations", "5"),
+])
+def test_seed_from_environment_is_recorded(command):
+    res = run_cli(*command, env_extra={"RECDIST_SEED": "123"})
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["seed"] == 123
+    explicit = run_cli(*command, "--seed", "123")
+    assert explicit.stdout == res.stdout

@@ -292,3 +292,24 @@ def test_verification_row_schema(solver_us):
     assert tuple(row) == VERIFICATION_COLUMNS
     assert row["bound_sum"] > 0
     assert row["zeta3_acc"] <= 10 * row["bound_sum"]
+
+
+def test_verification_row_builds_the_surrogate_once(monkeypatch):
+    import recdist.clt as clt_module
+
+    entry = make("unsuccessful_search")
+    solver = entry.solver()
+    expected = verification_row(solver, 64, entry.params)
+    calls = []
+    build = clt_module.accompanying_law
+
+    def counting(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(clt_module, "accompanying_law", counting)
+    row = verification_row(solver, 64, entry.params)
+    assert calls == [64]
+    assert row == expected
+    assert row["zeta3_acc"] == zeta3_accompanying(solver, 64, entry.params).value
+    assert row["bound_sum"] == surrogate_gap_terms(solver, 64, entry.params).total

@@ -1,11 +1,15 @@
 """Tests for the recurrence solver and sampler."""
 
+import dataclasses
 import json
+import sys
 import threading
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recdist import (
     CapacityError,
@@ -162,6 +166,65 @@ def test_concurrent_reads_after_fill():
     assert len(out) == 4
 
 
+def test_reader_never_sees_a_half_published_level(monkeypatch):
+    """A thread polling the newest level while another solves law(4000) must
+    find its moments whenever it finds its law."""
+    from recdist import engine
+
+    search = make("unsuccessful_search").spec
+    state = {"solving": -1, "built": -1}
+
+    def vector_law(n):
+        state["solving"] = n
+        return search.vector_law(n)
+
+    class Watched(Pmf):
+        def __post_init__(self):
+            super().__post_init__()
+            state["built"] = state["solving"]  # level about to be published
+
+    monkeypatch.setattr(engine, "Pmf", Watched)
+    solver = Solver(dataclasses.replace(search, vector_law=vector_law))
+    errors: list = []
+    done = threading.Event()
+
+    def poll():
+        while not done.is_set():
+            k = state["built"]
+            if k >= 0:
+                try:
+                    solver.mean(k), solver.variance(k), solver.third_abs_central(k)
+                except Exception as exc:  # noqa: BLE001 - any failure is the defect
+                    errors.append(exc)
+                    return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=poll) for _ in range(3)]
+    for reader in readers:
+        reader.start()
+    try:
+        solver.law(4000)
+    finally:
+        done.set()
+        for reader in readers:
+            reader.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert not errors, errors[0]
+
+
+def test_negative_index_rejected():
+    spec = make("unsuccessful_search").spec
+    solver = Solver(spec)
+    solver.law(5)
+    for read in (solver.law, solver.mean, solver.variance, solver.third_abs_central):
+        with pytest.raises(PreconditionError):
+            read(-1)
+    with pytest.raises(PreconditionError):
+        sample_many(spec, -3, 10, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -252,6 +315,58 @@ def test_spec_from_json_missing_row_errors():
         Solver(spec).law(6)
 
 
+def test_json_decimal_toll_is_the_decimal_it_spells():
+    doc = _uniform_search_doc(3)
+    for row in doc["rows"]:
+        row[3] = 0.1
+    law = Solver(spec_from_json(doc), SolveOptions(mode="exact", tail_eps=0.0)).law(3)
+    assert dict(zip(law.values, law.probs)) == {F(1, 10): F(1, 2), F(1, 5): F(1, 2)}
+
+
+def test_rational_toll_float_mode_matches_exact():
+    """A Python spec with toll 1/2 is solved on the half-integer lattice in
+    float mode too, not rounded onto the integers."""
+    spec = RecurrenceSpec(
+        name="half_toll", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)),
+        joint_law=lambda n: [((i,), F(1, 2), F(1, n - 1)) for i in range(1, n)],
+    )
+    exact = Solver(spec, SolveOptions(mode="exact", tail_eps=0.0)).law(4)
+    assert dict(zip(exact.values, exact.probs)) == {F(1, 2): F(1, 3), 1: F(1, 2), F(3, 2): F(1, 6)}
+    approx = Solver(spec).law(4)
+    assert approx.values == exact.values
+    assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(approx.probs, exact.probs))
+
+
+def test_rational_lone_toll_refines_grouped_rows():
+    """A vector law whose lone atom has toll 1/2 moves the rows already
+    stacked for the grouped product onto the half-integer lattice."""
+    from recdist import VectorGroup
+
+    spec = RecurrenceSpec(
+        name="half_lone", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)),
+        joint_law=lambda n: [((i,), 1, F(1, n)) for i in range(1, n)] + [((0,), F(1, 2), F(1, n))],
+        vector_law=lambda n: ([VectorGroup(1, np.full(n - 1, 1.0 / n), 1.0, (), 1)],
+                              [((0,), F(1, 2), 1.0 / n)]),
+    )
+    exact = Solver(spec, SolveOptions(mode="exact", tail_eps=0.0)).law(6)
+    approx = Solver(spec, SolveOptions(tail_eps=0.0)).law(6)
+    assert approx.values == exact.values
+    assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(approx.probs, exact.probs))
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_incommensurable_tolls_exceed_capacity_before_allocating(mode):
+    rows = []
+    for n in (2, 3):
+        rows += [[n, n - 1, None, 1, "1/2"], [n, n - 1, None, "1/999983", "1/2"]]
+    doc = {"name": "incommensurable", "k": 1, "n0": 2,
+           "base": [Pmf.delta(0).to_json_dict()] * 2, "rows": rows}
+    solver = Solver(spec_from_json(doc), SolveOptions(mode=mode))
+    assert solver.law(2).values == (F(1, 999983), 1)
+    with pytest.raises(CapacityError, match="lattice span"):
+        solver.law(3)
+
+
 def test_json_string_accepted():
     spec = spec_from_json(json.dumps(_uniform_search_doc(4)))
     assert spec.k == 1
@@ -300,3 +415,50 @@ def test_quadratic_self_reference_rejected():
     )
     with pytest.raises(UnsupportedExactError):
         Solver(spec).law(2)
+
+
+# ---------------------------------------------------------------------------
+# property: the single solve path against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+_TOLLS = (0, 1, 2, -1, "1/2", "1/3", "-1/2", "5/6")
+_BASE_VALUES = ((0, 1), (1, 1), (1, 2), (-2, 3))
+
+
+@st.composite
+def small_spec_docs(draw):
+    k = draw(st.sampled_from((1, 2)))
+    n0 = draw(st.integers(1, 2))
+    n_max = draw(st.integers(n0, 7))
+    base = []
+    for _ in range(n0):
+        (a, b), (c, d) = draw(st.sampled_from(_BASE_VALUES)), draw(st.sampled_from(_BASE_VALUES))
+        if F(a, b) == F(c, d):
+            base.append({"atoms": [[a, b, 1.0]]})
+        else:
+            lo, hi = sorted([(a, b), (c, d)], key=lambda v: F(*v))
+            base.append({"atoms": [[*lo, 0.25], [*hi, 0.75]]})
+    rows = []
+    for n in range(n0, n_max + 1):
+        weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        for w in weights:
+            i1 = draw(st.integers(0, n - 1))
+            i2 = draw(st.integers(0, n - 1)) if k == 2 else None
+            rows.append([n, i1, i2, draw(st.sampled_from(_TOLLS)), f"{w}/{sum(weights)}"])
+    return {"name": "random", "k": k, "n0": n0, "base": base, "rows": rows}, n_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_spec_docs())
+def test_single_path_matches_brute_force(case):
+    doc, n = case
+    spec = spec_from_json(doc)
+    exact = Solver(spec, SolveOptions(mode="exact", tail_eps=0.0)).law(n)
+    assert dict(zip(exact.values, exact.probs)) == brute_law(spec, n)
+    approx = Solver(spec, SolveOptions(mode="float", tail_eps=0.0)).law(n)
+    assert approx.values == exact.values
+    assert all(abs(p - float(q)) <= 1e-12 for p, q in zip(approx.probs, exact.probs))
+    truncated = Solver(spec, SolveOptions(mode="exact", tail_eps=0.01)).law(n)
+    assert sum(truncated.probs) + truncated.lost_mass == 1
+    for law in (exact, approx, Solver(spec, SolveOptions(tail_eps=0.01)).law(n)):
+        assert abs(sum(law.probs) + law.lost_mass - 1) <= 1e-12
