@@ -78,8 +78,8 @@ def _unsuccessful_search() -> CatalogEntry:
     def vector_law(n: int) -> tuple:
         return [VectorGroup(1, np.full(n - 1, 1.0 / (n - 1)), 1.0, (), 1)], []
 
-    def sampler(rng: np.random.Generator, n: int, size: int) -> tuple:
-        return [rng.integers(1, n, size=size)], np.ones(size)
+    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
+        return [rng.integers(1, ns)], np.ones(ns.size)
 
     spec = RecurrenceSpec(
         name="unsuccessful_search",
@@ -116,15 +116,16 @@ def _node_depth() -> CatalogEntry:
         w[1:] = 2.0 * np.arange(1, n) / (n * n)
         return [VectorGroup(0, w, 1.0, (), 1)], []
 
-    def sampler(rng: np.random.Generator, n: int, size: int) -> tuple:
-        u = rng.random(size)
+    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
+        n = ns.astype(float)
+        u = rng.random(ns.size)
         zero = u < 1.0 / n
         # conditional CDF on {1,...,n-1} is k(k+1)/(n(n-1)); invert exactly
         t = np.maximum((u - 1.0 / n) / (1.0 - 1.0 / n), 0.0) * n * (n - 1)
         k = np.ceil(0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * t))).astype(np.int64)
-        k = np.clip(k, 1, n - 1)
+        k = np.clip(k, 1, ns - 1)
         k[zero] = 0
-        return [k], np.ones(size)
+        return [k], np.ones(ns.size)
 
     spec = RecurrenceSpec(
         name="node_depth",
@@ -153,8 +154,8 @@ def _quickselect() -> CatalogEntry:
     def vector_law(n: int) -> tuple:
         return [VectorGroup(0, np.full(n, 1.0 / n), 1.0, (), n - 1)], []
 
-    def sampler(rng: np.random.Generator, n: int, size: int) -> tuple:
-        return [rng.integers(0, n, size=size)], np.full(size, float(n - 1))
+    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
+        return [rng.integers(0, ns)], (ns - 1).astype(float)
 
     spec = RecurrenceSpec(
         name="quickselect",
@@ -224,26 +225,64 @@ def _broadcast_joint_law(n: int, toll: Callable[[int, int, int], int]) -> list:
     ]
 
 
-def _broadcast_sampler(rng: np.random.Generator, n: int, size: int) -> tuple:
-    """Draw (j, k) jointly: k from its marginal, then j - 1 binomial."""
-    u = rng.random(size)
+_SWAR_MASKS = tuple(
+    np.uint64(c)
+    for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of the uint64 array ``x``, which is overwritten.
+
+    Bit-parallel (SWAR) sums, which work on every supported numpy;
+    ``np.bitwise_count`` needs numpy 2.
+    """
+    m1, m2, m4, h01 = _SWAR_MASKS
+    x -= (x >> np.uint64(1)) & m1
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x += x >> np.uint64(4)
+    x &= m4
+    x *= h01  # wraps: the top byte collects the sum of the eight byte counts
+    x >>= np.uint64(56)
+    return x.view(np.int64)
+
+
+def _fair_binomial(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Binomial(m, 1/2) draw per entry of ``m``.
+
+    Counts up to 64 take the popcount of m uniform random bits, which is
+    exact in law and several times faster than ``rng.binomial``; larger
+    counts use ``rng.binomial``.
+    """
+    out = np.empty(m.size, dtype=np.int64)
+    few = m <= 64
+    bits = rng.integers(0, 2**64, size=int(few.sum()), dtype=np.uint64)
+    # keep the top m bits; numpy shifts a count of 0 by 64 to 0
+    bits >>= (64 - m[few]).astype(np.uint64)
+    out[few] = _popcount(bits)
+    out[~few] = rng.binomial(m[~few], 0.5)
+    return out
+
+
+def _broadcast_sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
+    """Draw (j, k) jointly per particle: k from its marginal, then j - 1
+    binomial, for the contender counts ``ns``."""
+    u = rng.random(ns.size)
     # P(k >= 1) tail is geometric: k = ceil(-log2(2u)) clipped into range
-    k = np.zeros(size, dtype=np.int64)
-    tail = u < 0.5  # mass 1/2 spread over k >= 1 plus the residual at k = 0
+    k = np.zeros(ns.size, dtype=np.int64)
+    tail = np.flatnonzero(u < 0.5)  # mass 1/2 spread over k >= 1 plus the residual at k = 0
+    u_t, n_t = u[tail], ns[tail]
     with np.errstate(divide="ignore"):
-        kk = np.floor(-np.log2(np.maximum(u[tail], 1e-300))).astype(np.int64)
-    kk = np.clip(kk, 1, n - 1)
+        kk = np.floor(-np.log2(np.maximum(u_t, 1e-300))).astype(np.int64)
+    kk = np.clip(kk, 1, n_t - 1)
     # overflow of the truncated geometric (u < 2^-n) belongs to k = 0
-    kk[u[tail] < 2.0**-n] = 0
+    kk[u_t < np.ldexp(1.0, -n_t)] = 0
     k[tail] = kk
-    j = np.zeros(size, dtype=np.int64)
-    pos = np.ones(size, dtype=bool)
-    if n <= 60:
-        # the (0, 0) atom carries weight 2^-n inside the k = 0 slice
-        zero_zero = (k == 0) & (rng.random(size) < (2.0**-n) / (0.5 + 2.0**-n))
-        pos &= ~zero_zero
-    trials = n - k - 1
-    j[pos] = 1 + rng.binomial(trials[pos], 0.5)
+    j = 1 + _fair_binomial(ns - k - 1, rng)
+    # the (0, 0) atom carries weight 2^-n inside the k = 0 slice (dropped for n > 60)
+    slot = np.flatnonzero((k == 0) & (ns <= 60))
+    p00 = np.ldexp(1.0, -ns[slot])
+    j[slot[rng.random(slot.size) < p00 / (0.5 + p00)]] = 0
     return [j, k], None
 
 
@@ -266,9 +305,9 @@ def _broadcast_a_time() -> CatalogEntry:
         lone = [((0, 0), 1, 2.0**-n)] if n <= 1030 else []
         return groups, lone
 
-    def sampler(rng: np.random.Generator, n: int, size: int) -> tuple:
-        idx, _ = _broadcast_sampler(rng, n, size)
-        return idx, np.ones(size)
+    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
+        idx, _ = _broadcast_sampler(rng, ns)
+        return idx, np.ones(ns.size)
 
     spec = RecurrenceSpec(
         name="broadcast_a_time",
@@ -296,9 +335,9 @@ def _broadcast_a_comparisons() -> CatalogEntry:
     def joint_law(n: int) -> list:
         return _broadcast_joint_law(n, lambda n_, j, k: n_ - j)
 
-    def sampler(rng: np.random.Generator, n: int, size: int) -> tuple:
-        idx, _ = _broadcast_sampler(rng, n, size)
-        return idx, (n - idx[0]).astype(float)
+    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
+        idx, _ = _broadcast_sampler(rng, ns)
+        return idx, (ns - idx[0]).astype(float)
 
     spec = RecurrenceSpec(
         name="broadcast_a_comparisons",
@@ -333,31 +372,29 @@ def leader_election_rounds(m, rng: np.random.Generator):
     wasted. Accepts a scalar or an array of contender counts.
     """
     scalar = np.isscalar(m)
-    m_arr = np.atleast_1d(np.asarray(m, dtype=np.int64)).copy()
-    if (m_arr < 1).any():
+    counts = np.atleast_1d(np.asarray(m, dtype=np.int64))
+    if (counts < 1).any():
         raise PreconditionError("contender counts must be at least 1")
-    rounds = np.zeros(m_arr.shape, dtype=np.int64)
-    active = m_arr > 1
-    guard = 0
-    while active.any():
-        heads = rng.binomial(m_arr[active], 0.5)
-        rounds[active] += 1
-        keep = (heads >= 1) & (heads < m_arr[active])
-        cur = m_arr[active]
-        cur[keep] = heads[keep]
-        m_arr[active] = cur
-        active = m_arr > 1
-        guard += 1
-        if guard > 100_000:
+    rounds = np.zeros(counts.size, dtype=np.int64)
+    # only running elections are carried: their output positions and counts
+    pos = np.flatnonzero(counts.ravel() > 1)
+    cur = counts.ravel()[pos]
+    r = 0
+    while pos.size:
+        r += 1
+        if r > 100_000:
             raise PreconditionError("election failed to terminate")
-    return int(rounds[0]) if scalar else rounds
+        heads = _fair_binomial(cur, rng)
+        cur = np.where((heads >= 1) & (heads < cur), heads, cur)
+        done = cur == 1
+        rounds[pos[done]] = r
+        pos, cur = pos[~done], cur[~done]
+    return int(rounds[0]) if scalar else rounds.reshape(counts.shape)
 
 
 def _broadcast_b_time() -> CatalogEntry:
-    def sampler(rng: np.random.Generator, n: int, size: int) -> tuple:
-        idx = rng.integers(0, n, size=size)
-        tolls = leader_election_rounds(np.full(size, n, dtype=np.int64), rng)
-        return [idx], tolls.astype(float)
+    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
+        return [rng.integers(0, ns)], leader_election_rounds(ns, rng).astype(float)
 
     def index_law(n: int) -> list:
         w = 1.0 / n

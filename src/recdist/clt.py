@@ -329,19 +329,26 @@ def check_conditions(
 
 
 def _mc_toll_ratio(spec, params, n: int, rng: np.random.Generator, samples: int) -> float:
-    """Monte Carlo toll norm for sampler-only entries, using sampled child means."""
-    draw = spec.sampler
-    idx_list, tolls = draw(rng, n, samples)
+    """Monte Carlo toll norm for sampler-only entries, using sampled child means.
+
+    The mean at n and every child mean come from one grouped ``sample_many``
+    call: ``samples`` particles at n, then for each recursing child index
+    drawn c times, min(max(2000, 40 c), 20000) particles at it. Only group
+    sums come back, so the call holds one block of particles at a time.
+    """
+    idx_list, tolls = spec.sampler(rng, np.full(samples, n, dtype=np.int64))
     lead = np.asarray(idx_list[0], dtype=np.int64)
-    mu_n = float(np.mean(sample_many(spec, n, samples, rng)))
-    mu_child = np.zeros(n + 1)
     child_counts = np.bincount(lead, minlength=n + 1)
-    for i in np.nonzero(child_counts)[0]:
-        m = min(max(2000, 40 * child_counts[i]), 20_000)
-        mu_child[i] = float(np.mean(sample_many(spec, int(i), m, rng))) if i >= spec.n0 else float(
-            spec.base_laws[i].moment(1)
-        )
-    centered = tolls - mu_n + mu_child[lead]
+    children = np.flatnonzero(child_counts)
+    rec = children[children >= spec.n0]
+    starts = np.concatenate([[n], rec])
+    reps = np.concatenate([[samples], np.clip(40 * child_counts[rec], 2000, 20_000)])
+    means = sample_many(spec, starts, int(reps.sum()), rng, reps=reps) / reps
+    mu_child = np.zeros(n + 1)
+    for i in children[children < spec.n0]:
+        mu_child[i] = float(spec.base_laws[i].moment(1))
+    mu_child[rec] = means[1:]
+    centered = tolls - means[0] + mu_child[lead]
     toll_l3 = float(np.mean(np.abs(centered) ** 3)) ** (1.0 / 3.0)
     return toll_l3 / math.log(n) ** params.kappa
 

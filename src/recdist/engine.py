@@ -85,8 +85,10 @@ class RecurrenceSpec:
     ``joint_law(n)`` tabulates atoms ``(indices, toll, weight)`` with exact
     rational weights and integer or rational tolls (a float toll is read as
     its shortest decimal); ``vector_law(n)`` optionally provides the same law as
-    grouped float weight rows, used in float mode. ``sampler(rng, n, size)``
-    draws joint atoms in bulk and is required when the joint law cannot be
+    grouped float weight rows, used in float mode. ``sampler(rng, ns)`` draws
+    one joint atom per entry of the int64 index array ``ns`` and returns
+    ``(children, tolls)``: ``k`` child-index arrays and a toll array, each
+    aligned with ``ns``. It is required when the joint law cannot be
     tabulated (then only Monte Carlo is available).
     """
 
@@ -96,7 +98,7 @@ class RecurrenceSpec:
     base_laws: tuple
     joint_law: Callable[[int], Sequence[tuple]] | None = None
     vector_law: Callable[[int], tuple] | None = None
-    sampler: Callable[[np.random.Generator, int, int], tuple] | None = None
+    sampler: Callable[[np.random.Generator, np.ndarray], tuple] | None = None
     index_law: Callable[[int], Sequence[tuple]] | None = None
     exact_cap: int | None = None
 
@@ -219,6 +221,11 @@ class Solver:
 
     def third_abs_central(self, n: int):
         return self._level(n).third_abs_central
+
+    @property
+    def lattice_den(self) -> int:
+        """D of the lattice of spacing 1/D that the solved laws live on."""
+        return self._den
 
     def moment_rows(self, ns: Sequence[int]) -> list:
         return [
@@ -565,22 +572,29 @@ class _TableSampler:
         self.spec = spec
         self._tables: dict = {}
 
-    def __call__(self, rng: np.random.Generator, n: int, size: int) -> tuple:
+    def _table(self, n: int) -> tuple:
         tab = self._tables.get(n)
         if tab is None:
             atoms = self.spec.joint_atoms(n)
             idx = np.array([a[0] for a in atoms], dtype=np.int64)
             tolls = np.array([float(a[1]) for a in atoms])
-            w = np.array([float(a[2]) for a in atoms])
-            cum = np.cumsum(w)
-            cum /= cum[-1]
-            tab = (idx, tolls, cum)
-            self._tables[n] = tab
-        idx, tolls, cum = tab
-        picks = np.searchsorted(cum, rng.random(size), side="right")
-        picks = np.minimum(picks, len(cum) - 1)
-        chosen = idx[picks]
-        return [chosen[:, r] for r in range(self.spec.k)], tolls[picks]
+            cum = np.cumsum([float(a[2]) for a in atoms])
+            tab = self._tables[n] = (idx, tolls, cum / cum[-1])
+        return tab
+
+    def __call__(self, rng: np.random.Generator, ns: np.ndarray) -> tuple:
+        u = rng.random(ns.size)
+        children = np.empty((self.spec.k, ns.size), dtype=np.int64)
+        tolls = np.empty(ns.size)
+        # particles sorted by index, one searchsorted per distinct index
+        order = np.argsort(ns, kind="stable")
+        for sel in np.split(order, np.flatnonzero(np.diff(ns[order])) + 1):
+            if sel.size:
+                idx, tab_tolls, cum = self._table(int(ns[sel[0]]))
+                picks = np.minimum(np.searchsorted(cum, u[sel], side="right"), len(cum) - 1)
+                children[:, sel] = idx[picks].T
+                tolls[sel] = tab_tolls[picks]
+        return list(children), tolls
 
 
 def _joint_sampler(spec: RecurrenceSpec):
@@ -589,52 +603,93 @@ def _joint_sampler(spec: RecurrenceSpec):
     return _TableSampler(spec)
 
 
-def sample_many(
-    spec: RecurrenceSpec, n: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Independent draws of the recurrence value at ``n``, fully vectorized.
+#: particles simulated together by ``sample_many``; bounds its working memory
+_BLOCK = 1 << 16
 
-    Pending subproblems are processed in rounds grouped by index, so each
-    round costs a handful of numpy operations per distinct index value.
+
+def sample_many(
+    spec: RecurrenceSpec, n, size: int, rng: np.random.Generator, *, reps=None
+) -> np.ndarray:
+    """Independent draws of the recurrence value, fully vectorized.
+
+    ``n`` is the start index of every draw, or an integer array of ``size``
+    start indices, one per draw. With ``reps``, ``n`` is instead an array of
+    group start indices, ``reps[g]`` draws start at ``n[g]``, ``size`` is
+    ``sum(reps)``, and the result is the sum of each group's draws; a caller
+    that needs only group means then never holds every draw.
+
+    Particles run in blocks of ``_BLOCK``; in a block each round makes one
+    sampler call over every pending subproblem, so a round costs O(pending)
+    numpy work however many indices are pending.
     """
-    if n < 0:
-        raise PreconditionError(f"{spec.name}: index must be nonnegative (got {n})")
+    starts = np.asarray(n)
+    if reps is None:
+        ok = starts.shape in ((), (size,))
+        counts = np.ones(size, dtype=np.int64) if starts.ndim else np.array([size])
+    else:
+        counts = np.asarray(reps)
+        ok = (
+            starts.ndim == 1
+            and counts.shape == starts.shape
+            and np.issubdtype(counts.dtype, np.integer)
+            and (starts.size == 0 or counts.min() >= 0)
+            and int(counts.sum()) == size
+        )
+    if not np.issubdtype(starts.dtype, np.integer) or not ok:
+        raise PreconditionError(
+            f"{spec.name}: start index must be an integer, {size} integers, "
+            f"or group starts with counts summing to {size}"
+        )
+    if starts.size and starts.min() < 0:
+        raise PreconditionError(
+            f"{spec.name}: index must be nonnegative (got {int(starts.min())})"
+        )
+    starts = np.atleast_1d(starts).astype(np.int64)
+    ends = np.cumsum(counts)
     draw = _joint_sampler(spec)
+    base = [(b.values_f, np.cumsum(b.probs_f) / float(np.sum(b.probs_f))) for b in spec.base_laws]
+    out = np.empty(size) if reps is None else np.zeros(starts.size)
+    for lo in range(0, size, _BLOCK):
+        group = np.searchsorted(ends, np.arange(lo, min(lo + _BLOCK, size)), side="right")
+        draws = _sample_block(spec, draw, base, starts[group], rng)
+        if reps is None:
+            out[lo : lo + _BLOCK] = draws
+        else:
+            out += np.bincount(group, weights=draws, minlength=starts.size)
+    return out
+
+
+def _sample_block(spec: RecurrenceSpec, draw, base: list, ns: np.ndarray, rng) -> np.ndarray:
+    """Draws for one block of particles started at indices ``ns``.
+
+    Pending subproblems are (particle, index) pairs; base indices resolve
+    from their laws, every other pending index takes one joint draw.
+    """
+    size = ns.size
     totals = np.zeros(size)
-    pend_pid = np.arange(size, dtype=np.int64)
-    pend_n = np.full(size, n, dtype=np.int64)
-    base_vals = [b.values_f for b in spec.base_laws]
-    base_cums = [np.cumsum(b.probs_f) / float(np.sum(b.probs_f)) for b in spec.base_laws]
+    pids = np.arange(size, dtype=np.int64)
     rounds = 0
-    while pend_pid.size:
+    while pids.size:
         rounds += 1
         if rounds > 10_000:
             raise CapacityError("sampling recursion failed to terminate")
-        small = pend_n < spec.n0
+        small = ns < spec.n0
         if small.any():
-            for b in np.unique(pend_n[small]):
-                sel = pend_n == b
-                vals = base_vals[b]
+            for b in np.unique(ns[small]).tolist():
+                at = pids[ns == b]
+                vals, cum = base[b]
                 if len(vals) == 1:
-                    np.add.at(totals, pend_pid[sel], vals[0])
+                    totals += vals[0] * np.bincount(at, minlength=size)
                 else:
-                    picks = np.searchsorted(base_cums[b], rng.random(int(sel.sum())))
-                    np.add.at(totals, pend_pid[sel], vals[np.minimum(picks, len(vals) - 1)])
-            pend_pid, pend_n = pend_pid[~small], pend_n[~small]
-        if not pend_pid.size:
-            break
-        new_pid: list = []
-        new_n: list = []
-        for u in np.unique(pend_n):
-            sel = pend_n == u
-            pids = pend_pid[sel]
-            children, tolls = draw(rng, int(u), pids.size)
-            np.add.at(totals, pids, tolls)
-            for child in children:
-                new_pid.append(pids)
-                new_n.append(np.asarray(child, dtype=np.int64))
-        pend_pid = np.concatenate(new_pid)
-        pend_n = np.concatenate(new_n)
+                    picks = np.minimum(np.searchsorted(cum, rng.random(at.size)), len(vals) - 1)
+                    totals += np.bincount(at, weights=vals[picks], minlength=size)
+            pids, ns = pids[~small], ns[~small]
+            if not pids.size:
+                break
+        children, tolls = draw(rng, ns)
+        totals += np.bincount(pids, weights=tolls, minlength=size)
+        pids = np.tile(pids, spec.k)
+        ns = np.concatenate([np.asarray(c, dtype=np.int64) for c in children])
     return totals
 
 

@@ -4,8 +4,12 @@
 fractions: no memoization, no truncation, no shared code with the solver
 beyond the joint-law tables themselves. ``broadcast_means`` runs the mean
 recurrence of the broadcast models from the index law written out in its
-docstring, without touching the catalog's tables."""
+docstring, without touching the catalog's tables. ``election_rounds_law`` is
+the exact law of a leader election's length, from its transition matrix, and
+``sampled_tv`` measures a sample against a reference law with the bound it
+may reach by chance."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -61,3 +65,46 @@ def broadcast_means(n_max: int, toll_mean, base_means=(0.0, 0.0)):
         rest = toll_mean(n) + (binom[:n] + trailing) @ means[:n]
         means[n] = rest / (1.0 - 0.5**n)
     return means
+
+
+def sampled_tv(keys, reference: dict, t: float = 0.02) -> tuple:
+    """Total variation between the empirical law of ``keys`` and
+    ``reference`` ({key: probability}), with the bound it must stay under.
+
+    E[TV] <= 1/2 sum_i sqrt(p_i (1 - p_i) / N) by Jensen, and one draw moves
+    TV by at most 1/N, so TV exceeds that mean by ``t`` with probability at
+    most exp(-2 N t^2) (McDiarmid): 1e-7 for N = 20000 and t = 0.02.
+    """
+    n_draws = len(keys)
+    emp: dict = {}
+    for key in keys:
+        emp[key] = emp.get(key, 0) + 1
+    tv = 0.5 * sum(
+        abs(emp.get(k, 0) / n_draws - reference.get(k, 0.0)) for k in set(emp) | set(reference)
+    )
+    p = np.array([float(x) for x in reference.values()])
+    return tv, 0.5 * float(np.sum(np.sqrt(p * (1.0 - p) / n_draws))) + t
+
+
+def election_rounds_law(m: int, eps: float = 1e-13) -> dict:
+    """Exact law {rounds: probability} of thinning m contenders to one by fair
+    coin flips: from c contenders the h heads-flippers survive when
+    1 <= h < c, otherwise the round is wasted. Stops once the running mass
+    is below ``eps``."""
+    if m == 1:
+        return {0: 1.0}
+    step = np.zeros((m + 1, m + 1))
+    for c in range(2, m + 1):
+        row = np.array([math.comb(c, h) / 2**c for h in range(c + 1)])
+        step[c, 1:c] = row[1:c]
+        step[c, c] = row[0] + row[c]
+    state = np.zeros(m + 1)
+    state[m] = 1.0
+    law: dict = {}
+    rounds = 0
+    while state.sum() > eps:
+        rounds += 1
+        state = state @ step
+        law[rounds] = float(state[1])
+        state[1] = 0.0
+    return law

@@ -15,7 +15,9 @@ from recdist import (
     make,
     rate_exponent,
 )
-from recdist.catalog import NAMES, fit_variance_constant
+from recdist.catalog import NAMES, _fair_binomial, _popcount, fit_variance_constant
+
+from brute import election_rounds_law, sampled_tv
 
 
 def test_all_entries_constructible():
@@ -119,7 +121,7 @@ def test_broadcast_sampler_matches_joint_law():
     spec = make("broadcast_a_time").spec
     rng = np.random.default_rng(31337)
     n, runs = 10, 400_000
-    idx, _ = spec.sampler(rng, n, runs)
+    idx, _ = spec.sampler(rng, np.full(runs, n))
     emp: dict = {}
     for j, k in zip(idx[0].tolist(), idx[1].tolist()):
         emp[(j, k)] = emp.get((j, k), 0) + 1
@@ -128,6 +130,71 @@ def test_broadcast_sampler_matches_joint_law():
         abs(emp.get(key, 0) / runs - ref.get(key, 0.0)) for key in set(emp) | set(ref)
     )
     assert tv < 0.005
+
+
+MIXED_NS = (2, 3, 10, 61, 200)
+
+
+def _mixed_call(spec, per_n: int, seed: int) -> tuple:
+    """One sampler call over a shuffled array mixing every index of MIXED_NS."""
+    rng = np.random.default_rng(seed)
+    ns = rng.permutation(np.repeat(np.array(MIXED_NS, dtype=np.int64), per_n))
+    children, tolls = spec.sampler(rng, ns)
+    return ns, np.stack([np.asarray(c) for c in children], axis=1), np.asarray(tolls, dtype=float)
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n != "broadcast_b_time"])
+def test_sampler_joint_law_over_mixed_indices(name):
+    spec = make(name).spec
+    ns, children, tolls = _mixed_call(spec, 20_000, seed=2024)
+    for n in MIXED_NS:
+        at = ns == n
+        keys = list(zip(map(tuple, children[at].tolist()), tolls[at].tolist()))
+        ref: dict = {}
+        for idx, toll, w in spec.joint_atoms(n):
+            key = (tuple(idx), float(toll))
+            ref[key] = ref.get(key, 0.0) + float(w)
+        tv, bound = sampled_tv(keys, ref)
+        assert tv <= bound, (n, tv, bound)
+
+
+def test_election_sampler_law_over_mixed_indices():
+    spec = make("broadcast_b_time").spec
+    ns, children, tolls = _mixed_call(spec, 20_000, seed=2025)
+    for n in MIXED_NS:
+        at = ns == n
+        index_ref = {tuple(idx): float(w) for idx, w in spec.index_atoms(n)}
+        tv, bound = sampled_tv(list(map(tuple, children[at].tolist())), index_ref)
+        assert tv <= bound, ("index", n, tv, bound)
+        toll_ref = {float(r): p for r, p in election_rounds_law(n).items()}
+        tv, bound = sampled_tv(tolls[at].tolist(), toll_ref)
+        assert tv <= bound, ("toll", n, tv, bound)
+
+
+def test_fair_binomial_is_exact():
+    ms = (1, 2, 63, 64, 65, 200)
+    per_m = 200_000
+    rng = np.random.default_rng(77)
+    m = rng.permutation(np.repeat(np.array(ms, dtype=np.int64), per_m))
+    draws = _fair_binomial(m, rng)
+    for mm in ms:
+        got = draws[m == mm]
+        ref = {h: math.comb(mm, h) / 2**mm for h in range(mm + 1)}
+        tv, bound = sampled_tv(got.tolist(), ref, t=0.01)
+        assert tv <= bound, (mm, tv, bound)
+        # six standard errors of the mean m/2
+        assert abs(float(got.mean()) - mm / 2) <= 6 * math.sqrt(mm / 4 / per_m)
+    assert _fair_binomial(np.zeros(5, dtype=np.int64), rng).tolist() == [0] * 5
+
+
+def test_popcount_counts_set_bits():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        rng.integers(0, 2**64, size=1000, dtype=np.uint64),
+    ])
+    want = [bin(v).count("1") for v in x.tolist()]
+    assert _popcount(x.copy()).tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,51 @@ def test_seed_from_environment_is_recorded(command):
     assert json.loads(res.stdout)["seed"] == 123
     explicit = run_cli(*command, "--seed", "123")
     assert explicit.stdout == res.stdout
+
+
+def _uniform_index_doc(toll, n_max: int) -> dict:
+    """Uniform surviving index on {1, ..., n-1} with a constant toll."""
+    rows = [[n, i, None, toll, f"1/{n - 1}"] for n in range(2, n_max + 1) for i in range(1, n)]
+    return {"name": "uniform", "k": 1, "n0": 2,
+            "base": [{"atoms": [[0, 1, 1.0]], "lost_mass": 0.0}] * 2, "rows": rows}
+
+
+def test_simulate_rational_toll_tv_bins_on_the_lattice(tmp_path):
+    path = tmp_path / "tenth.json"
+    path.write_text(json.dumps(_uniform_index_doc("1/10", 30)))
+    res = run_cli("simulate", "--spec-json", str(path), "--n", "30", "--runs", "20000",
+                  "--seed", "1")
+    assert res.returncode == 0, res.stderr
+    # exact float equality put 0.1 + 0.1 + 0.1 and 0.3 in different bins (0.260)
+    assert json.loads(res.stdout)["tv_to_exact"] <= 0.03
+
+
+def test_tv_to_exact_unchanged_for_integer_draws():
+    import numpy as np
+
+    from recdist.catalog import make
+    from recdist.cli import _tv_to_exact
+    from recdist.engine import Solver, sample_many
+
+    spec = make("node_depth").spec
+    law = Solver(spec).law(40)
+    draws = sample_many(spec, 40, 20_000, np.random.default_rng(4))
+    # the exact-float-equality binning used before the lattice binning
+    vals, counts = np.unique(draws, return_counts=True)
+    emp = dict(zip(vals.tolist(), (counts / len(draws)).tolist()))
+    ex = {float(v): float(p) for v, p in zip(law.values, law.probs)}
+    old = 0.5 * sum(abs(emp.get(k, 0.0) - ex.get(k, 0.0)) for k in set(emp) | set(ex))
+    assert _tv_to_exact(draws, law, 1) == old
+
+
+def test_memory_error_is_capacity_exit(monkeypatch, capsys):
+    from recdist import cli
+
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 939. MiB for an array")
+
+    monkeypatch.setattr(cli, "_cmd_verify", exhausted)
+    code = cli.main(["verify", "--model", "broadcast-a-time", "--ns", "512"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CAPACITY == 3
+    assert err.startswith("capacity error:") and "Traceback" not in err

@@ -221,6 +221,30 @@ def test_conditions_sampler_only_with_monte_carlo():
     assert all(r.toll_l3_ratio is not None for r in rep.rows)
 
 
+def test_mc_toll_norm_sampling_calls_do_not_grow_with_children(monkeypatch):
+    import recdist.clt as clt_module
+
+    calls = []
+    plain = clt_module.sample_many
+
+    def counted(spec, n, size, rng, **kw):
+        calls.append(np.size(n))
+        return plain(spec, n, size, rng, **kw)
+
+    monkeypatch.setattr(clt_module, "sample_many", counted)
+    entry = make("broadcast_b_time")
+    ns = [16, 32, 64]
+    rep = check_conditions(entry.solver(), entry.params, ns, rng=np.random.default_rng(5))
+    assert len(calls) <= 2 * len(ns)
+    # start indices are passed per group, not per particle
+    assert max(calls) <= max(ns) + 1
+    # the estimator that made one sample_many call per child index gave, over
+    # seeds 0..7 at 20000 samples, means 1.497 / 1.494 / 1.528 and standard
+    # deviations 0.005 / 0.008 / 0.005; 0.05 is over six of them
+    for row, before in zip(rep.rows, (1.497, 1.494, 1.528)):
+        assert abs(row.toll_l3_ratio - before) <= 0.05
+
+
 # ---------------------------------------------------------------------------
 # rate fits and calculus checks
 # ---------------------------------------------------------------------------

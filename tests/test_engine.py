@@ -26,8 +26,9 @@ from recdist import (
     sample_many,
     spec_from_json,
 )
+from recdist.engine import _BLOCK, _TableSampler
 
-from brute import brute_law
+from brute import brute_law, sampled_tv
 
 
 def exact_solver(name: str) -> Solver:
@@ -267,6 +268,75 @@ def test_exact_vs_monte_carlo_tv_small_n(name):
     ex = {int(v): float(p) for v, p in zip(law.values, law.probs)}
     tv = 0.5 * sum(abs(emp.get(k, 0.0) - ex.get(k, 0.0)) for k in set(emp) | set(ex))
     assert tv <= 0.01
+
+
+def test_table_sampler_law_over_mixed_indices():
+    mixed = (2, 3, 10, 61, 200)
+    rows = []
+    for n in mixed:  # unequal weights, mixed integer and rational tolls
+        total = n * (n + 1) // 2
+        rows += [[n, i, n - 1 - i, "1/3" if i % 2 else 2, f"{i + 1}/{total}"] for i in range(n)]
+    spec = spec_from_json({"name": "split", "k": 2, "n0": 2,
+                           "base": [Pmf.delta(0).to_json_dict()] * 2, "rows": rows})
+    rng = np.random.default_rng(8)
+    ns = rng.permutation(np.repeat(np.array(mixed, dtype=np.int64), 20_000))
+    children, tolls = _TableSampler(spec)(rng, ns)
+    for n in mixed:
+        at = ns == n
+        keys = list(zip(zip(children[0][at].tolist(), children[1][at].tolist()), tolls[at].tolist()))
+        ref = {(tuple(idx), float(t)): float(w) for idx, t, w in spec.joint_atoms(n)}
+        tv, bound = sampled_tv(keys, ref)
+        assert tv <= bound, (n, tv, bound)
+
+
+def test_sample_many_per_particle_starts(solver_us):
+    # more particles than one block, starts interleaved across indices
+    starts = np.array([2, 50, 7, 300], dtype=np.int64)
+    n_of = np.tile(starts, (_BLOCK + 7) // 2)
+    draws = sample_many(solver_us.spec, n_of, n_of.size, np.random.default_rng(12))
+    assert np.all(draws[n_of == 2] == 1)
+    for n in starts[1:]:
+        got = draws[n_of == n]
+        se = float(solver_us.sd(int(n))) / got.size ** 0.5
+        assert abs(float(got.mean()) - float(solver_us.mean(int(n)))) <= 6 * se
+
+
+def test_sample_many_rejects_misshaped_starts():
+    spec = make("unsuccessful_search").spec
+    rng = np.random.default_rng(0)
+    with pytest.raises(PreconditionError):
+        sample_many(spec, np.array([5, 6]), 3, rng)
+    with pytest.raises(PreconditionError):
+        sample_many(spec, 5.0, 3, rng)
+    with pytest.raises(PreconditionError):
+        sample_many(spec, np.array([5, -1, 6]), 3, rng)
+    for starts, reps in (([5, 6], [1, 1]), ([5, 6], [1, 1, 1]), ([5, 6], [4, -1])):
+        with pytest.raises(PreconditionError):
+            sample_many(spec, np.array(starts), 3, rng, reps=np.array(reps))
+
+
+def test_sample_many_group_sums_match_per_particle_draws(monkeypatch):
+    import recdist.engine as engine_module
+
+    spec = make("unsuccessful_search").spec
+    starts = np.array([2, 50, 7, 300], dtype=np.int64)
+    reps = np.array([3, _BLOCK + 11, 0, 500], dtype=np.int64)
+    size = int(reps.sum())
+    flat = sample_many(spec, np.repeat(starts, reps), size, np.random.default_rng(8))
+    blocks = []
+    plain = engine_module._sample_block
+
+    def recorded(spec, draw, base, ns, rng):
+        blocks.append(ns.size)
+        return plain(spec, draw, base, ns, rng)
+
+    monkeypatch.setattr(engine_module, "_sample_block", recorded)
+    sums = sample_many(spec, starts, size, np.random.default_rng(8), reps=reps)
+    # the same particles in the same blocks: the same draws, summed per group
+    offsets = np.cumsum(reps) - reps
+    want = [flat[o : o + r].sum() for o, r in zip(offsets, reps)]
+    assert sums == pytest.approx(want, rel=1e-12)
+    assert max(blocks) <= _BLOCK and len(blocks) == 2
 
 
 # ---------------------------------------------------------------------------
