@@ -129,7 +129,9 @@ class AccompanyingLaw:
     shift; conditionally on the atom this is one scaled and shifted normal
     component. ``gains``/``gaps`` refer to the leading index: the scale carried
     over from the leading child and its root-square distance to the target
-    scale. ``shifts`` is the standardized toll.
+    scale. ``shifts`` is the standardized toll. ``weights``, ``gains``,
+    ``gaps`` and ``shifts`` hold one entry per joint atom; ``mixture`` holds
+    one component per distinct (shift, sd) pair.
     """
 
     mixture: NormalMixture
@@ -161,8 +163,13 @@ def accompanying_law(solver: Solver, n: int, params: CltParams) -> AccompanyingL
     comp_sds = np.sqrt(np.square(ratios * taus[idx]).sum(axis=1))
     gains = ratios[:, 0] * taus[idx[:, 0]]
     gaps = np.sqrt(np.abs(np.square(gains) - tau_n**2))
+    # atoms with equal (shift, sd) give the same normal component; merging
+    # them sums weights and leaves the law unchanged (k=2 tables list every
+    # child pair in both orders)
+    comps, which = np.unique(np.column_stack([shifts, comp_sds]), axis=0, return_inverse=True)
+    comp_weights = np.bincount(which.ravel(), weights=weights, minlength=len(comps))
     mixture = NormalMixture.from_components(
-        list(zip(weights.tolist(), shifts.tolist(), comp_sds.tolist()))
+        list(zip(comp_weights.tolist(), comps[:, 0].tolist(), comps[:, 1].tolist()))
     )
     return AccompanyingLaw(mixture, weights, gains, gaps, shifts, tau_n)
 

@@ -15,6 +15,14 @@ and bounds the integral value from below. Nothing calls it implicitly.
 Discrete-discrete distances are integrated exactly piece by piece; anything
 involving a normal component uses adaptive two-level Gauss quadrature with an
 analytic bound on the tail remainder.
+
+A mixture is evaluated at many points (its excess square E (X - t)+^2 and
+its CDF) through one blocked kernel: the (points x components) product is
+worked through in blocks of ``_BLOCK`` pairs with in-place ufuncs, so memory
+stays bounded whatever the numbers of points and components. The probe finds
+the sign changes of the integrand by bisecting all bracketed roots at once on
+that same batched evaluator, and takes expectations of its piecewise cubic
+in blocks of (pieces x components), anchored at the mean of the law.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from typing import Sequence, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import ndtr
 
 from .errors import MomentMismatchError, PreconditionError
@@ -109,16 +116,7 @@ class NormalMixture:
         )
 
     def cdf(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        w, m, s = self._arrays
-        out = np.zeros(ts.shape)
-        cont = s > 0
-        if cont.any():
-            z = (ts[..., None] - m[cont]) / s[cont]
-            out += ndtr(z) @ w[cont]
-        for wi, mi in zip(w[~cont], m[~cont]):
-            out += wi * (ts >= mi)
-        return out
+        return _mix_sum(self, ts, _CDF)
 
     def is_discrete(self) -> bool:
         return all(s == 0 for s in self.sds)
@@ -183,18 +181,90 @@ def _pmf_excess_square(p: Pmf, ts: np.ndarray) -> np.ndarray:
     return c[idx] - 2.0 * ts * b[idx] + ts * ts * a[idx]
 
 
-def _mix_excess_square(mix: NormalMixture, ts: np.ndarray) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# blocked mixture kernels
+# ---------------------------------------------------------------------------
+
+#: (point, component) pairs a mixture kernel evaluates at once. It bounds the
+#: working memory of every mixture evaluation whatever the numbers of points
+#: and components; blocks that outgrow the CPU cache run slower, not faster.
+_BLOCK = 1 << 14
+
+
+def _normal_excess_kernel(z, a, b):
+    """(1 + z^2) Phi(-z) - z phi(z), clipped at 0, in place of z (a, b scratch)."""
+    np.square(z, out=a)
+    a *= -0.5
+    np.exp(a, out=a)
+    a /= _SQRT2PI
+    a *= z
+    np.negative(z, out=b)
+    ndtr(b, out=b)
+    np.square(z, out=z)
+    z += 1.0
+    z *= b
+    z -= a
+    return np.maximum(z, 0.0, out=z)
+
+
+def _point_excess_kernel(z, a, b):
+    """((-z)+)^2 in place of z: the point-mass excess square at offset z = t - m."""
+    np.negative(z, out=z)
+    np.maximum(z, 0.0, out=z)
+    return np.square(z, out=z)
+
+
+def _normal_cdf_kernel(z, a, b):
+    return ndtr(z, out=z)
+
+
+def _point_cdf_kernel(z, a, b):
+    return np.heaviside(z, 1.0, out=z)
+
+
+#: (kernel on continuous components, kernel on point masses, power of sd in
+#: the continuous coefficients w * sd^p)
+_EXCESS_SQUARE = (_normal_excess_kernel, _point_excess_kernel, 2)
+_CDF = (_normal_cdf_kernel, _point_cdf_kernel, 0)
+
+
+def _mix_sum(mix: NormalMixture, ts, kernel) -> np.ndarray:
+    """sum_j w_j s_j^p g((t - m_j) / s_j) at every t, with (g, g0, p) = kernel
+    and point masses (s_j = 0) contributing w_j g0(t - m_j)."""
+    ts = np.asarray(ts, dtype=float)
+    flat = ts.ravel()
+    normal, point, power = kernel
     w, m, s = mix._arrays
-    out = np.zeros(ts.shape)
+    out = np.zeros(flat.size)
     cont = s > 0
-    if cont.any():
-        z = (ts[..., None] - m[cont]) / s[cont]
-        g = (1.0 + np.square(z)) * ndtr(-z) - z * _phi(z)
-        out += np.maximum(g, 0.0) @ (w[cont] * np.square(s[cont]))
+    _blocked_sum(flat, m[cont], s[cont], w[cont] * s[cont] ** power, normal, out)
     disc = ~cont
-    if disc.any():
-        out += np.square(np.maximum(m[disc] - ts[..., None], 0.0)) @ w[disc]
-    return out
+    _blocked_sum(flat, m[disc], None, w[disc], point, out)
+    return out.reshape(ts.shape)
+
+
+def _blocked_sum(ts, centers, scales, coefs, kernel, out) -> None:
+    """out += sum_j coefs[j] * kernel((ts - centers[j]) / scales[j]), one block
+    of at most _BLOCK (point, component) pairs at a time; None scales mean 1."""
+    ncomp = centers.size
+    if ncomp == 0:
+        return
+    cols = min(ncomp, _BLOCK)
+    rows = _BLOCK // cols
+    bufs = np.empty((3, rows * cols))
+    for j in range(0, ncomp, cols):
+        c = centers[j : j + cols]
+        for i in range(0, ts.size, rows):
+            t = ts[i : i + rows]
+            z, a, b = (buf[: t.size * c.size].reshape(t.size, c.size) for buf in bufs)
+            np.subtract(t[:, None], c, out=z)
+            if scales is not None:
+                z /= scales[j : j + cols]
+            out[i : i + rows] += kernel(z, a, b) @ coefs[j : j + cols]
+
+
+def _mix_excess_square(mix: NormalMixture, ts: np.ndarray) -> np.ndarray:
+    return _mix_sum(mix, ts, _EXCESS_SQUARE)
 
 
 def _excess_square(d: Dist, ts: np.ndarray) -> np.ndarray:
@@ -203,36 +273,19 @@ def _excess_square(d: Dist, ts: np.ndarray) -> np.ndarray:
     return _mix_excess_square(d, ts)
 
 
-def _tail_cube_above(d: Dist, t: float) -> float:
-    """E (X - t)+^3, used to bound the integral remainder above the window."""
+def _tail_cube(d: Dist, t: float, side: float) -> float:
+    """E (side * (X - t))+^3: with side +1 (above t) or -1 (below t) it bounds
+    the integral remainder outside the window on that side."""
     if isinstance(d, Pmf):
-        return float(np.dot(np.maximum(d.values_f - t, 0.0) ** 3, d.probs_f))
+        return float(np.dot(np.maximum(side * (d.values_f - t), 0.0) ** 3, d.probs_f))
     w, m, s = d._arrays
-    out = 0.0
-    for wi, mi, si in zip(w, m, s):
-        if si == 0:
-            out += wi * max(mi - t, 0.0) ** 3
-        else:
-            z = (t - mi) / si
-            val = _phi(np.array(z)) * (z * z + 2.0) - z * (z * z + 3.0) * ndtr(-z)
-            out += wi * si**3 * max(float(val), 0.0)
-    return out
-
-
-def _tail_cube_below(d: Dist, t: float) -> float:
-    """E (t - X)+^3, the mirror-image remainder bound."""
-    if isinstance(d, Pmf):
-        return float(np.dot(np.maximum(t - d.values_f, 0.0) ** 3, d.probs_f))
-    w, m, s = d._arrays
-    out = 0.0
-    for wi, mi, si in zip(w, m, s):
-        if si == 0:
-            out += wi * max(t - mi, 0.0) ** 3
-        else:
-            z = (mi - t) / si
-            val = _phi(np.array(z)) * (z * z + 2.0) - z * (z * z + 3.0) * ndtr(-z)
-            out += wi * si**3 * max(float(val), 0.0)
-    return out
+    past = side * (m - t)  # how far each center lies beyond t, into the tail
+    out = np.maximum(past, 0.0) ** 3
+    cont = s > 0
+    z = -past[cont] / s[cont]
+    val = _phi(z) * (z * z + 2.0) - z * (z * z + 3.0) * ndtr(-z)
+    out[cont] = s[cont] ** 3 * np.maximum(val, 0.0)
+    return float(out @ w)
 
 
 def _moments(d: Dist) -> tuple:
@@ -264,31 +317,29 @@ def _window(ds: Sequence[Dist], pad_sds: float) -> tuple:
     return lo, hi
 
 
+def _kinks(d: Dist) -> np.ndarray:
+    """Points where the integrand may have a kink: atoms and point masses."""
+    if isinstance(d, Pmf):
+        return d.values_f
+    _, m, s = d._arrays
+    return m[s == 0]
+
+
 def _breakpoints(ds: Sequence[Dist], lo: float, hi: float) -> np.ndarray:
-    pts = [lo, hi]
+    pts = [np.array([lo, hi])]
     for d in ds:
         if isinstance(d, Pmf):
-            pts.extend(d.values_f.tolist())
+            pts.append(d.values_f)
         else:
-            _, m, s = d._arrays
-            pts.extend(m.tolist())
-            pts.extend((m + s).tolist())
-            pts.extend((m - s).tolist())
             # kinks of the integrand only occur at point-mass components;
             # smooth segments need no seeding beyond a coarse skeleton
-            pts.extend(m[s == 0].tolist())
-    arr = np.unique(np.clip(np.asarray(pts, dtype=float), lo, hi))
+            _, m, s = d._arrays
+            pts += [m, m + s, m - s]
+    arr = np.unique(np.clip(np.concatenate(pts), lo, hi))
     if len(arr) > 96:
-        idx = np.unique(np.linspace(0, len(arr) - 1, 96).astype(int))
-        keep = arr[idx]
-        kinks = [lo, hi]
-        for d in ds:
-            if isinstance(d, Pmf):
-                kinks.extend(d.values_f.tolist())
-            else:
-                _, m, s = d._arrays
-                kinks.extend(m[s == 0].tolist())
-        arr = np.unique(np.concatenate([keep, np.clip(np.asarray(kinks), lo, hi)]))
+        keep = arr[np.unique(np.linspace(0, len(arr) - 1, 96).astype(int))]
+        kinks = np.clip(np.concatenate([[lo, hi]] + [_kinks(d) for d in ds]), lo, hi)
+        arr = np.unique(np.concatenate([keep, kinks]))
     return arr
 
 
@@ -442,10 +493,10 @@ def _zeta3_quad(x: Dist, y: Dist) -> tuple:
     fn = lambda ts: _excess_square(x, ts) - _excess_square(y, ts)
     val, err = _adaptive_abs_integral(fn, seeds, _QUAD_ATOL, _QUAD_RTOL)
     tail = (
-        _tail_cube_above(x, hi)
-        + _tail_cube_above(y, hi)
-        + _tail_cube_below(x, lo)
-        + _tail_cube_below(y, lo)
+        _tail_cube(x, hi, 1.0)
+        + _tail_cube(y, hi, 1.0)
+        + _tail_cube(x, lo, -1.0)
+        + _tail_cube(y, lo, -1.0)
     ) / 3.0
     return 0.5 * val, 0.5 * err + tail
 
@@ -480,10 +531,17 @@ class PiecewiseCubic:
     This is exactly the regularity class defining the order-three Zolotarev
     distance (twice differentiable, second derivative 1-Lipschitz), so the
     expectation gap of any instance is a certified lower bound on zeta3.
+
+    The function and its first two derivatives vanish at ``origin`` (the
+    leftmost break when None). Moving the origin adds a quadratic, which
+    leaves the gap between laws with equal first two moments unchanged;
+    an origin near the mass keeps the expectations small, so the gap is not
+    the difference of two large rounded numbers.
     """
 
     breaks: tuple
     third: tuple  # per piece: (-inf, b0], [b0, b1], ..., [bm, inf)
+    origin: float | None = None
 
     def __post_init__(self):
         if len(self.third) != len(self.breaks) + 1:
@@ -492,86 +550,94 @@ class PiecewiseCubic:
             raise PreconditionError("third derivative must stay within [-1, 1]")
 
     @cached_property
+    def _origin(self) -> tuple:
+        """(origin, index of the piece holding it)."""
+        x0 = self.breaks[0] if self.origin is None else float(self.origin)
+        return x0, int(np.searchsorted(self.breaks, x0))
+
+    @cached_property
     def _states(self):
-        """(f, f', f'') at each breakpoint, integrating from the leftmost one."""
+        """(f, f', f'') at each breakpoint, integrating outward from the origin."""
         b = np.asarray(self.breaks, dtype=float)
-        f = np.zeros(len(b))
-        d = np.zeros(len(b))
-        s = np.zeros(len(b))
-        for j in range(1, len(b)):
-            h = b[j] - b[j - 1]
-            c = self.third[j]
-            f[j] = f[j - 1] + d[j - 1] * h + s[j - 1] * h * h / 2 + c * h**3 / 6
-            d[j] = d[j - 1] + s[j - 1] * h + c * h * h / 2
-            s[j] = s[j - 1] + c * h
+        x0, start = self._origin
+        f, d, s = np.zeros(len(b)), np.zeros(len(b)), np.zeros(len(b))
+        # rightwards, break j is reached across piece j; leftwards across piece j + 1
+        for order, piece in ((range(start, len(b)), 0), (range(start - 1, -1, -1), 1)):
+            pos, fj, dj, sj = x0, 0.0, 0.0, 0.0
+            for j in order:
+                h = b[j] - pos
+                c = self.third[j + piece]
+                fj, dj, sj = (
+                    fj + dj * h + sj * h * h / 2 + c * h**3 / 6,
+                    dj + sj * h + c * h * h / 2,
+                    sj + c * h,
+                )
+                f[j], d[j], s[j], pos = fj, dj, sj, b[j]
         return f, d, s
+
+    @cached_property
+    def _pieces(self):
+        """Per piece: its anchor, the point of the piece nearest the origin,
+        with (f, f', f'') there, and its third derivative. Each cubic is
+        evaluated from its own anchor, so values near the origin stay small."""
+        x0, start = self._origin
+        j = np.arange(len(self.third))
+        at = np.clip(np.where(j < start, j, j - 1), 0, len(self.breaks) - 1)
+        anchor = np.asarray(self.breaks, dtype=float)[at]
+        f, d, s = (v[at] for v in self._states)
+        anchor[start], f[start], d[start], s[start] = x0, 0.0, 0.0, 0.0
+        return anchor, f, d, s, np.asarray(self.third, dtype=float)
 
     def __call__(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        b = np.asarray(self.breaks, dtype=float)
-        f, d, s = self._states
-        idx = np.searchsorted(b, xs)  # 0 => left tail piece
-        anchor = np.where(idx == 0, 0, idx - 1)
-        c = np.asarray(self.third, dtype=float)[idx]
-        u = xs - b[anchor]
-        return f[anchor] + d[anchor] * u + s[anchor] * u * u / 2 + c * u**3 / 6
+        anchor, f, d, s, c = self._pieces
+        idx = np.searchsorted(self.breaks, xs)  # piece index; 0 => left tail piece
+        u = xs - anchor[idx]
+        return f[idx] + d[idx] * u + s[idx] * u * u / 2 + c[idx] * u**3 / 6
 
     def expect(self, dist: Dist) -> float:
         dist = _as_discrete(dist)
         if isinstance(dist, Pmf):
             return float(np.dot(self(dist.values_f), dist.probs_f))
         w, m, s = dist._arrays
-        total = 0.0
-        bks = list(self.breaks)
-        edges = [-math.inf] + bks + [math.inf]
-        f, d, ss = self._states
-        for wi, mi, si in zip(w, m, s):
-            if si == 0:
-                total += wi * float(self(np.array([mi]))[0])
-                continue
-            acc = 0.0
-            for j in range(len(edges) - 1):
-                a, b2 = edges[j], edges[j + 1]
-                anchor = self.breaks[max(j - 1, 0)]
-                c3 = self.third[j]
-                coeffs = (
-                    f[max(j - 1, 0)],
-                    d[max(j - 1, 0)],
-                    ss[max(j - 1, 0)] / 2.0,
-                    c3 / 6.0,
-                )
-                part = _normal_power_partials(a - anchor, b2 - anchor, mi - anchor, si)
-                acc += sum(coeffs[k] * part[k] for k in range(4))
-            total += wi * acc
-        return total
+        per = self(m)  # E f over each component; exact for point masses
+        cont = np.flatnonzero(s > 0)
+        b = np.asarray(self.breaks, dtype=float)
+        anchor, f, d, ss, c3 = (v[:, None] for v in self._pieces)
+        step = max(1, _BLOCK // len(self.third))  # components per (pieces x components) block
+        for lo in range(0, cont.size, step):
+            i = cont[lo : lo + step]
+            mi, si = m[i], s[i]
+            # E f = sum over pieces of sum_q e_q si^q J_q, with e_q the Taylor
+            # coefficients of the piece's cubic at the component mean and J_q
+            # the standard normal's partial moments over the piece
+            j0, j1, j2, j3 = _piece_partials(b, mi, si)
+            u = mi - anchor
+            e0 = f + u * (d + u * (ss / 2.0 + u * c3 / 6.0))
+            e1 = d + u * (ss + u * c3 / 2.0)
+            e2 = (ss + u * c3) / 2.0
+            per[i] = (e0 * j0 + si * (e1 * j1 + si * (e2 * j2 + si * (c3 / 6.0) * j3))).sum(axis=0)
+        return math.fsum(w * per)
 
 
-def _normal_power_partials(a: float, b: float, mean: float, sd: float) -> tuple:
-    """(I0, I1, I2, I3) with I_k = integral_a^b u^k * normal(mean, sd^2)(u) du."""
-
-    def zphi(z):
-        return 0.0 if math.isinf(z) else float(z * _phi(np.array(z)))
-
-    def z2phi(z):
-        return 0.0 if math.isinf(z) else float(z * z * _phi(np.array(z)))
-
-    def phi0(z):
-        return 0.0 if math.isinf(z) else float(_phi(np.array(z)))
-
-    za = -math.inf if a == -math.inf else (a - mean) / sd
-    zb = math.inf if b == math.inf else (b - mean) / sd
-    cdf = lambda z: 1.0 if z == math.inf else (0.0 if z == -math.inf else float(ndtr(z)))
-    j0 = cdf(zb) - cdf(za)
-    j1 = phi0(za) - phi0(zb)
-    j2 = j0 + zphi(za) - zphi(zb)
-    j3 = 2.0 * j1 + z2phi(za) - z2phi(zb)
-    out = []
-    for k in range(4):
-        acc = 0.0
-        for j, jj in enumerate((j0, j1, j2, j3)[: k + 1]):
-            acc += math.comb(k, j) * mean ** (k - j) * sd**j * jj
-        out.append(acc)
-    return tuple(out)
+def _piece_partials(breaks: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> tuple:
+    """(J0, J1, J2, J3), each (pieces x components): J_q = integral of z^q phi(z)
+    over the standardized piece between consecutive breaks (first and last
+    pieces unbounded). J0 differences the smaller tail of each side, so a
+    piece far out in a tail keeps its relative accuracy."""
+    z = (breaks[:, None] - mean) / sd
+    tail = ndtr(-np.abs(z))
+    below = np.where(z <= 0, tail, 1.0 - tail)  # Phi(z)
+    above = np.where(z > 0, tail, 1.0 - tail)  # 1 - Phi(z)
+    ones, zeros = np.ones((1, mean.size)), np.zeros((1, mean.size))
+    below = np.concatenate([zeros, below, ones])
+    above = np.concatenate([ones, above, zeros])
+    left = np.concatenate([-ones, z])  # only the sign of the left end matters
+    j0 = np.where(left >= 0, above[:-1] - above[1:], below[1:] - below[:-1])
+    phi = _phi(z)
+    p, zp, zzp = (np.concatenate([zeros, v, zeros]) for v in (phi, z * phi, z * z * phi))
+    j1 = p[:-1] - p[1:]
+    return j0, j1, j0 + zp[:-1] - zp[1:], 2.0 * j1 + zzp[:-1] - zzp[1:]
 
 
 def random_smooth_member(rng: np.random.Generator, lo: float, hi: float, max_knots: int = 8) -> PiecewiseCubic:
@@ -585,31 +651,39 @@ def random_smooth_member(rng: np.random.Generator, lo: float, hi: float, max_kno
     return PiecewiseCubic(tuple(breaks.tolist()), tuple(third.tolist()))
 
 
+#: bisection stops once a bracket is this narrow (plus 4 ulps of the root)
+_ROOT_XTOL = 1e-13
+
+
 def _sign_change_points(x: Dist, y: Dist, lo: float, hi: float) -> tuple:
-    """Roots of H and the sign of H on each resulting piece."""
-    fn = lambda ts: _excess_square(x, np.asarray(ts, dtype=float)) - _excess_square(
-        y, np.asarray(ts, dtype=float)
-    )
+    """Roots of H and the sign of H on each resulting piece.
+
+    H is evaluated on 33 points per seed segment in one batched call; every
+    bracketed sign change is then bisected at once, one batched call of the
+    same evaluator per step, so a bracket never loses its sign change.
+    """
+    fn = lambda ts: _excess_square(x, ts) - _excess_square(y, ts)
     seeds = _breakpoints((x, y), lo, hi)
-    roots: list = []
-    for a, b in zip(seeds[:-1], seeds[1:]):
-        if b - a <= 0:
-            continue
-        grid = np.linspace(a, b, 33)
-        vals = fn(grid)
-        for i in range(len(grid) - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if v0 == 0.0:
-                roots.append(float(grid[i]))
-            elif v0 * v1 < 0:
-                roots.append(float(brentq(lambda t: float(fn(np.array([t]))[0]), grid[i], grid[i + 1], xtol=1e-13)))
-    roots = sorted(set(r for r in roots if lo < r < hi))
-    edges = [lo] + roots + [hi]
-    signs = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid_val = float(fn(np.array([(a + b) / 2.0]))[0])
-        signs.append(1.0 if mid_val > 0 else (-1.0 if mid_val < 0 else 0.0))
-    return roots, signs
+    segs = np.diff(seeds) > 0
+    grid = np.linspace(seeds[:-1][segs], seeds[1:][segs], 33, axis=1)
+    sign = np.sign(fn(grid.ravel())).reshape(grid.shape)
+    left, right = grid[:, :-1], grid[:, 1:]
+    roots = [left[sign[:, :-1] == 0]]
+    bracket = sign[:, :-1] * sign[:, 1:] < 0
+    a, b, sa = left[bracket], right[bracket], sign[:, :-1][bracket]
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if np.all(b - a <= _ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(mid)):
+            break
+        stay = np.sign(fn(mid)) == sa  # the sign change lies right of mid
+        a = np.where(stay, mid, a)
+        b = np.where(stay, b, mid)
+    roots.append(0.5 * (a + b))
+    roots = np.unique(np.concatenate(roots))
+    roots = roots[(roots > lo) & (roots < hi)]
+    edges = np.concatenate([[lo], roots, [hi]])
+    signs = np.sign(fn(0.5 * (edges[:-1] + edges[1:])))
+    return roots.tolist(), signs.tolist()
 
 
 def zeta3_lower_probe(x: Dist, y: Dist) -> float:
@@ -626,7 +700,7 @@ def zeta3_lower_probe(x: Dist, y: Dist) -> float:
     else:
         breaks = tuple(roots)
         third = tuple(signs)
-    f_star = PiecewiseCubic(breaks, third)
+    f_star = PiecewiseCubic(breaks, third, origin=_moments(x)[0])
     return abs(f_star.expect(x) - f_star.expect(y))
 
 
@@ -640,16 +714,9 @@ def kolmogorov(x: Dist, y: Dist) -> float:
     pair of continuous mixtures, at refined stationary points of the gap."""
     x = _as_discrete(x)
     y = _as_discrete(y)
-    atoms = []
-    for d in (x, y):
-        if isinstance(d, Pmf):
-            atoms.extend(d.values_f.tolist())
-        else:
-            _, m, s = d._arrays
-            atoms.extend(m[s == 0].tolist())
+    ts = np.unique(np.concatenate([_kinks(x), _kinks(y)]))
     best = abs(_lost(x) - _lost(y))  # limiting gap above both supports
-    if atoms:
-        ts = np.unique(np.asarray(atoms, dtype=float))
+    if ts.size:
         fx, fy = x.cdf(ts), y.cdf(ts)
         best = max(best, float(np.max(np.abs(fx - fy))))
         eps = 1e-12 * np.maximum(1.0, np.abs(ts))
@@ -662,14 +729,13 @@ def kolmogorov(x: Dist, y: Dist) -> float:
         gap = np.abs(x.cdf(ts) - y.cdf(ts))
         k = int(np.argmax(gap))
         best = max(best, float(gap[k]))
-        a = ts[max(k - 1, 0)]
-        b = ts[min(k + 1, len(ts) - 1)]
-        res = minimize_scalar(
-            lambda t: -abs(float(x.cdf(np.array([t]))[0] - y.cdf(np.array([t]))[0])),
-            bounds=(a, b),
-            method="bounded",
-        )
-        best = max(best, -float(res.fun))
+        # grid refinement around the argmax: each round narrows the bracket 16-fold
+        for _ in range(8):
+            a, b = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+            ts = np.linspace(a, b, 33)
+            gap = np.abs(x.cdf(ts) - y.cdf(ts))
+            k = int(np.argmax(gap))
+            best = max(best, float(gap[k]))
     return best
 
 

@@ -122,6 +122,44 @@ def test_accompanying_matches_standardized_moments(solver_us, solver_nd):
             assert acc.mixture.variance == pytest.approx(float(z.variance), abs=1e-9)
 
 
+def _mixture_moments(w, m, s):
+    """Mean, variance and third central moment of a normal mixture."""
+    mean = float(w @ m)
+    c = m - mean
+    return mean, float(w @ (c * c + s * s)), float(w @ (c**3 + 3.0 * c * s * s))
+
+
+def test_accompanying_merges_equal_components_exactly(solver_bt):
+    entry, n = make("broadcast_a_time"), 128
+    acc = accompanying_law(solver_bt, n, entry.params)
+    # one component per joint atom, rebuilt independently from the joint law
+    p = entry.params
+    logs = np.array([padded_log(i, p.delta) ** p.alpha for i in range(n + 1)])
+    taus = solver_bt.sds_upto(n) / (math.sqrt(p.c) * logs)
+    idx = np.array([[int(i) for i in a[0]] for a in entry.spec.joint_atoms(n)])
+    sds = np.sqrt(np.square(logs[idx] / logs[n] * taus[idx]).sum(axis=1))
+    merged = [np.array(v) for v in (acc.mixture.weights, acc.mixture.means, acc.mixture.sds)]
+    assert len(idx) == 8257 and len(merged[0]) == 4097
+    assert len(merged[0]) == len(set(zip(acc.shifts.tolist(), sds.tolist())))
+    expected = _mixture_moments(acc.weights, acc.shifts, sds)
+    assert _mixture_moments(*merged) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, ns",
+    [("unsuccessful_search", (48, 64, 512)), ("broadcast_a_time", (16, 32, 64, 128))],
+)
+def test_surrogate_lower_probe_stays_below_the_distance(model, ns):
+    entry = make(model)
+    solver = entry.solver()
+    for n in ns:
+        acc = accompanying_law(solver, n, entry.params)
+        rep = zeta3_accompanying(solver, n, entry.params)
+        probe = zeta3_lower_probe(acc.mixture, NormalMixture.normal(0.0, acc.sd))
+        assert probe <= rep.value + rep.abs_error_bound
+        assert probe >= 0.999 * rep.value
+
+
 def test_sampler_only_accompanying_rejected():
     entry = make("broadcast_b_time")
     solver = entry.solver()

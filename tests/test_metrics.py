@@ -1,11 +1,16 @@
 """Tests for the distance evaluators and their dual certification."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from recdist import (
     MomentMismatchError,
@@ -19,7 +24,8 @@ from recdist import (
     zeta3,
     zeta3_lower_probe,
 )
-from recdist.metrics import _zeta3_quad
+from recdist import metrics as metrics_module
+from recdist.metrics import _mix_excess_square, _zeta3_quad
 
 COIN = Pmf.from_atoms([(-1, 0.5), (1, 0.5)])
 STD = NormalMixture.std_normal()
@@ -63,6 +69,66 @@ def test_partial_square_moment_general_params_against_quadrature():
 def test_partial_square_moment_degenerate_sd():
     assert normal_partial_square_moment(1.0, mean=3.0, sd=0.0) == 4.0
     assert normal_partial_square_moment(5.0, mean=3.0, sd=0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# blocked mixture kernels
+# ---------------------------------------------------------------------------
+
+
+def _point_and_normal_mixture(rng, n_normal, n_point):
+    k = n_normal + n_point
+    w = rng.uniform(0.5, 1.5, k)
+    w /= math.fsum(w)
+    m = rng.normal(0.0, 2.0, k)
+    s = np.concatenate([rng.uniform(0.1, 2.0, n_normal), np.zeros(n_point)])
+    return NormalMixture(tuple(w.tolist()), tuple(m.tolist()), tuple(s.tolist()))
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_blocked_mixture_kernels_match_one_shot_reference(monkeypatch, block):
+    # 401 points x 340 components span several blocks at the default size;
+    # a 64-pair block also splits the components across blocks
+    if block is not None:
+        monkeypatch.setattr(metrics_module, "_BLOCK", block)
+    mix = _point_and_normal_mixture(np.random.default_rng(12), 300, 40)
+    ts = np.linspace(-12.0, 12.0, 401)
+    comps = list(zip(mix.weights, mix.means, mix.sds))
+    excess = sum(w * normal_partial_square_moment(ts, m, s) for w, m, s in comps)
+    cdf = sum(w * (ndtr((ts - m) / s) if s > 0 else (ts >= m)) for w, m, s in comps)
+    np.testing.assert_allclose(_mix_excess_square(mix, ts), excess, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mix.cdf(ts), cdf, rtol=1e-12, atol=0)
+    assert mix.cdf(ts.reshape(1, -1, 1)).shape == (1, ts.size, 1)
+
+
+def test_zeta3_memory_stays_bounded_on_a_large_mixture():
+    # 10^5 copies of the two components of a bimodal law: the law, hence the
+    # distance, is the two-component one. A (points x components) matrix over
+    # the quadrature nodes would take hundreds of MB; blocks take a few.
+    k = 100_000
+    big = NormalMixture(
+        (1.0 / k,) * k, tuple(np.repeat([-1.0, 1.0], k // 2).tolist()), (0.5,) * k
+    )
+    two = NormalMixture((0.5, 0.5), (-1.0, 1.0), (0.5, 0.5))
+    target = NormalMixture.normal(0.0, math.sqrt(two.variance))
+    big.variance  # build the component arrays before measuring
+    tracemalloc.start()
+    try:
+        rep = zeta3(big, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert rep.value == pytest.approx(zeta3(two, target).value, rel=1e-9)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize alone takes a few tenths of a second to import
+    src = os.path.dirname(os.path.dirname(metrics_module.__file__))
+    code = "import sys, recdist.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +234,18 @@ def test_piecewise_cubic_expectation_matches_quadrature():
                       m - 14 * s, m + 14 * s, limit=200)
         oracle += w * val
     assert f.expect(mix) == pytest.approx(oracle, rel=1e-8)
+
+
+def test_piecewise_cubic_origin_adds_a_quadratic():
+    breaks, third = (-1.0, 0.5, 2.0), (0.3, -1.0, 0.7, 0.0)
+    f = PiecewiseCubic(breaks, third)
+    g = PiecewiseCubic(breaks, third, origin=0.8)
+    assert g(np.array([0.8]))[0] == 0.0
+    xs = np.linspace(-6.0, 6.0, 97)
+    diff = g(xs) - f(xs)
+    assert np.abs(diff - np.polyval(np.polyfit(xs, diff, 2), xs)).max() < 1e-10
+    # equal first two moments: the expectation gap does not see the quadratic
+    assert g.expect(COIN) - g.expect(STD) == pytest.approx(f.expect(COIN) - f.expect(STD), abs=1e-12)
 
 
 def test_piecewise_cubic_rejects_steep_third_derivative():
