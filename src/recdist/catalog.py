@@ -1,11 +1,11 @@
 """Catalog of concrete recurrences: search costs, node depth, selection, and
 broadcast maximum-finding cost measures.
 
-Each entry wires the joint index/toll law, base cases, and the exponent tuple
-describing the growth of mean and variance. Entries whose leading variance
-constant is not published carry ``c = 1`` with ``c_is_fitted = False``; use
-:func:`fit_variance_constant` to replace it with a fitted value before any
-scale-sensitive analysis.
+Each entry wires the joint index/toll law (written once, as weight rows), base
+cases, and the exponent tuple describing the growth of mean and variance.
+Entries whose leading variance constant is not published carry ``c = 1`` with
+``c_is_fitted = False``; use :func:`fit_variance_constant` to replace it with
+a fitted value before any scale-sensitive analysis.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -70,13 +69,16 @@ def list_entries() -> list:
 # ---------------------------------------------------------------------------
 
 
-def _unsuccessful_search() -> CatalogEntry:
-    def joint_law(n: int) -> list:
-        w = Fraction(1, n - 1)
-        return [((i,), 1, w) for i in range(1, n)]
+def _ratios(nums, den: int, exact: bool) -> np.ndarray:
+    """The weights ``nums / den``: exact Fractions or float64."""
+    if exact:
+        return np.array([Fraction(int(a), den) for a in nums], dtype=object)
+    return np.asarray(nums, dtype=float) / den
 
-    def vector_law(n: int) -> tuple:
-        return [VectorGroup(1, np.full(n - 1, 1.0 / (n - 1)), 1.0, (), 1)], []
+
+def _unsuccessful_search() -> CatalogEntry:
+    def groups(n: int, exact: bool) -> list:
+        return [VectorGroup(1, _ratios(np.ones(n - 1), n - 1, exact), 1, (), 1)]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         return [rng.integers(1, ns)], np.ones(ns.size)
@@ -86,8 +88,7 @@ def _unsuccessful_search() -> CatalogEntry:
         k=1,
         n0=2,
         base_laws=(Pmf.delta(0), Pmf.delta(0)),
-        joint_law=joint_law,
-        vector_law=vector_law,
+        groups=groups,
         sampler=sampler,
     )
     # With the uniform index law the exact mean is the harmonic number
@@ -105,16 +106,11 @@ def _unsuccessful_search() -> CatalogEntry:
 
 
 def _node_depth() -> CatalogEntry:
-    def joint_law(n: int) -> list:
-        atoms = [((0,), 1, Fraction(1, n))]
-        atoms += [((k,), 1, Fraction(2 * k, n * n)) for k in range(1, n)]
-        return atoms
-
-    def vector_law(n: int) -> tuple:
-        w = np.empty(n)
-        w[0] = 1.0 / n
-        w[1:] = 2.0 * np.arange(1, n) / (n * n)
-        return [VectorGroup(0, w, 1.0, (), 1)], []
+    def groups(n: int, exact: bool) -> list:
+        # leading index 0 with weight 1/n, k >= 1 with weight 2k/n^2
+        nums = 2 * np.arange(n)
+        nums[0] = n
+        return [VectorGroup(0, _ratios(nums, n * n, exact), 1, (), 1)]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         n = ns.astype(float)
@@ -132,8 +128,7 @@ def _node_depth() -> CatalogEntry:
         k=1,
         n0=2,
         base_laws=(Pmf.delta(-1), Pmf.delta(0)),
-        joint_law=joint_law,
-        vector_law=vector_law,
+        groups=groups,
         sampler=sampler,
     )
     params = CltParams(alpha=0.5, kappa=0.0, lam=0.0, xi=0.0, c=2.0, delta=0.1)
@@ -147,12 +142,8 @@ def _node_depth() -> CatalogEntry:
 
 
 def _quickselect() -> CatalogEntry:
-    def joint_law(n: int) -> list:
-        w = Fraction(1, n)
-        return [((i,), n - 1, w) for i in range(n)]
-
-    def vector_law(n: int) -> tuple:
-        return [VectorGroup(0, np.full(n, 1.0 / n), 1.0, (), n - 1)], []
+    def groups(n: int, exact: bool) -> list:
+        return [VectorGroup(0, _ratios(np.ones(n), n, exact), 1, (), n - 1)]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         return [rng.integers(0, ns)], (ns - 1).astype(float)
@@ -162,8 +153,7 @@ def _quickselect() -> CatalogEntry:
         k=1,
         n0=2,
         base_laws=(Pmf.delta(0), Pmf.delta(0)),
-        joint_law=joint_law,
-        vector_law=vector_law,
+        groups=groups,
         sampler=sampler,
         exact_cap=256,
     )
@@ -183,23 +173,15 @@ def _quickselect() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-class _BinomialRows:
-    """Normalized rows of Binomial(m, 1/2) probabilities, built incrementally."""
-
-    def __init__(self):
-        self._rows = [np.array([1.0])]
-
-    def row(self, m: int) -> np.ndarray:
-        while len(self._rows) <= m:
-            prev = self._rows[-1]
-            nxt = np.zeros(len(prev) + 1)
-            nxt[: len(prev)] += prev
-            nxt[1:] += prev
-            self._rows.append(0.5 * nxt)
-        return self._rows[m]
+_BINOM_ROWS = [np.array([1.0])]
 
 
-_BINOM_ROWS = _BinomialRows()
+def _binom_row(m: int) -> np.ndarray:
+    """Binomial(m, 1/2) probabilities, rows built incrementally."""
+    while len(_BINOM_ROWS) <= m:
+        prev = _BINOM_ROWS[-1]
+        _BINOM_ROWS.append(0.5 * (np.append(prev, 0.0) + np.insert(prev, 0, 0.0)))
+    return _BINOM_ROWS[m]
 
 
 def broadcast_index_pmf(n: int) -> dict:
@@ -219,10 +201,30 @@ def broadcast_index_pmf(n: int) -> dict:
     return out
 
 
-def _broadcast_joint_law(n: int, toll: Callable[[int, int, int], int]) -> list:
-    return [
-        ((j, k), toll(n, j, k), w) for (j, k), w in broadcast_index_pmf(n).items()
-    ]
+#: float rows of the broadcast models stop below this weight; the dropped
+#: mass (under 2^-65) lands in lost_mass
+_FLOAT_CUT = 2.0**-66
+
+
+def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
+    """The law of :func:`broadcast_index_pmf` as weight rows, in its atom
+    order: the atom (0, 0), then per trailing size k the leading sizes
+    j = 1..n-k with weights C(n-k-1, j-1) 2^-n; the toll is toll + slope*j.
+    Exact rows hold binomial coefficients under the scale 2^-n, float rows
+    Binomial(n-k-1, 1/2) probabilities under 2^-(k+1), down to ``_FLOAT_CUT``.
+    """
+    if exact:
+        s = Fraction(1, 2**n)
+        rows = [(np.array([math.comb(n - k - 1, i) for i in range(n - k)], dtype=object), s)
+                for k in range(n)]
+    else:
+        s = 2.0**-n
+        rows = [(_binom_row(n - k - 1), 2.0 ** -(k + 1)) for k in range(min(n, 66))]  # 2^-66 cut
+    groups = [VectorGroup(1, row, scale, (k,), toll, slope, cache_key=n - k - 1)
+              for k, (row, scale) in enumerate(rows)]
+    if exact or s >= _FLOAT_CUT:  # the atom (0, 0)
+        groups.insert(0, VectorGroup(0, np.ones(1, dtype=object if exact else float), s, (0,), toll, slope))
+    return groups
 
 
 _SWAR_MASKS = tuple(
@@ -287,23 +289,8 @@ def _broadcast_sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
 
 
 def _broadcast_a_time() -> CatalogEntry:
-    def joint_law(n: int) -> list:
-        return _broadcast_joint_law(n, lambda n_, j, k: 1)
-
-    def vector_law(n: int) -> tuple:
-        groups = [VectorGroup(1, _BINOM_ROWS.row(n - 1), 0.5, (0,), 1, mass=0.5)]
-        for k in range(1, n):
-            w = 2.0 ** -(k + 1)
-            if w < 2.0**-66:
-                break  # total dropped mass < 2^-65; the shortfall lands in lost_mass
-            groups.append(
-                VectorGroup(
-                    1, _BINOM_ROWS.row(n - k - 1), w, (k,), 1,
-                    cache_key=("bj", n - k - 1), mass=w,
-                )
-            )
-        lone = [((0, 0), 1, 2.0**-n)] if n <= 1030 else []
-        return groups, lone
+    def groups(n: int, exact: bool) -> list:
+        return _broadcast_groups(n, exact, 1, 0)
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         idx, _ = _broadcast_sampler(rng, ns)
@@ -314,8 +301,7 @@ def _broadcast_a_time() -> CatalogEntry:
         k=2,
         n0=2,
         base_laws=(Pmf.delta(1), Pmf.delta(1)),
-        joint_law=joint_law,
-        vector_law=vector_law,
+        groups=groups,
         sampler=sampler,
         exact_cap=2048,
     )
@@ -332,8 +318,8 @@ def _broadcast_a_time() -> CatalogEntry:
 
 
 def _broadcast_a_comparisons() -> CatalogEntry:
-    def joint_law(n: int) -> list:
-        return _broadcast_joint_law(n, lambda n_, j, k: n_ - j)
+    def groups(n: int, exact: bool) -> list:
+        return _broadcast_groups(n, exact, n, -1)  # toll n - j
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         idx, _ = _broadcast_sampler(rng, ns)
@@ -344,7 +330,7 @@ def _broadcast_a_comparisons() -> CatalogEntry:
         k=2,
         n0=2,
         base_laws=(Pmf.delta(0), Pmf.delta(0)),
-        joint_law=joint_law,
+        groups=groups,
         sampler=sampler,
         exact_cap=256,
     )
@@ -405,7 +391,6 @@ def _broadcast_b_time() -> CatalogEntry:
         k=1,
         n0=2,
         base_laws=(Pmf.delta(1), Pmf.delta(1)),
-        joint_law=None,
         sampler=sampler,
         index_law=index_law,
     )

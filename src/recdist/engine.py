@@ -2,22 +2,23 @@
 
 A recurrence is described by its branching factor ``k``, base laws for small
 indices, and for every larger index a finite joint law over subproblem index
-tuples and the toll. The law at ``n`` is then the joint-law mixture of
-convolutions of child laws shifted by the toll, solved bottom-up with
-memoization.
+tuples and the toll. The law at ``n`` is the joint-law mixture of child-law
+convolutions shifted by the toll, solved bottom-up with memoization.
 
-Atoms whose index tuple refers back to ``n`` itself are removed algebraically:
-when the self term is unshifted the mixture of strictly smaller terms is
-divided by one minus the self weight; when it is shifted upward (its other
-factors being point masses) the resulting shift series is summed until the
-geometric remainder drops below the truncation budget.
+The solver sees a joint law in one encoding: weight rows (:class:`VectorGroup`)
+of atoms sharing their trailing indices, with a toll affine in the leading
+index; atoms tabulated by hand or in JSON are grouped by trailing indices and
+toll. Atoms referring back to ``n``, in any position, are removed
+algebraically: an unshifted self term divides the rest by one minus its
+weight; an upward-shifted one (next to point masses) adds a shift series,
+summed until its remainder drops below the budget.
 
-There is one solve path. Every law is a dense numpy row on the integer lattice
-of spacing ``1/D``, ``D`` being the lcm of the denominators of the base atoms
-and tolls; rows hold float64 in float mode and Fractions (object dtype) in
-exact mode. Joint-law atoms are shifted adds convolved with the trailing
-children; a float-mode ``vector_law`` adds grouped weight rows, each one
-matrix-vector product over the stacked child rows.
+Every law is a dense numpy row on the integer lattice of spacing ``1/D``,
+``D`` the lcm of the denominators of base atoms, tolls and slopes: float64 in
+float mode, Fractions (object dtype) in exact mode. A row mixes over its
+leading index by one of two kernels, a matrix-vector product over the stacked
+child rows (float mode, constant toll) or shifted adds of the child rows
+(exact mode or sloped toll), and is then convolved with the trailing children.
 """
 
 from __future__ import annotations
@@ -39,26 +40,30 @@ from .pmf import Pmf, outer_trim
 #: remainder is added to lost_mass)
 _GEO_EPS_FLOOR = 1e-30
 
+#: the stacked matrix is given up (rows then mix by shifted adds) before it
+#: holds more than this many cells per stored row entry, plus 4096
+_STACK_SPARSITY = 16
+
 
 @dataclass(frozen=True)
 class VectorGroup:
-    """Joint-law atoms sharing toll and non-leading indices, as a weight row.
+    """Joint-law atoms sharing their trailing indices, as one weight row.
 
-    ``weights[j]`` is the conditional weight of leading index
-    ``first_start + j``; the group's total mass is ``scale * sum(weights)``.
-    ``cache_key`` marks weight rows reused across levels so the engine can
-    memoize their inner mixtures (key must identify the row uniquely).
-    ``mass``, when supplied for every group of a level, lets the solver drop
-    negligible trailing groups against the truncation budget.
+    The atom with leading index ``j = first_start + i`` has trailing indices
+    ``others``, weight ``scale * weights[i]`` and toll ``toll + slope * j``.
+    Exact rows hold rationals (object arrays), float rows float64. A float row
+    with slope 0 mixes as a product with the stacked child rows, any other by
+    shifted adds. ``cache_key`` marks weight rows reused across levels, whose
+    inner mixtures the engine memoizes (it must identify weights and slope).
     """
 
     first_start: int
     weights: np.ndarray
-    scale: float = 1.0
+    scale: object = 1
     others: tuple = ()
-    toll: int = 0
+    toll: object = 0
+    slope: object = 0
     cache_key: Hashable | None = None
-    mass: float | None = None
 
 
 @dataclass(frozen=True)
@@ -82,14 +87,15 @@ class SolveOptions:
 class RecurrenceSpec:
     """Full description of a divide-and-conquer distributional recurrence.
 
-    ``joint_law(n)`` tabulates atoms ``(indices, toll, weight)`` with exact
+    The joint law at ``n >= n0`` is given either by ``groups(n, exact)`` as
+    :class:`VectorGroup` rows, ``exact`` picking rational or float64 weights,
+    or by ``joint_law(n)`` as atoms ``(indices, toll, weight)`` with exact
     rational weights and integer or rational tolls (a float toll is read as
-    its shortest decimal); ``vector_law(n)`` optionally provides the same law as
-    grouped float weight rows, used in float mode. ``sampler(rng, ns)`` draws
-    one joint atom per entry of the int64 index array ``ns`` and returns
-    ``(children, tolls)``: ``k`` child-index arrays and a toll array, each
-    aligned with ``ns``. It is required when the joint law cannot be
-    tabulated (then only Monte Carlo is available).
+    its shortest decimal), which :meth:`law_groups` groups for the solver.
+    ``sampler(rng, ns)`` draws one joint atom per entry of the int64 index
+    array ``ns`` and returns ``(children, tolls)``: ``k`` child-index arrays
+    and a toll array, each aligned with ``ns``. It is required when the joint
+    law cannot be tabulated (then only Monte Carlo is available).
     """
 
     name: str
@@ -97,7 +103,7 @@ class RecurrenceSpec:
     n0: int
     base_laws: tuple
     joint_law: Callable[[int], Sequence[tuple]] | None = None
-    vector_law: Callable[[int], tuple] | None = None
+    groups: Callable[[int, bool], Sequence[VectorGroup]] | None = None
     sampler: Callable[[np.random.Generator, np.ndarray], tuple] | None = None
     index_law: Callable[[int], Sequence[tuple]] | None = None
     exact_cap: int | None = None
@@ -109,11 +115,13 @@ class RecurrenceSpec:
             raise PreconditionError("recursion must start at n0 >= 1")
         if len(self.base_laws) != self.n0:
             raise PreconditionError("need one base law per index below n0")
-        if self.joint_law is None and self.sampler is None:
+        if self.joint_law is not None and self.groups is not None:
+            raise PreconditionError("give the joint law as atoms or as groups, not both")
+        if self.joint_law is None and self.groups is None and self.sampler is None:
             raise PreconditionError("spec needs a joint law or a sampler")
 
     def supports_exact(self) -> bool:
-        return self.joint_law is not None
+        return self.joint_law is not None or self.groups is not None
 
     def _check_index(self, n: int) -> None:
         if n < self.n0:
@@ -121,18 +129,38 @@ class RecurrenceSpec:
                 f"{self.name}: no joint law below n0={self.n0} (requested n={n})"
             )
 
-    def joint_atoms(self, n: int) -> list:
+    def law_groups(self, n: int, exact: bool) -> list:
+        """The joint law at ``n`` as weight rows, exact or float64."""
+        if self.groups is None:
+            return _atom_groups(self.joint_atoms(n), exact)
         self._check_index(n)
+        groups = list(self.groups(n, exact))
+        for g in groups:
+            if exact and (g.weights.dtype != object or not isinstance(g.scale, Rational)):
+                raise PreconditionError("exact mode requires rational joint weights")
+            idx = (g.first_start, g.first_start + len(g.weights) - 1, *g.others)
+            if len(g.others) != self.k - 1 or min(idx) < 0 or max(idx) > n:
+                raise PreconditionError("joint group arity differs from k or index outside {0,...,n}")
+        return groups
+
+    def joint_atoms(self, n: int) -> list:
+        """The joint law at ``n`` as atoms ``(indices, toll, weight)``, row by row."""
+        self._check_index(n)
+        if self.groups is not None:
+            return [
+                ((j, *g.others), g.toll + g.slope * j, g.scale * w)
+                for g in self.law_groups(n, True)
+                for j, w in enumerate(g.weights.tolist(), g.first_start)
+                if w
+            ]
         if self.joint_law is None:
             raise UnsupportedExactError(
                 f"{self.name}: joint law is sampler-only; exact computation unavailable"
             )
         atoms = list(self.joint_law(n))
         for idx, _, _ in atoms:
-            if len(idx) != self.k:
-                raise PreconditionError("joint atom arity differs from k")
-            if any(i < 0 or i > n for i in idx):
-                raise PreconditionError("joint index outside {0,...,n}")
+            if len(idx) != self.k or min(idx) < 0 or max(idx) > n:
+                raise PreconditionError("joint atom arity differs from k or index outside {0,...,n}")
         return atoms
 
     def index_atoms(self, n: int) -> list:
@@ -144,6 +172,24 @@ class RecurrenceSpec:
         for idx, _, w in self.joint_atoms(n):
             acc[idx] = acc.get(idx, 0) + w
         return list(acc.items())
+
+
+def _atom_groups(atoms: Sequence[tuple], exact: bool) -> list:
+    """Joint-law atoms as slope-0 weight rows, one per (trailing indices, toll)."""
+    rows: dict = {}
+    for idx, toll, w in atoms:
+        if exact and not isinstance(w, Rational):
+            raise PreconditionError("exact mode requires rational joint weights")
+        key = (tuple(idx[1:]), toll if type(toll) is int else _rational(toll))
+        rows.setdefault(key, []).append((idx[0], w if exact else float(w)))
+    groups = []
+    for (others, toll), row in rows.items():
+        lo = min(j for j, _ in row)
+        weights = np.zeros(max(j for j, _ in row) - lo + 1, dtype=object if exact else float)
+        for j, w in row:
+            weights[j - lo] += w
+        groups.append(VectorGroup(lo, weights, 1, others, toll))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -176,11 +222,9 @@ class _Level(NamedTuple):
 class Solver:
     """Bottom-up memoizing solver for one recurrence under fixed options.
 
-    Laws live as dense rows on the integer lattice of spacing ``1/D``, where
-    ``D`` is the lcm of the denominators of the base atoms and of the tolls
-    seen so far; a toll that refines the lattice spreads the stored rows onto
-    the finer one. Float mode uses float64 rows, exact mode object rows of
-    Fractions.
+    Laws live as dense rows on the lattice of spacing ``1/D`` (module
+    docstring); a toll or slope that refines the lattice spreads the stored
+    rows onto the finer one.
 
     The memo admits concurrent readers: each level is published as one
     immutable record. Solving new indices is serialized by an internal lock.
@@ -197,8 +241,7 @@ class Solver:
         self._levels: list = []
         self._rows: list = []  # (lattice offset, dense row) per solved index
         self._den = math.lcm(*(_rational(v).denominator for b in spec.base_laws for v in b.values))
-        # grouped float weight rows run as products with the stacked rows
-        self._vectors = spec.vector_law is not None and not self._exact
+        self._stackable = not self._exact  # see _mat_write
         self._mat: np.ndarray | None = None
         self._col_lo = 0
         self._inner_cache: dict = {}
@@ -289,6 +332,10 @@ class Solver:
             self._atom_pos[i] = np.flatnonzero(self._rows[i][1])
         return self._atom_pos[i]
 
+    def _units(self, t) -> int:
+        """A toll (or toll slope) in lattice units."""
+        return t * self._den if type(t) is int else int(t * self._den)
+
     def _solve(self, m: int) -> None:
         spec, exact = self.spec, self._exact
         if m < spec.n0:
@@ -302,59 +349,34 @@ class Solver:
                     row[k - ks[0]] = float(p)
             self._publish(m, ks[0], row, 0 * self._budget)
             return
-        groups, atoms = spec.vector_law(m) if self._vectors else ((), spec.joint_atoms(m))
-
-        # joint-law atoms: self-referential ones apart, the rest grouped by
-        # trailing indices so each child law is convolved once per group
-        den = self._den
-        self_atoms: list = []
-        by_others: dict = {}
-        for idx, toll, w in atoms:
-            if type(toll) is not int:
-                toll = _rational(toll)
-                den = math.lcm(den, toll.denominator)
-            if not exact:
-                w = float(w)
-            elif not isinstance(w, Rational):
-                raise PreconditionError("exact mode requires rational joint weights")
-            if m in idx:
-                self_atoms.append((idx, toll, w))
-            else:
-                by_others.setdefault(tuple(idx[1:]), []).append((idx[0], toll, w))
+        groups = spec.law_groups(m, exact)
+        den = math.lcm(self._den, *(_rational(t).denominator for g in groups for t in (g.toll, g.slope)))
         if den != self._den:
             self._refine(m, den)
-        units = lambda t: t * den if type(t) is int else int(t * den)
-
-        if len(groups) > 4 and self.opts.tail_eps > 0 and all(g.mass is not None for g in groups):
-            # drop negligible trailing groups; the shortfall lands in lost_mass
-            order = sorted(range(len(groups)), key=lambda i: (-groups[i].mass, i))
-            total_mass = sum(g.mass for g in groups)
-            budget = self.opts.tail_eps / 4.0
-            kept, cum = [], 0.0
-            for i in order:
-                kept.append(groups[i])
-                cum += groups[i].mass
-                if total_mass - cum <= budget:
+        if not exact and self.opts.tail_eps > 0:
+            # drop the longest run of trailing rows (models list rows heaviest
+            # first) whose mass fits in tail_eps/4; it lands in lost_mass
+            cut, dropped = len(groups), 0.0
+            while cut > 1:
+                dropped += groups[cut - 1].scale * float(np.sum(groups[cut - 1].weights))
+                if dropped > self.opts.tail_eps / 4.0:
                     break
-            groups = kept
+                cut -= 1
+            groups = groups[:cut]
+
         self_terms: list = []
         pieces: list = []  # (offset, array) contributions
-
         for g in groups:
+            weights, fs = g.weights, g.first_start
+            # self-referential atoms: n in a trailing position makes the whole
+            # row refer back, n as the leading index one entry of it
             if m in g.others:
-                raise UnsupportedExactError(
-                    f"{spec.name}: self-reference through a trailing group index"
-                )
-            weights = g.weights
-            hi_idx = g.first_start + len(weights) - 1
-            if hi_idx >= m:
-                coef = float(weights[m - g.first_start]) * g.scale
-                if coef:
-                    self_terms.append(self._self_atom_term(m, (m, *g.others), g.toll * den, coef))
-                weights = weights.copy()
-                weights[m - g.first_start :] = 0.0
-                hi_idx = m - 1
-            inner = self._inner_mix(g, weights, hi_idx)
+                selfs, weights = np.flatnonzero(weights).tolist(), weights[:0]
+            else:
+                selfs = [m - fs] if fs + len(weights) > m and weights[m - fs] else []
+                weights = weights[: m - fs]
+            self_terms += [self._self_atom_term(m, g, i) for i in selfs]
+            inner = self._inner_mix(m, g, weights)
             if inner is None:
                 continue
             off, vec = inner
@@ -362,29 +384,7 @@ class Solver:
                 off_i, arr_i = self._rows[i]
                 vec = self._convolve(m, vec, arr_i)
                 off += off_i
-            pieces.append((off + g.toll * den, vec * g.scale))
-
-        for idx, toll, w in self_atoms:
-            self_terms.append(self._self_atom_term(m, idx, units(toll), w))
-        for others, rows in by_others.items():
-            rows = [(f, units(t), w) for f, t, w in rows]
-            lo_i = min(self._rows[f][0] + t for f, t, _ in rows)
-            hi_i = max(self._rows[f][0] + len(self._rows[f][1]) - 1 + t for f, t, _ in rows)
-            inner = self._zeros(m, hi_i - lo_i + 1)
-            for f, t, w in rows:
-                off_f, arr_f = self._rows[f]
-                start = off_f + t - lo_i
-                if exact:
-                    pos = self._atoms_of(f)
-                    inner[start + pos] += w * arr_f[pos]
-                else:
-                    inner[start : start + len(arr_f)] += w * arr_f
-            off = lo_i
-            for i in others:
-                off_i, arr_i = self._rows[i]
-                inner = self._convolve(m, inner, arr_i)
-                off += off_i
-            pieces.append((off, inner))
+            pieces.append((off + self._units(g.toll), vec if g.scale == 1 else vec * g.scale))
 
         if not pieces:
             raise PreconditionError(f"law at n={m} has no mass")
@@ -409,28 +409,30 @@ class Solver:
             rows.append((off * f, fine))
         self._rows, self._den = rows, den
         self._atom_pos.clear()
-        if self._mat is not None:
-            self._mat = None
-            self._inner_cache.clear()
-            for i, (off, arr) in enumerate(rows):
-                self._mat_write(i, off, arr)
+        self._inner_cache.clear()
+        self._mat = None
+        for i, (off, arr) in enumerate(rows):
+            self._mat_write(i, off, arr)
 
-    def _self_atom_term(self, m: int, idx: tuple, shift: int, coef) -> tuple:
-        """Reduce a self-referential atom to (coefficient, lattice shift): the
-        unknown law may occur once, next to point-mass factors only."""
-        if sum(1 for i in idx if i == m) > 1:
+    def _self_atom_term(self, m: int, g: VectorGroup, i: int) -> tuple:
+        """Reduce the self-referential atom ``i`` of row ``g`` to (coefficient,
+        lattice shift): the unknown law may occur once, next to point-mass
+        factors only."""
+        j = g.first_start + i
+        idx, shift = (j, *g.others), self._units(g.toll + g.slope * j)
+        if idx.count(m) > 1:
             raise UnsupportedExactError(
                 f"{self.spec.name}: joint law at n={m} multiplies the unknown law with itself"
             )
-        for i in idx:
-            if i != m:
-                off_i, arr_i = self._rows[i]
+        for c in idx:
+            if c != m:
+                off_i, arr_i = self._rows[c]
                 if len(arr_i) != 1:
                     raise UnsupportedExactError(
                         f"{self.spec.name}: self atom at n={m} paired with a non-degenerate factor"
                     )
                 shift += off_i
-        return coef, shift
+        return g.weights[i] * g.scale, shift
 
     def _eliminate_self(self, m: int, acc: np.ndarray, self_terms: list) -> np.ndarray:
         """Remove self-referential atoms from the mixture of smaller terms.
@@ -495,50 +497,67 @@ class Solver:
             m3 = float((np.abs(v - mean) ** 3) @ p)
             p = p.tolist()
         self._rows.append((lo + int(nz[0]), row))
-        if self._vectors:
-            self._mat_write(m, lo + int(nz[0]), row)
+        self._mat_write(m, lo + int(nz[0]), row)
         values = ks.tolist() if den == 1 else [_lattice_value(k, den) for k in ks.tolist()]
         law = Pmf(tuple(values), tuple(p), max(1 - total, 0 * total))
         self._levels.append(_Level(law, mean, var, m3))
 
-    # ---- grouped weight rows (float mode with a vector law) ----
+    # ---- inner mixtures over the leading index ----
 
     def _mat_write(self, m: int, off: int, arr: np.ndarray) -> None:
+        """Store row m in the stacked matrix (float mode), growing it as needed;
+        give it up rather than let drifting rows span levels x global width."""
+        if not self._stackable:
+            return
         lo, hi = off, off + len(arr) - 1
-        if self._mat is None:
-            width = max(64, hi - lo + 1 + 32)
-            self._col_lo = lo - 16
-            self._mat = np.zeros((256, width))
-        if lo < self._col_lo or hi >= self._col_lo + self._mat.shape[1]:
-            new_lo = min(self._col_lo, lo - 16)
-            new_hi = max(self._col_lo + self._mat.shape[1] - 1, hi + 16)
-            grown = np.zeros((self._mat.shape[0], new_hi - new_lo + 1))
-            grown[:, self._col_lo - new_lo : self._col_lo - new_lo + self._mat.shape[1]] = self._mat
-            self._mat = grown
-            self._col_lo = new_lo
-            self._inner_cache.clear()  # cached vectors are window-aligned
-        if m >= self._mat.shape[0]:
-            grown = np.zeros((max(2 * self._mat.shape[0], m + 1), self._mat.shape[1]))
-            grown[: self._mat.shape[0]] = self._mat
-            self._mat = grown
-        self._mat[m, lo - self._col_lo : hi + 1 - self._col_lo] = arr
+        mat = self._mat
+        if mat is None:
+            col_lo, width, height = lo - 16, max(64, hi - lo + 1 + 32), 256
+        else:
+            col_lo, (height, width) = self._col_lo, mat.shape
+            if lo < col_lo or hi >= col_lo + width:
+                col_lo, width = min(col_lo, lo - 16), max(col_lo + width, hi + 17) - min(col_lo, lo - 16)
+            height = max(2 * height, m + 1) if m >= height else height
+        if mat is None or (height, width) != mat.shape:
+            stored = sum(len(a) for _, a in self._rows)
+            if height * width > _STACK_SPARSITY * (stored + 4096):
+                self._mat, self._stackable = None, False
+                return
+            grown = np.zeros((height, width))
+            if mat is not None:  # cached inner mixtures keep their absolute offsets
+                shift = self._col_lo - col_lo
+                grown[: mat.shape[0], shift : shift + mat.shape[1]] = mat
+            self._mat, self._col_lo = grown, col_lo
+        self._mat[m, lo - col_lo : hi + 1 - col_lo] = arr
 
-    def _inner_mix(self, g: VectorGroup, weights: np.ndarray, hi_idx: int):
-        """Mixture over the leading index of a group, as (offset, dense array)."""
-        if hi_idx < g.first_start:
+    def _inner_mix(self, m: int, g: VectorGroup, weights: np.ndarray):
+        """Mixture over the leading index of a row, each child shifted by its
+        ``slope * j``, as (offset, dense array); None if it has no mass."""
+        if not weights.any():
             return None
-        usable = weights[: hi_idx - g.first_start + 1]
-        if not usable.any():
-            return None
-        cacheable = g.cache_key is not None and hi_idx == g.first_start + len(g.weights) - 1
+        cacheable = g.cache_key is not None and len(weights) == len(g.weights)
         if cacheable and g.cache_key in self._inner_cache:
             return self._inner_cache[g.cache_key]
-        sub = self._mat[g.first_start : hi_idx + 1]
-        vec = usable @ sub
-        nz = np.nonzero(vec)[0]
+        fs = g.first_start
+        if g.slope == 0 and self._mat is not None:
+            vec = weights @ self._mat[fs : fs + len(weights)]
+            lo = self._col_lo
+        else:
+            js = (fs + np.flatnonzero(weights)).tolist()
+            starts = [self._rows[j][0] + self._units(g.slope * j) for j in js]
+            lo = min(starts)
+            vec = self._zeros(m, max(s + len(self._rows[j][1]) for s, j in zip(starts, js)) - lo)
+            for s, j in zip(starts, js):
+                arr, w, at = self._rows[j][1], weights[j - fs], s - lo
+                if self._exact:  # Fraction products only at the atoms of row j
+                    pos = self._atoms_of(j)
+                    vec[at + pos] += w * arr[pos]
+                else:
+                    vec[at : at + len(arr)] += w * arr
+        nz = np.flatnonzero(vec)
         if nz.size == 0:
             return None
-        out = (self._col_lo + int(nz[0]), vec[nz[0] : nz[-1] + 1])
+        out = (lo + int(nz[0]), vec[nz[0] : nz[-1] + 1])
         if cacheable:
             self._inner_cache[g.cache_key] = out
         return out
@@ -597,12 +616,6 @@ class _TableSampler:
         return list(children), tolls
 
 
-def _joint_sampler(spec: RecurrenceSpec):
-    if spec.sampler is not None:
-        return spec.sampler
-    return _TableSampler(spec)
-
-
 #: particles simulated together by ``sample_many``; bounds its working memory
 _BLOCK = 1 << 16
 
@@ -646,7 +659,7 @@ def sample_many(
         )
     starts = np.atleast_1d(starts).astype(np.int64)
     ends = np.cumsum(counts)
-    draw = _joint_sampler(spec)
+    draw = spec.sampler or _TableSampler(spec)
     base = [(b.values_f, np.cumsum(b.probs_f) / float(np.sum(b.probs_f))) for b in spec.base_laws]
     out = np.empty(size) if reps is None else np.zeros(starts.size)
     for lo in range(0, size, _BLOCK):

@@ -2,7 +2,7 @@
 
 ``brute_law`` expands every recursion path with plain dictionaries of
 fractions: no memoization, no truncation, no shared code with the solver
-beyond the joint-law tables themselves. ``broadcast_means`` runs the mean
+beyond the joint-law tables themselves (``spec.joint_atoms``). ``broadcast_means`` runs the mean
 recurrence of the broadcast models from the index law written out in its
 docstring, without touching the catalog's tables. ``election_rounds_law`` is
 the exact law of a leader election's length, from its transition matrix, and
@@ -25,7 +25,7 @@ def brute_law(spec, n: int) -> dict:
         base = spec.base_laws[n]
         return {v: Fraction(p) for v, p in zip(base.values, base.probs)}
     out: dict = {}
-    for idx, toll, w in spec.joint_law(n):
+    for idx, toll, w in spec.joint_atoms(n):
         if any(i == n for i in idx):
             raise ValueError("oracle cannot expand self-referential atoms")
         combo = {toll: Fraction(w)}

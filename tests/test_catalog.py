@@ -17,7 +17,7 @@ from recdist import (
 )
 from recdist.catalog import NAMES, _fair_binomial, _popcount, fit_variance_constant
 
-from brute import election_rounds_law, sampled_tv
+from brute import broadcast_means, election_rounds_law, sampled_tv
 
 
 def test_all_entries_constructible():
@@ -93,28 +93,39 @@ def test_broadcast_self_weight_is_two_to_minus_n(n):
     assert self_mass < 1
 
 
-def test_vector_law_expands_to_joint_law():
-    for name in ("unsuccessful_search", "node_depth", "quickselect", "broadcast_a_time"):
-        spec = make(name).spec
-        for n in (2, 3, 7, 12):
-            groups, lone = spec.vector_law(n)
-            expanded: dict = {}
-            for g in groups:
-                for off, w in enumerate(g.weights):
-                    if w == 0:
-                        continue
-                    key = ((g.first_start + off, *g.others), g.toll)
-                    expanded[key] = expanded.get(key, 0.0) + g.scale * float(w)
-            for idx, toll, w in lone:
-                key = (tuple(idx), toll)
-                expanded[key] = expanded.get(key, 0.0) + float(w)
-            reference = {}
-            for idx, toll, w in spec.joint_atoms(n):
-                key = (tuple(idx), toll)
-                reference[key] = reference.get(key, 0.0) + float(w)
-            assert set(expanded) == set(reference)
-            for key in reference:
-                assert expanded[key] == pytest.approx(reference[key], rel=1e-12)
+def _reference_table(name: str, n: int) -> dict:
+    """{(indices, toll): weight} of a tabulated model, from its closed form."""
+    if name == "unsuccessful_search":
+        return {((i,), 1): F(1, n - 1) for i in range(1, n)}
+    if name == "node_depth":
+        return {((0,), 1): F(1, n), **{((k,), 1): F(2 * k, n * n) for k in range(1, n)}}
+    if name == "quickselect":
+        return {((i,), n - 1): F(1, n) for i in range(n)}
+    comparisons = name == "broadcast_a_comparisons"
+    return {((j, k), n - j if comparisons else 1): w for (j, k), w in broadcast_index_pmf(n).items()}
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n != "broadcast_b_time"])
+def test_groups_expand_to_reference_tables(name):
+    spec = make(name).spec
+    for n in (2, 3, 7, 12, 33):
+        expanded: dict = {}
+        for g in spec.groups(n, True):
+            for j, w in enumerate(g.weights.tolist(), g.first_start):
+                if w:
+                    key = ((j, *g.others), g.toll + g.slope * j)
+                    expanded[key] = expanded.get(key, 0) + g.scale * w
+        assert all(isinstance(w, F) for w in expanded.values())
+        assert expanded == _reference_table(name, n)
+        # the derived atom list keeps the reference table's order
+        assert [(idx, t) for idx, t, _ in spec.joint_atoms(n)] == list(_reference_table(name, n))
+
+
+def test_broadcast_comparisons_float_means_match_the_mean_recurrence():
+    solver = make("broadcast_a_comparisons").solver()
+    want = broadcast_means(64, lambda n: n / 2)
+    got = solver.means_upto(64)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_broadcast_sampler_matches_joint_law():

@@ -19,6 +19,7 @@ from recdist import (
     SolveOptions,
     Solver,
     UnsupportedExactError,
+    VectorGroup,
     exact_distribution,
     make,
     moment_table,
@@ -175,9 +176,9 @@ def test_reader_never_sees_a_half_published_level(monkeypatch):
     search = make("unsuccessful_search").spec
     state = {"solving": -1, "built": -1}
 
-    def vector_law(n):
+    def groups(n, exact):
         state["solving"] = n
-        return search.vector_law(n)
+        return search.groups(n, exact)
 
     class Watched(Pmf):
         def __post_init__(self):
@@ -185,7 +186,7 @@ def test_reader_never_sees_a_half_published_level(monkeypatch):
             state["built"] = state["solving"]  # level about to be published
 
     monkeypatch.setattr(engine, "Pmf", Watched)
-    solver = Solver(dataclasses.replace(search, vector_law=vector_law))
+    solver = Solver(dataclasses.replace(search, groups=groups))
     errors: list = []
     done = threading.Event()
 
@@ -407,16 +408,52 @@ def test_rational_toll_float_mode_matches_exact():
     assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(approx.probs, exact.probs))
 
 
-def test_rational_lone_toll_refines_grouped_rows():
-    """A vector law whose lone atom has toll 1/2 moves the rows already
-    stacked for the grouped product onto the half-integer lattice."""
-    from recdist import VectorGroup
+def test_rational_group_toll_float_mode_matches_exact():
+    """A weight row with toll 1/2 refines the lattice in float mode too."""
+
+    def groups(n, exact):
+        return [VectorGroup(1, np.full(n - 1, F(1, n - 1) if exact else 1.0 / (n - 1)), 1, (), F(1, 2))]
 
     spec = RecurrenceSpec(
-        name="half_lone", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)),
-        joint_law=lambda n: [((i,), 1, F(1, n)) for i in range(1, n)] + [((0,), F(1, 2), F(1, n))],
-        vector_law=lambda n: ([VectorGroup(1, np.full(n - 1, 1.0 / n), 1.0, (), 1)],
-                              [((0,), F(1, 2), 1.0 / n)]),
+        name="half_group", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), groups=groups,
+    )
+    want = {F(1, 2): F(1, 3), 1: F(1, 2), F(3, 2): F(1, 6)}
+    exact = Solver(spec, SolveOptions(mode="exact", tail_eps=0.0)).law(4)
+    assert dict(zip(exact.values, exact.probs)) == want
+    approx = Solver(spec).law(4)
+    assert approx.values == tuple(want)
+    assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(approx.probs, want.values()))
+
+
+def test_drifting_rows_never_stack_levels_by_global_width():
+    """Y_n = Y_{n-1} + 10^4: each level's row sits 10^4 lattice points past
+    the last, so one matrix over a global column window would span 300 rows
+    x 3e6 columns. The solve must stay small."""
+    import tracemalloc
+
+    rows = [[n, n - 1, None, 10_000, 1] for n in range(1, 301)]
+    spec = spec_from_json({"name": "drift", "k": 1, "n0": 1,
+                           "base": [Pmf.delta(0).to_json_dict()], "rows": rows})
+    tracemalloc.start()
+    try:
+        law = Solver(spec).law(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dict(zip(law.values, law.probs)) == {3_000_000: 1.0}
+    assert peak < 16 * 2**20
+
+
+def test_rational_lone_toll_refines_grouped_rows():
+    """A one-entry row with toll 1/2 next to an integer-toll row moves the
+    rows stacked for the grouped product onto the half-integer lattice."""
+
+    def groups(n, exact):
+        w = F(1, n) if exact else 1.0 / n
+        return [VectorGroup(1, np.full(n - 1, w), 1, (), 1), VectorGroup(0, np.full(1, w), 1, (), F(1, 2))]
+
+    spec = RecurrenceSpec(
+        name="half_lone", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), groups=groups,
     )
     exact = Solver(spec, SolveOptions(mode="exact", tail_eps=0.0)).law(6)
     approx = Solver(spec, SolveOptions(tail_eps=0.0)).law(6)
@@ -473,6 +510,21 @@ def test_shifted_self_reference_geometric():
     got = dict(zip((int(v) for v in law.values), law.probs))
     for k in range(10):
         assert got[k] == pytest.approx(0.5 ** (k + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_self_reference_in_trailing_position(mode):
+    # Y_2 = Y_0 + Y_2' + 1 with prob 1/2, else Y_0 + Y_0: n as the trailing index
+    def joint_law(n):
+        return [((0, n), 1, F(1, 2)), ((0, 0), 0, F(1, 2))]
+
+    spec = RecurrenceSpec(
+        name="geo2", k=2, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), joint_law=joint_law,
+    )
+    law = Solver(spec, SolveOptions(mode=mode, tail_eps=1e-14)).law(2)
+    got = dict(zip((int(v) for v in law.values), law.probs))
+    for k in range(10):
+        assert float(got[k]) == pytest.approx(0.5 ** (k + 1), rel=1e-12)
 
 
 def test_quadratic_self_reference_rejected():
