@@ -69,16 +69,18 @@ def list_entries() -> list:
 # ---------------------------------------------------------------------------
 
 
-def _ratios(nums, den: int, exact: bool) -> np.ndarray:
-    """The weights ``nums / den``: exact Fractions or float64."""
+def _ratios(nums, den: int, exact: bool) -> tuple:
+    """The weights ``nums / den`` as (row, scale): int numerators under the
+    scale ``Fraction(1, den)`` (exact), or float64 ratios under the scale 1."""
     if exact:
-        return np.array([Fraction(int(a), den) for a in nums], dtype=object)
-    return np.asarray(nums, dtype=float) / den
+        return np.array([int(a) for a in nums], dtype=object), Fraction(1, den)
+    return np.asarray(nums, dtype=float) / den, 1
 
 
 def _unsuccessful_search() -> CatalogEntry:
     def groups(n: int, exact: bool) -> list:
-        return [VectorGroup(1, _ratios(np.ones(n - 1), n - 1, exact), 1, (), 1)]
+        weights, scale = _ratios(np.ones(n - 1), n - 1, exact)
+        return [VectorGroup(1, weights, scale, (), 1)]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         return [rng.integers(1, ns)], np.ones(ns.size)
@@ -110,7 +112,8 @@ def _node_depth() -> CatalogEntry:
         # leading index 0 with weight 1/n, k >= 1 with weight 2k/n^2
         nums = 2 * np.arange(n)
         nums[0] = n
-        return [VectorGroup(0, _ratios(nums, n * n, exact), 1, (), 1)]
+        weights, scale = _ratios(nums, n * n, exact)
+        return [VectorGroup(0, weights, scale, (), 1)]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         n = ns.astype(float)
@@ -143,7 +146,8 @@ def _node_depth() -> CatalogEntry:
 
 def _quickselect() -> CatalogEntry:
     def groups(n: int, exact: bool) -> list:
-        return [VectorGroup(0, _ratios(np.ones(n), n, exact), 1, (), n - 1)]
+        weights, scale = _ratios(np.ones(n), n, exact)
+        return [VectorGroup(0, weights, scale, (), n - 1)]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         return [rng.integers(0, ns)], (ns - 1).astype(float)

@@ -15,10 +15,13 @@ summed until its remainder drops below the budget.
 
 Every law is a dense numpy row on the integer lattice of spacing ``1/D``,
 ``D`` the lcm of the denominators of base atoms, tolls and slopes: float64 in
-float mode, Fractions (object dtype) in exact mode. A row mixes over its
-leading index by one of two kernels, a matrix-vector product over the stacked
-child rows (float mode, constant toll) or shifted adds of the child rows
-(exact mode or sloped toll), and is then convolved with the trailing children.
+float mode; in exact mode Python-int numerators (object dtype) over one int
+denominator per row, reduced by one gcd per level, so no ``Fraction`` is made
+while solving. A row mixes over its leading index by one of two kernels, a
+matrix-vector product over the stacked child rows (float mode, constant toll)
+or shifted adds of the child rows (exact mode or sloped toll), and is then
+convolved with the trailing children. A solved level stores only its trimmed
+row; its law and moments are built from that row on first read.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, PreconditionError, UnsupportedExactError
-from .pmf import Pmf, outer_trim
+from .pmf import MASS_TOL, Pmf, outer_trim
 
 #: mass below which a geometric self-reference series is cut off (the
 #: remainder is added to lost_mass)
@@ -51,10 +54,12 @@ class VectorGroup:
 
     The atom with leading index ``j = first_start + i`` has trailing indices
     ``others``, weight ``scale * weights[i]`` and toll ``toll + slope * j``.
-    Exact rows hold rationals (object arrays), float rows float64. A float row
-    with slope 0 mixes as a product with the stacked child rows, any other by
-    shifted adds. ``cache_key`` marks weight rows reused across levels, whose
-    inner mixtures the engine memoizes (it must identify weights and slope).
+    Exact rows hold ints or Fractions (object arrays) under a rational scale;
+    int weights under ``scale = Fraction(1, d)`` reach the solver's integer
+    kernels as they are. Float rows hold float64. A float row with slope 0
+    mixes as a product with the stacked child rows, any other by shifted adds.
+    ``cache_key`` marks weight rows reused across levels, whose inner
+    mixtures the engine memoizes (it must identify weights and slope).
     """
 
     first_start: int
@@ -135,12 +140,23 @@ class RecurrenceSpec:
             return _atom_groups(self.joint_atoms(n), exact)
         self._check_index(n)
         groups = list(self.groups(n, exact))
-        for g in groups:
-            if exact and (g.weights.dtype != object or not isinstance(g.scale, Rational)):
-                raise PreconditionError("exact mode requires rational joint weights")
-            idx = (g.first_start, g.first_start + len(g.weights) - 1, *g.others)
-            if len(g.others) != self.k - 1 or min(idx) < 0 or max(idx) > n:
-                raise PreconditionError("joint group arity differs from k or index outside {0,...,n}")
+        if not groups:
+            return groups
+        # one pass per property over all rows; the weights themselves are
+        # checked for being rational where the exact kernels read them
+        if exact and (
+            any(g.weights.dtype != object for g in groups)
+            or not all(isinstance(g.scale, Rational) for g in groups)
+        ):
+            raise PreconditionError("exact mode requires rational joint weights")
+        trailing = [i for g in groups for i in g.others]
+        if (
+            {len(g.others) for g in groups} != {self.k - 1}
+            or min(g.first_start for g in groups) < 0
+            or max(g.first_start + len(g.weights) for g in groups) > n + 1
+            or (trailing and (min(trailing) < 0 or max(trailing) > n))
+        ):
+            raise PreconditionError("joint group arity differs from k or index outside {0,...,n}")
         return groups
 
     def joint_atoms(self, n: int) -> list:
@@ -200,6 +216,10 @@ class MomentRow:
     third_abs_central: object
 
 
+#: the exact types the integer kernels take without conversion
+_EXACT_TYPES = (int, Fraction)
+
+
 def _rational(x):
     """A toll or atom value as an exact rational; a float is read as the
     shortest decimal that prints it (0.1 is 1/10)."""
@@ -207,16 +227,73 @@ def _rational(x):
         if not math.isfinite(x):
             raise PreconditionError(f"toll or atom value {x} is not finite")
         return Fraction(repr(float(x)))
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return x if isinstance(x, _EXACT_TYPES) else Fraction(x)
 
 
-class _Level(NamedTuple):
-    """One solved index, published to readers in a single append."""
+def _exact_weight(q):
+    """An exact-mode weight as an int or Fraction; refuse anything else."""
+    if type(q) in _EXACT_TYPES:
+        return q
+    if isinstance(q, Rational):
+        return Fraction(q)
+    raise PreconditionError("exact mode requires rational joint weights")
 
-    law: Pmf
-    mean: object
-    variance: object
-    third_abs_central: object
+
+class _Level:
+    """One solved index, published to readers in a single append.
+
+    It holds the level's trimmed dense row at lattice offset ``off`` on the
+    lattice of spacing ``1/lattice``: float64 probabilities (``den`` 1), or
+    in exact mode int numerators over the int ``den``. The law and the
+    moments are built from these arrays on first read and kept; readers that
+    race on an unread level build equal values, and each is stored in one
+    assignment.
+    """
+
+    __slots__ = ("off", "row", "den", "lattice", "_law", "_moments")
+
+    def __init__(self, off: int, row: np.ndarray, den: int, lattice: int):
+        self.off, self.row, self.den, self.lattice = off, row, den, lattice
+        self._law = self._moments = None
+
+    def _atoms(self) -> tuple:
+        nz = np.flatnonzero(self.row)
+        return self.off + nz, self.row[nz]
+
+    def law(self) -> Pmf:
+        if self._law is None:
+            ks, p = self._atoms()
+            if self.row.dtype == object:
+                nums = p.tolist()
+                total = Fraction(sum(nums), self.den)
+                probs = [Fraction(a, self.den) for a in nums]
+            else:
+                total, probs = float(np.sum(self.row)), p.tolist()
+            kl = ks.tolist()
+            values = kl if self.lattice == 1 else [_lattice_value(k, self.lattice) for k in kl]
+            self._law = Pmf(tuple(values), tuple(probs), max(1 - total, 0 * total))
+        return self._law
+
+    def moments(self) -> tuple:
+        """(mean, variance, third absolute central moment) of the kept atoms."""
+        if self._moments is None:
+            ks, p = self._atoms()
+            if self.row.dtype == object:
+                # sums over int numerators, in lattice units scaled by den
+                den, nums, kl = self.den, p.tolist(), ks.tolist()
+                t1 = sum(a * k for a, k in zip(nums, kl))
+                dev = [k * den - t1 for k in kl]  # den * (k - mean in lattice units)
+                scale = den * self.lattice
+                mean = Fraction(t1, scale)
+                var = Fraction(sum(a * d * d for a, d in zip(nums, dev)), den * scale**2)
+                m3 = Fraction(sum(a * abs(d) ** 3 for a, d in zip(nums, dev)), den * scale**3)
+            else:
+                v = ks / self.lattice
+                mean = float(v @ p)
+                var = max(float(((v - mean) ** 2) @ p), 0.0)
+                m3 = float((np.abs(v - mean) ** 3) @ p)
+            self._moments = (mean, var, m3)
+        return self._moments
 
 
 class Solver:
@@ -224,12 +301,17 @@ class Solver:
 
     Laws live as dense rows on the lattice of spacing ``1/D`` (module
     docstring); a toll or slope that refines the lattice spreads the stored
-    rows onto the finer one.
+    rows onto the finer one. Exact rows are Python-int numerators over one
+    int denominator, reduced by their gcd once per level; ``Fraction`` values
+    are made only when a law or moment is read. A level costs only its row
+    arithmetic: its :class:`Pmf` and moments are built on first read.
 
     The memo admits concurrent readers: each level is published as one
-    immutable record. Solving new indices is serialized by an internal lock.
-    Identical (spec, options) always reproduce identical laws because the
-    bottom-up order is deterministic.
+    record whose row is complete before the append, and a lazily built law
+    or moment triple is stored in one assignment, so readers racing on an
+    unread level get equal values. Solving new indices is serialized by an
+    internal lock. Identical (spec, options) always reproduce identical laws
+    because the bottom-up order is deterministic.
     """
 
     def __init__(self, spec: RecurrenceSpec, opts: SolveOptions | None = None):
@@ -239,7 +321,7 @@ class Solver:
         self._budget = Fraction(self.opts.tail_eps) if self._exact else self.opts.tail_eps
         self._lock = threading.RLock()
         self._levels: list = []
-        self._rows: list = []  # (lattice offset, dense row) per solved index
+        self._rows: list = []  # (lattice offset, dense row, row denominator) per solved index
         self._den = math.lcm(*(_rational(v).denominator for b in spec.base_laws for v in b.values))
         self._stackable = not self._exact  # see _mat_write
         self._mat: np.ndarray | None = None
@@ -251,19 +333,19 @@ class Solver:
 
     def law(self, n: int) -> Pmf:
         """Exact law of the recurrence at index n."""
-        return self._level(n).law
+        return self._level(n).law()
 
     def mean(self, n: int):
-        return self._level(n).mean
+        return self._level(n).moments()[0]
 
     def variance(self, n: int):
-        return self._level(n).variance
+        return self._level(n).moments()[1]
 
     def sd(self, n: int) -> float:
         return math.sqrt(float(self.variance(n)))
 
     def third_abs_central(self, n: int):
-        return self._level(n).third_abs_central
+        return self._level(n).moments()[2]
 
     @property
     def lattice_den(self) -> int:
@@ -271,18 +353,15 @@ class Solver:
         return self._den
 
     def moment_rows(self, ns: Sequence[int]) -> list:
-        return [
-            MomentRow(n, self.mean(n), self.variance(n), self.third_abs_central(n))
-            for n in ns
-        ]
+        return [MomentRow(n, *self._level(n).moments()) for n in ns]
 
     def means_upto(self, n: int) -> np.ndarray:
         self._level(n)
-        return np.array([float(lv.mean) for lv in self._levels[: n + 1]])
+        return np.array([float(lv.moments()[0]) for lv in self._levels[: n + 1]])
 
     def sds_upto(self, n: int) -> np.ndarray:
         self._level(n)
-        return np.sqrt(np.array([float(lv.variance) for lv in self._levels[: n + 1]]))
+        return np.sqrt(np.array([float(lv.moments()[1]) for lv in self._levels[: n + 1]]))
 
     # ---- solve loop ----
 
@@ -310,21 +389,44 @@ class Solver:
         return size
 
     def _zeros(self, m: int, size: int) -> np.ndarray:
-        if self._exact:  # Fraction zeros keep exact rows free of float division
-            return np.full(self._span(m, size), Fraction(0), dtype=object)
-        return np.zeros(self._span(m, size))
+        return np.zeros(self._span(m, size), dtype=object if self._exact else float)
 
     def _convolve(self, m: int, vec: np.ndarray, arr: np.ndarray) -> np.ndarray:
         if not self._exact:
             self._span(m, len(vec) + len(arr) - 1)
             return np.convolve(vec, arr)
-        # Fraction products only between atoms: gapped supports (all values
-        # odd, say) leave many zeros in a row
+        # int products only between atoms: gapped supports (all values odd,
+        # say) leave many zeros in a row; loop over the shorter support
         out = self._zeros(m, len(vec) + len(arr) - 1)
-        nz = np.flatnonzero(arr)
-        for i in np.flatnonzero(vec):
-            out[i + nz] += vec[i] * arr[nz]
+        nz_v, nz_a = np.flatnonzero(vec), np.flatnonzero(arr)
+        if len(nz_v) > len(nz_a):
+            vec, arr, nz_v, nz_a = arr, vec, nz_a, nz_v
+        for i in nz_v:
+            out[i + nz_a] += vec[i] * arr[nz_a]
         return out
+
+    def _add_rows(self, m: int, terms: list, lo: int | None = None, size: int | None = None) -> tuple:
+        """The dense sum of ``coef * arr / den`` over terms ``(offset, arr,
+        den, coef, atoms)``, as (offset, array, denominator). ``atoms`` lists
+        the nonzero positions of ``arr`` (None: find them). Float mode adds
+        in term order with denominator 1; exact mode brings the terms onto
+        the lcm of their denominators, in ints."""
+        if lo is None:
+            lo = min(t[0] for t in terms)
+        if size is None:
+            size = max(t[0] + len(t[1]) for t in terms) - lo
+        acc = self._zeros(m, size)
+        if not self._exact:
+            for off, arr, _, c, _ in terms:
+                acc[off - lo : off - lo + len(arr)] += arr if c == 1 else c * arr
+            return lo, acc, 1
+        qs = [_exact_weight(t[3]) for t in terms]
+        den = math.lcm(*(t[2] * q.denominator for t, q in zip(terms, qs)))
+        for (off, arr, d, _, pos), q in zip(terms, qs):
+            f = q.numerator * (den // (d * q.denominator))
+            pos = np.flatnonzero(arr) if pos is None else pos
+            acc[off - lo + pos] += arr[pos] if f == 1 else f * arr[pos]
+        return lo, acc, den
 
     def _atoms_of(self, i: int) -> np.ndarray:
         """Positions of the atoms in stored row i (exact mode), memoized."""
@@ -341,16 +443,23 @@ class Solver:
         if m < spec.n0:
             base = spec.base_laws[m]
             ks = [int(_rational(v) * self._den) for v in base.values]
-            row = self._zeros(m, ks[-1] - ks[0] + 1)
-            for k, p in zip(ks, base.probs):
-                if exact:  # float probabilities (e.g. from JSON) promote losslessly
-                    row[k - ks[0]] = p if isinstance(p, Rational) else Fraction(p)
-                else:
+            row, den = self._zeros(m, ks[-1] - ks[0] + 1), 1
+            if exact:  # float probabilities (e.g. from JSON) promote losslessly
+                qs = [Fraction(p) for p in base.probs]
+                den = math.lcm(*(q.denominator for q in qs))
+                for k, q in zip(ks, qs):
+                    row[k - ks[0]] = q.numerator * (den // q.denominator)
+            else:
+                for k, p in zip(ks, base.probs):
                     row[k - ks[0]] = float(p)
-            self._publish(m, ks[0], row, 0 * self._budget)
+            self._publish(m, ks[0], row, den, 0 * self._budget)
             return
         groups = spec.law_groups(m, exact)
-        den = math.lcm(self._den, *(_rational(t).denominator for g in groups for t in (g.toll, g.slope)))
+        den = self._den
+        for g in groups:
+            for t in (g.toll, g.slope):
+                if type(t) is not int:
+                    den = math.lcm(den, _rational(t).denominator)
         if den != self._den:
             self._refine(m, den)
         if not exact and self.opts.tail_eps > 0:
@@ -358,14 +467,14 @@ class Solver:
             # first) whose mass fits in tail_eps/4; it lands in lost_mass
             cut, dropped = len(groups), 0.0
             while cut > 1:
-                dropped += groups[cut - 1].scale * float(np.sum(groups[cut - 1].weights))
+                dropped += groups[cut - 1].scale * float(groups[cut - 1].weights.sum())
                 if dropped > self.opts.tail_eps / 4.0:
                     break
                 cut -= 1
             groups = groups[:cut]
 
         self_terms: list = []
-        pieces: list = []  # (offset, array) contributions
+        pieces: list = []  # (offset, array, denominator, scale, None) contributions
         for g in groups:
             weights, fs = g.weights, g.first_start
             # self-referential atoms: n in a trailing position makes the whole
@@ -379,39 +488,32 @@ class Solver:
             inner = self._inner_mix(m, g, weights)
             if inner is None:
                 continue
-            off, vec = inner
+            off, vec, vden = inner
             for i in g.others:
-                off_i, arr_i = self._rows[i]
+                off_i, arr_i, den_i = self._rows[i]
                 vec = self._convolve(m, vec, arr_i)
-                off += off_i
-            pieces.append((off + self._units(g.toll), vec if g.scale == 1 else vec * g.scale))
+                off, vden = off + off_i, vden * den_i
+            pieces.append((off + self._units(g.toll), vec, vden, g.scale, None))
 
         if not pieces:
             raise PreconditionError(f"law at n={m} has no mass")
-        lo = min(off for off, _ in pieces)
-        hi = max(off + len(vec) - 1 for off, vec in pieces)
-        acc = self._zeros(m, hi - lo + 1)
-        for off, vec in pieces:
-            if exact:
-                pos = np.flatnonzero(vec)
-                acc[off - lo + pos] += vec[pos]
-            else:
-                acc[off - lo : off - lo + len(vec)] += vec
-        self._publish(m, lo, self._eliminate_self(m, acc, self_terms), self._budget)
+        lo, acc, den = self._add_rows(m, pieces)
+        acc, den = self._eliminate_self(m, acc, den, self_terms)
+        self._publish(m, lo, acc, den, self._budget)
 
     def _refine(self, m: int, den: int) -> None:
         """Spread every stored row onto the finer lattice of spacing 1/den."""
         f = den // self._den
         rows = []
-        for off, arr in self._rows:
+        for off, arr, row_den in self._rows:
             fine = self._zeros(m, (len(arr) - 1) * f + 1)
             fine[::f] = arr
-            rows.append((off * f, fine))
+            rows.append((off * f, fine, row_den))
         self._rows, self._den = rows, den
         self._atom_pos.clear()
         self._inner_cache.clear()
         self._mat = None
-        for i, (off, arr) in enumerate(rows):
+        for i, (off, arr, _) in enumerate(rows):
             self._mat_write(i, off, arr)
 
     def _self_atom_term(self, m: int, g: VectorGroup, i: int) -> tuple:
@@ -426,23 +528,25 @@ class Solver:
             )
         for c in idx:
             if c != m:
-                off_i, arr_i = self._rows[c]
+                off_i, arr_i, _ = self._rows[c]
                 if len(arr_i) != 1:
                     raise UnsupportedExactError(
                         f"{self.spec.name}: self atom at n={m} paired with a non-degenerate factor"
                     )
                 shift += off_i
-        return g.weights[i] * g.scale, shift
+        w = g.weights[i] * g.scale
+        return (_exact_weight(w) if self._exact else w), shift
 
-    def _eliminate_self(self, m: int, acc: np.ndarray, self_terms: list) -> np.ndarray:
-        """Remove self-referential atoms from the mixture of smaller terms.
+    def _eliminate_self(self, m: int, acc: np.ndarray, den: int, self_terms: list) -> tuple:
+        """Remove self-referential atoms from the mixture ``acc / den`` of
+        smaller terms; returns the new (array, denominator).
 
         An unshifted self weight c0 divides the rest by 1 - c0. Upward shifts
         add a geometric series, summed until its remainder drops below the
         truncation budget; the remainder stays missing and lands in lost_mass.
         """
         if not self_terms:
-            return acc
+            return acc, den
         c0 = sum(c for c, s in self_terms if s == 0)
         shifted = [(c, s) for c, s in self_terms if s != 0]
         if any(s < 0 for _, s in shifted):
@@ -452,55 +556,59 @@ class Solver:
                 f"{self.spec.name}: joint law at n={m} recurses on n with probability 1"
             )
         denom = 1 - c0
-        acc = acc / denom
+        if self._exact:
+            denom = Fraction(denom)
+            if denom != 1:
+                acc, den = acc * denom.denominator, den * denom.numerator
+        else:
+            acc = acc / denom
         if not shifted:
-            return acc
+            return acc, den
         ratio = float(sum(c for c, _ in shifted) / denom)
         eps = max(self.opts.tail_eps / 4.0, _GEO_EPS_FLOOR)
         smax = max(s for _, s in shifted)
         out = term = acc
+        out_den = term_den = den
         for _ in range(10_000):
-            if float(term.sum()) * ratio / max(1.0 - ratio, 1e-15) <= eps:
-                return out
-            new_term = self._zeros(m, len(term) + smax)
-            for c, s in shifted:
-                new_term[s : s + len(term)] += (c / denom) * term
-            out = np.concatenate([out, self._zeros(m, len(new_term) - len(out))])
-            out += new_term
-            term = new_term
+            mass = int(term.sum()) / term_den if self._exact else float(term.sum())
+            if mass * ratio / max(1.0 - ratio, 1e-15) <= eps:
+                return out, out_den
+            size = len(term) + smax
+            _, term, term_den = self._add_rows(
+                m, [(s, term, term_den, c / denom, None) for c, s in shifted], 0, size
+            )
+            _, out, out_den = self._add_rows(
+                m, [(0, out, out_den, 1, None), (0, term, term_den, 1, None)], 0, size
+            )
         raise CapacityError("self-reference series failed to converge")
 
-    def _publish(self, m: int, lo: int, acc: np.ndarray, budget) -> None:
-        """Truncate level m's dense mixture, then store its law, moments and row."""
+    def _publish(self, m: int, lo: int, acc: np.ndarray, den: int, budget) -> None:
+        """Check level m's dense mixture ``acc / den`` as :class:`Pmf` would
+        (every atom positive, mass at most 1), truncate it, reduce an exact
+        row by its gcd, then store the row and publish the level."""
         nz = np.flatnonzero(acc)
         if nz.size == 0:
             raise PreconditionError(f"law at n={m} has no mass")
-        probs = acc[nz]
-        first, last, _ = outer_trim(probs, budget)
-        nz, p = nz[first : last + 1], probs[first : last + 1]
-        row = acc[nz[0] : nz[-1] + 1]
-        ks = lo + nz  # lattice points of the kept atoms
-        den = self._den
+        atoms = acc[nz]
+        positive = atoms > 0  # False for NaN too
+        if not positive.all():
+            p = atoms[int(np.argmin(positive))]
+            p = Fraction(p, den) if self._exact else p
+            raise PreconditionError(f"law at n={m}: atom probability {p} is not positive")
+        first, last, _ = outer_trim(atoms, budget * den if self._exact else budget)
+        row = acc[nz[first] : nz[last] + 1]
+        nums = row.tolist() if self._exact else None
+        mass = sum(nums) / den if self._exact else float(row.sum())
+        if mass > 1.0 + MASS_TOL * 8:
+            raise PreconditionError(f"law at n={m}: mass {mass} deviates from 1 beyond tolerance")
         if self._exact:
-            p = p.tolist()
-            kl = ks.tolist()
-            total = sum(p)
-            mu = sum(q * k for q, k in zip(p, kl))  # in lattice units
-            mean = mu / den
-            var = sum(q * (k - mu) ** 2 for q, k in zip(p, kl)) / den**2
-            m3 = sum(q * abs(k - mu) ** 3 for q, k in zip(p, kl)) / den**3
-        else:
-            total = float(np.sum(row))
-            v = ks / den
-            mean = float(v @ p)
-            var = max(float(((v - mean) ** 2) @ p), 0.0)
-            m3 = float((np.abs(v - mean) ** 3) @ p)
-            p = p.tolist()
-        self._rows.append((lo + int(nz[0]), row))
-        self._mat_write(m, lo + int(nz[0]), row)
-        values = ks.tolist() if den == 1 else [_lattice_value(k, den) for k in ks.tolist()]
-        law = Pmf(tuple(values), tuple(p), max(1 - total, 0 * total))
-        self._levels.append(_Level(law, mean, var, m3))
+            g = math.gcd(den, *nums)
+            if g > 1:
+                row, den = row // g, den // g
+        off = lo + int(nz[first])
+        self._rows.append((off, row, den))
+        self._mat_write(m, off, row)
+        self._levels.append(_Level(off, row, den, self._den))
 
     # ---- inner mixtures over the leading index ----
 
@@ -519,7 +627,7 @@ class Solver:
                 col_lo, width = min(col_lo, lo - 16), max(col_lo + width, hi + 17) - min(col_lo, lo - 16)
             height = max(2 * height, m + 1) if m >= height else height
         if mat is None or (height, width) != mat.shape:
-            stored = sum(len(a) for _, a in self._rows)
+            stored = sum(len(r[1]) for r in self._rows)
             if height * width > _STACK_SPARSITY * (stored + 4096):
                 self._mat, self._stackable = None, False
                 return
@@ -532,32 +640,28 @@ class Solver:
 
     def _inner_mix(self, m: int, g: VectorGroup, weights: np.ndarray):
         """Mixture over the leading index of a row, each child shifted by its
-        ``slope * j``, as (offset, dense array); None if it has no mass."""
-        if not weights.any():
-            return None
+        ``slope * j``, as (offset, dense array, denominator); None if it has
+        no mass."""
+        # a cached mixture had mass, and its key identifies these weights
         cacheable = g.cache_key is not None and len(weights) == len(g.weights)
         if cacheable and g.cache_key in self._inner_cache:
             return self._inner_cache[g.cache_key]
+        if not weights.any():
+            return None
         fs = g.first_start
         if g.slope == 0 and self._mat is not None:
-            vec = weights @ self._mat[fs : fs + len(weights)]
-            lo = self._col_lo
+            lo, vec, den = self._col_lo, weights @ self._mat[fs : fs + len(weights)], 1
         else:
-            js = (fs + np.flatnonzero(weights)).tolist()
-            starts = [self._rows[j][0] + self._units(g.slope * j) for j in js]
-            lo = min(starts)
-            vec = self._zeros(m, max(s + len(self._rows[j][1]) for s, j in zip(starts, js)) - lo)
-            for s, j in zip(starts, js):
-                arr, w, at = self._rows[j][1], weights[j - fs], s - lo
-                if self._exact:  # Fraction products only at the atoms of row j
-                    pos = self._atoms_of(j)
-                    vec[at + pos] += w * arr[pos]
-                else:
-                    vec[at : at + len(arr)] += w * arr
+            terms = []
+            for i in np.flatnonzero(weights).tolist():
+                off, arr, row_den = self._rows[fs + i]
+                atoms = self._atoms_of(fs + i) if self._exact else None
+                terms.append((off + self._units(g.slope * (fs + i)), arr, row_den, weights[i], atoms))
+            lo, vec, den = self._add_rows(m, terms)
         nz = np.flatnonzero(vec)
         if nz.size == 0:
             return None
-        out = (lo + int(nz[0]), vec[nz[0] : nz[-1] + 1])
+        out = (lo + int(nz[0]), vec[nz[0] : nz[-1] + 1], den)
         if cacheable:
             self._inner_cache[g.cache_key] = out
         return out

@@ -128,6 +128,15 @@ def test_broadcast_comparisons_float_means_match_the_mean_recurrence():
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_broadcast_comparisons_exact_means_match_the_mean_recurrence():
+    """Exact means to n = 40 against the mean recurrence (the truncated mass
+    keeps them 4e-12 apart) and against the float solver."""
+    solver = Solver(make("broadcast_a_comparisons").spec, SolveOptions(mode="exact"))
+    got = np.array([float(solver.mean(n)) for n in range(41)])
+    assert got == pytest.approx(broadcast_means(40, lambda n: n / 2), rel=1e-9)
+    assert got == pytest.approx(make("broadcast_a_comparisons").solver().means_upto(40), rel=1e-12)
+
+
 def test_broadcast_sampler_matches_joint_law():
     spec = make("broadcast_a_time").spec
     rng = np.random.default_rng(31337)

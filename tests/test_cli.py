@@ -157,6 +157,21 @@ def test_spec_json_input(tmp_path):
     assert [a[:2] for a in out["pmf"]["atoms"]] == [[1, 1], [2, 1]]
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("weights", [("3/5", "3/5"), ("3/2", "-1/2")], ids=["heavy", "negative"])
+def test_moments_spec_json_rejects_malformed_weights(tmp_path, exact, weights):
+    doc = {
+        "name": "custom", "k": 1, "n0": 2,
+        "base": [{"atoms": [[0, 1, 1.0]], "lost_mass": 0.0}] * 2,
+        "rows": [[2, 1, None, 1, 1.0]] + [[3, i, None, 1, w] for i, w in enumerate(weights, 1)],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("moments", "--spec-json", str(path), "--ns", "2,3", *(["--exact"] if exact else []))
+    assert res.returncode == 4, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_negative_index_is_precondition_error():
     res = run_cli("dist", "--model", "unsuccessful-search", "--n", "-1")
     assert res.returncode == 4

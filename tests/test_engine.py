@@ -168,37 +168,48 @@ def test_concurrent_reads_after_fill():
     assert len(out) == 4
 
 
-def test_reader_never_sees_a_half_published_level(monkeypatch):
-    """A thread polling the newest level while another solves law(4000) must
-    find its moments whenever it finds its law."""
-    from recdist import engine
+def test_reader_never_sees_a_half_published_level():
+    """Threads polling the newest published level while another solves
+    law(4000) must find a complete law whose moments match the solver's.
 
+    The groups hook names the level being solved; the one below it is the
+    newest published, and its law and moments stay unbuilt until a poller
+    reads them. The level being solved is polled too as soon as the memo
+    lists it, which is inside its publication."""
     search = make("unsuccessful_search").spec
-    state = {"solving": -1, "built": -1}
+    state = {"solving": -1}
 
     def groups(n, exact):
         state["solving"] = n
         return search.groups(n, exact)
 
-    class Watched(Pmf):
-        def __post_init__(self):
-            super().__post_init__()
-            state["built"] = state["solving"]  # level about to be published
-
-    monkeypatch.setattr(engine, "Pmf", Watched)
     solver = Solver(dataclasses.replace(search, groups=groups))
     errors: list = []
+    polls: list = []
     done = threading.Event()
 
+    def check(k):
+        law = solver.law(k)
+        mean, var = solver.mean(k), solver.variance(k)
+        assert solver.third_abs_central(k) >= 0
+        assert float(mean) == pytest.approx(float(law.mean), rel=1e-12)
+        assert float(var) == pytest.approx(float(law.variance), rel=1e-9, abs=1e-15)
+
     def poll():
+        count = 0
         while not done.is_set():
-            k = state["built"]
-            if k >= 0:
-                try:
-                    solver.mean(k), solver.variance(k), solver.third_abs_central(k)
-                except Exception as exc:  # noqa: BLE001 - any failure is the defect
-                    errors.append(exc)
-                    return
+            n = state["solving"]
+            if n < 1:
+                continue
+            try:
+                check(n - 1)
+                if n < len(solver._levels):  # published, so reading it never blocks
+                    check(n)
+            except Exception as exc:  # noqa: BLE001 - any failure is the defect
+                errors.append(exc)
+                return
+            count += 1
+        polls.append(count)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -214,6 +225,42 @@ def test_reader_never_sees_a_half_published_level(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(reader.is_alive() for reader in readers)
     assert not errors, errors[0]
+    assert sum(polls) > 0
+
+
+@pytest.mark.parametrize("mode, n", [("float", 2000), ("exact", 100)])
+def test_racing_readers_of_an_unread_level_agree(mode, n):
+    """Threads that force the same unread level at once get equal laws and
+    moments, equal to a fresh solver's."""
+    spec = make("unsuccessful_search").spec
+    opts = SolveOptions(mode=mode)
+    solver = Solver(spec, opts)
+    solver.law(n)  # levels below n are published but unread
+    k = n - 1
+    barrier = threading.Barrier(4)
+    results: list = []
+
+    def read():
+        barrier.wait()
+        law = solver.law(k)
+        results.append((law.values, law.probs, law.lost_mass, solver.mean(k),
+                        solver.variance(k), solver.third_abs_central(k)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    fresh = Solver(spec, opts)
+    law = fresh.law(k)
+    want = (law.values, law.probs, law.lost_mass, fresh.mean(k), fresh.variance(k),
+            fresh.third_abs_central(k))
+    assert results == [want] * 4
 
 
 def test_negative_index_rejected():
@@ -386,6 +433,31 @@ def test_spec_from_json_missing_row_errors():
         Solver(spec).law(6)
 
 
+def _malformed_search_doc(weights: tuple) -> dict:
+    """The uniform search recurrence at n = 2, then n = 3 rows with the
+    given weights (summing to 1.2, or holding a negative weight)."""
+    doc = _uniform_search_doc(2)
+    doc["rows"] += [[3, i, None, 1, w] for i, w in enumerate(weights, start=1)]
+    return doc
+
+
+MALFORMED_WEIGHTS = {"heavy": ("3/5", "3/5"), "negative": ("3/2", "-1/2")}
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("weights", MALFORMED_WEIGHTS.values(), ids=MALFORMED_WEIGHTS.keys())
+def test_malformed_json_weights_rejected_by_moments(mode, weights):
+    """Moments read no law, yet a level whose weights do not form a law
+    (mass above 1, a negative atom) is refused when it is solved."""
+    solver = Solver(spec_from_json(_malformed_search_doc(weights)), SolveOptions(mode=mode))
+    assert solver.mean(2) == 1
+    for read in (solver.mean, solver.variance, solver.law):
+        with pytest.raises(PreconditionError):
+            read(3)
+    with pytest.raises(PreconditionError):
+        solver.means_upto(3)
+
+
 def test_json_decimal_toll_is_the_decimal_it_spells():
     doc = _uniform_search_doc(3)
     for row in doc["rows"]:
@@ -459,6 +531,32 @@ def test_rational_lone_toll_refines_grouped_rows():
     approx = Solver(spec, SolveOptions(tail_eps=0.0)).law(6)
     assert approx.values == exact.values
     assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(approx.probs, exact.probs))
+
+
+def _third(n, exact):
+    return np.full(n, F(1, n) if exact else 1.0 / n, dtype=object if exact else float)
+
+
+@pytest.mark.parametrize(
+    "k, groups, modes",
+    [
+        (1, lambda n, e: [VectorGroup(0, _third(n, e), 1, (0,))], ("float", "exact")),
+        (1, lambda n, e: [VectorGroup(2, _third(n, e))], ("float", "exact")),
+        (1, lambda n, e: [VectorGroup(-1, _third(n, e))], ("float", "exact")),
+        (2, lambda n, e: [VectorGroup(0, _third(n, e), 1, (n + 1,))], ("float", "exact")),
+        (2, lambda n, e: [VectorGroup(0, _third(n, e), 1, (-1,))], ("float", "exact")),
+        (1, lambda n, e: [VectorGroup(0, np.full(n, 1.0 / n))], ("exact",)),
+        (1, lambda n, e: [VectorGroup(0, np.ones(n, dtype=object), 1.0 / n)], ("exact",)),
+        (1, lambda n, e: [VectorGroup(0, np.full(n, 1.0 / n, dtype=object))], ("exact",)),
+    ],
+    ids=["arity", "leading_past_n", "leading_negative", "trailing_past_n", "trailing_negative",
+         "float64_row", "float_scale", "float_entries"],
+)
+def test_malformed_weight_rows_rejected(k, groups, modes):
+    spec = RecurrenceSpec(name="rows", k=k, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), groups=groups)
+    for mode in modes:
+        with pytest.raises(PreconditionError):
+            Solver(spec, SolveOptions(mode=mode)).law(3)
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
