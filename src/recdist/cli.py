@@ -28,18 +28,20 @@ EXIT_PRECONDITION = 4
 
 def _parse_ns(text: str) -> list:
     """Parse 'a:b' into the doubling grid a, 2a, 4a, ..., b; or 'a,b,c' / 'a'."""
-    if ":" in text:
-        lo_s, hi_s = text.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo < 1 or hi < lo:
-            raise PreconditionError(f"bad index range {text!r}")
-        out = []
-        n = lo
-        while n <= hi:
-            out.append(n)
-            n *= 2
-        return out
-    return [int(x) for x in text.split(",") if x]
+    try:
+        if ":" not in text:
+            return [int(x) for x in text.split(",") if x]
+        lo, hi = (int(x) for x in text.split(":", 1))
+    except ValueError:
+        raise UsageError(f"--ns takes 'a:b' or a comma list of integers, got {text!r}") from None
+    if lo < 1 or hi < lo:
+        raise PreconditionError(f"bad index range {text!r}")
+    out = []
+    n = lo
+    while n <= hi:
+        out.append(n)
+        n *= 2
+    return out
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
@@ -58,6 +60,8 @@ def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
 
 
 def _csv_cell(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, float):
         return repr(x)
     return str(x)
@@ -111,8 +115,16 @@ def _opts(args) -> SolveOptions:
 def _seed(args) -> int:
     """The seed a run uses: --seed, else RECDIST_SEED, else 0."""
     if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("RECDIST_SEED", "0"))
+        seed = args.seed
+    else:
+        text = os.environ.get("RECDIST_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(f"RECDIST_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise UsageError(f"the seed must be nonnegative, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +280,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
+    if args.bins < 1:
+        raise UsageError("--bins must be at least 1")
     seed = _seed(args)
     rng = np.random.default_rng(seed)
     if args.equation == "quickselect":

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .engine import Solver, sample_many
-from .errors import PreconditionError, UnsupportedExactError
+from .errors import PreconditionError
 from .metrics import MetricReport, NormalMixture, kolmogorov, zeta3
 from .pmf import Pmf
 
@@ -130,8 +130,8 @@ class AccompanyingLaw:
     component. ``gains``/``gaps`` refer to the leading index: the scale carried
     over from the leading child and its root-square distance to the target
     scale. ``shifts`` is the standardized toll. ``weights``, ``gains``,
-    ``gaps`` and ``shifts`` hold one entry per joint atom; ``mixture`` holds
-    one component per distinct (shift, sd) pair.
+    ``gaps`` and ``shifts`` hold one entry per atom of the float rows;
+    ``mixture`` holds one component per distinct (shift, sd) pair.
     """
 
     mixture: NormalMixture
@@ -142,23 +142,23 @@ class AccompanyingLaw:
     sd: float  # target scale at n
 
 
+def _centered_joint(solver: Solver, n: int) -> tuple:
+    """``(indices, weights, tolls - mean at n + children's means)`` of the float
+    rows of the joint law at n; a sampler-only law raises UnsupportedExactError."""
+    idx, tolls, weights = solver.spec.joint_arrays(n)
+    mu = solver.means_upto(n)
+    return idx, weights, tolls - mu[n] + mu[idx].sum(axis=1)
+
+
 def accompanying_law(solver: Solver, n: int, params: CltParams) -> AccompanyingLaw:
-    spec = solver.spec
-    atoms = spec.joint_atoms(n)  # raises UnsupportedExactError when sampler-only
-    solver.law(n)  # make sure child moments exist
+    idx, weights, centered = _centered_joint(solver, n)
     delta, alpha, c = params.delta, params.alpha, params.c
     ln_n = padded_log(n, delta) ** alpha
-    inv_scale = 1.0 / (math.sqrt(c) * ln_n)
-    mu = solver.means_upto(n)
-    sds = solver.sds_upto(n)
     logs = np.array([padded_log(i, delta) ** alpha for i in range(n + 1)])
-    taus = sds / (math.sqrt(c) * logs)
+    taus = solver.sds_upto(n) / (math.sqrt(c) * logs)
     tau_n = float(taus[n])
 
-    weights = np.array([float(w) for _, _, w in atoms])
-    tolls = np.array([float(t) for _, t, _ in atoms])
-    idx = np.array([[int(i) for i in a[0]] for a in atoms], dtype=np.int64)
-    shifts = (tolls - mu[n] + mu[idx].sum(axis=1)) * inv_scale
+    shifts = centered * (1.0 / (math.sqrt(c) * ln_n))
     ratios = logs[idx] / ln_n
     comp_sds = np.sqrt(np.square(ratios * taus[idx]).sum(axis=1))
     gains = ratios[:, 0] * taus[idx[:, 0]]
@@ -168,9 +168,7 @@ def accompanying_law(solver: Solver, n: int, params: CltParams) -> AccompanyingL
     # child pair in both orders)
     comps, which = np.unique(np.column_stack([shifts, comp_sds]), axis=0, return_inverse=True)
     comp_weights = np.bincount(which.ravel(), weights=weights, minlength=len(comps))
-    mixture = NormalMixture.from_components(
-        list(zip(comp_weights.tolist(), comps[:, 0].tolist(), comps[:, 1].tolist()))
-    )
+    mixture = NormalMixture(comp_weights, comps[:, 0], comps[:, 1])
     return AccompanyingLaw(mixture, weights, gains, gaps, shifts, tau_n)
 
 
@@ -287,35 +285,28 @@ def check_conditions(
 ) -> ConditionReport:
     """Evaluate the index-drift and norm conditions over a probe window.
 
-    Entries with tabulated joint laws are evaluated exactly. Sampler-only
-    tolls fall back to Monte Carlo for the toll norm when a generator is
-    supplied (the index conditions still use the tabulated index law).
+    Entries with tabulated joint laws are evaluated on its float rows.
+    Sampler-only entries read their tabulated index law, and estimate the toll
+    norm by Monte Carlo when a generator is supplied.
     """
     spec = solver.spec
     rows: list = []
     messages: list = []
     for n in ns:
-        idx_atoms = spec.index_atoms(n)
-        w = np.array([float(x[1]) for x in idx_atoms])
-        idx = np.array([[int(i) for i in x[0]] for x in idx_atoms], dtype=np.int64)
-        drift = float(
-            w @ (np.log(np.maximum(idx, 1)).sum(axis=1) - math.log(n))
-        )
-        lead = np.log(np.maximum(idx[:, 0], 1) / n)
-        index_l3 = float(w @ np.abs(lead) ** 3) ** (1.0 / 3.0)
         toll_ratio = None
         if spec.supports_exact():
-            solver.law(n)
-            mu = solver.means_upto(n)
-            atoms = spec.joint_atoms(n)
-            ww = np.array([float(x[2]) for x in atoms])
-            tolls = np.array([float(x[1]) for x in atoms])
-            ii = np.array([[int(i) for i in x[0]] for x in atoms], dtype=np.int64)
-            centered = tolls - mu[n] + mu[ii].sum(axis=1)
-            toll_l3 = float(ww @ np.abs(centered) ** 3) ** (1.0 / 3.0)
+            idx, w, centered = _centered_joint(solver, n)
+            toll_l3 = float(w @ np.abs(centered) ** 3) ** (1.0 / 3.0)
             toll_ratio = toll_l3 / math.log(n) ** params.kappa
-        elif rng is not None:
-            toll_ratio = _mc_toll_ratio(spec, params, n, rng, mc_samples)
+        else:
+            idx_atoms = spec.index_atoms(n)
+            w = np.array([float(x[1]) for x in idx_atoms])
+            idx = np.array([x[0] for x in idx_atoms], dtype=np.int64)
+            if rng is not None:
+                toll_ratio = _mc_toll_ratio(spec, params, n, rng, mc_samples)
+        drift = float(w @ (np.log(np.maximum(idx, 1)).sum(axis=1) - math.log(n)))
+        lead = np.log(np.maximum(idx[:, 0], 1) / n)
+        index_l3 = float(w @ np.abs(lead) ** 3) ** (1.0 / 3.0)
         rows.append(ConditionRow(n, drift, index_l3, toll_ratio))
     drift_ok = all(r.drift < 0 for r in rows)
     if not drift_ok:
@@ -485,6 +476,7 @@ def verification_row(solver: Solver, n: int, params: CltParams) -> dict:
         "zeta3_std": zeta3_standardized(solver, n, params).value,
         "zeta3_acc": _zeta3_surrogate(acc).value,
         "bound_sum": terms.total,
-        "kolmogorov": kolmogorov_to_normal(solver, n) if solver.sd(n) > 0 else float("nan"),
+        # undefined where the variance vanishes: JSON null, an empty CSV cell
+        "kolmogorov": kolmogorov_to_normal(solver, n) if solver.sd(n) > 0 else None,
     }
     return row

@@ -82,8 +82,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.mode not in ("float", "exact"):
             raise PreconditionError(f"unknown arithmetic mode {self.mode!r}")
-        if self.tail_eps < 0:
-            raise PreconditionError("tail_eps must be nonnegative")
+        if not (math.isfinite(self.tail_eps) and self.tail_eps >= 0):
+            raise PreconditionError(f"tail_eps must be finite and nonnegative, got {self.tail_eps}")
         if self.max_support < 2:
             raise PreconditionError("max_support must be at least 2")
 
@@ -178,6 +178,22 @@ class RecurrenceSpec:
             if len(idx) != self.k or min(idx) < 0 or max(idx) > n:
                 raise PreconditionError("joint atom arity differs from k or index outside {0,...,n}")
         return atoms
+
+    def joint_arrays(self, n: int) -> tuple:
+        """The float rows at ``n`` as arrays ``(indices, tolls, weights)``: int64
+        of shape (atoms, k), float64 and float64; one atom per nonzero weight,
+        row by row."""
+        parts = [(np.empty((0, self.k), dtype=np.int64), np.empty(0), np.empty(0))]
+        for g in self.law_groups(n, exact=False):
+            w = float(g.scale) * np.asarray(g.weights, dtype=float)
+            keep = np.flatnonzero(w)
+            j = g.first_start + keep
+            idx = np.empty((keep.size, self.k), dtype=np.int64)
+            idx[:, 0] = j
+            idx[:, 1:] = g.others
+            parts.append((idx, float(g.toll) + float(g.slope) * j, w[keep]))
+        idx, tolls, weights = zip(*parts)
+        return np.concatenate(idx), np.concatenate(tolls), np.concatenate(weights)
 
     def index_atoms(self, n: int) -> list:
         """Joint law of the index tuple alone (weights collapsed over tolls)."""

@@ -52,80 +52,72 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.square(z)) / _SQRT2PI
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalMixture:
-    """Finite mixture of normals; zero-sd components are point masses."""
+    """Finite mixture of normals; zero-sd components are point masses. Its
+    weights, means and sds are read-only float64 arrays of equal length."""
 
-    weights: tuple
-    means: tuple
-    sds: tuple
+    weights: np.ndarray
+    means: np.ndarray
+    sds: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.weights) == len(self.means) == len(self.sds)):
+        w, m, s = (np.array(v, dtype=float) for v in (self.weights, self.means, self.sds))
+        if w.ndim != 1 or not w.shape == m.shape == s.shape:
             raise PreconditionError("mixture component arrays differ in length")
-        if not self.weights:
+        if not w.size:
             raise PreconditionError("mixture needs at least one component")
-        if any(w < 0 for w in self.weights):
+        if not (w >= 0).all():
             raise PreconditionError("mixture weights must be nonnegative")
-        if any(s < 0 for s in self.sds):
+        if not (s >= 0).all():
             raise PreconditionError("mixture sds must be nonnegative")
-        total = math.fsum(self.weights)
+        total = math.fsum(w)
         if abs(total - 1.0) > 1e-12:
             raise PreconditionError(f"mixture weights sum to {total}, not 1")
+        for name, arr in (("weights", w), ("means", m), ("sds", s)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_components(cls, comps: Sequence[tuple]) -> "NormalMixture":
-        comps = [c for c in comps if c[0] != 0]
-        if not comps:
+        arr = np.array(list(comps), dtype=float).reshape(-1, 3)
+        arr = arr[arr[:, 0] != 0]
+        if not arr.size:
             raise PreconditionError("no components with positive weight")
-        w, m, s = zip(*comps)
-        return cls(tuple(float(x) for x in w), tuple(float(x) for x in m), tuple(float(x) for x in s))
+        return cls(arr[:, 0], arr[:, 1], arr[:, 2])
 
     @classmethod
     def std_normal(cls) -> "NormalMixture":
-        return cls((1.0,), (0.0,), (1.0,))
+        return cls.normal(0.0, 1.0)
 
     @classmethod
     def normal(cls, mean: float, sd: float) -> "NormalMixture":
-        return cls((1.0,), (float(mean),), (float(sd),))
-
-    @cached_property
-    def _arrays(self):
-        return (
-            np.array(self.weights, dtype=float),
-            np.array(self.means, dtype=float),
-            np.array(self.sds, dtype=float),
-        )
+        return cls([1.0], [mean], [sd])
 
     @property
     def mean(self) -> float:
-        w, m, _ = self._arrays
-        return float(np.dot(w, m))
+        return float(np.dot(self.weights, self.means))
 
     @property
     def variance(self) -> float:
-        w, m, s = self._arrays
-        return float(np.dot(w, np.square(m) + np.square(s)) - self.mean**2)
+        return float(np.dot(self.weights, np.square(self.means) + np.square(self.sds)) - self.mean**2)
 
     def scaled_shifted(self, scale: float, shift: float = 0.0) -> "NormalMixture":
         if scale == 0:
             raise PreconditionError("scale must be nonzero")
-        w, m, s = self._arrays
-        return NormalMixture(
-            tuple(w), tuple(scale * m + shift), tuple(abs(scale) * s)
-        )
+        return NormalMixture(self.weights, scale * self.means + shift, abs(scale) * self.sds)
 
     def cdf(self, ts: np.ndarray) -> np.ndarray:
         return _mix_sum(self, ts, _CDF)
 
     def is_discrete(self) -> bool:
-        return all(s == 0 for s in self.sds)
+        return not self.sds.any()
 
     def as_pmf(self) -> Pmf:
         """Point-mass-only mixtures converted to a Pmf; errors otherwise."""
         if not self.is_discrete():
             raise PreconditionError("mixture has continuous components")
-        return Pmf.from_atoms(zip(self.means, self.weights))
+        return Pmf.from_atoms(zip(self.means.tolist(), self.weights.tolist()))
 
 
 Dist = Union[Pmf, NormalMixture]
@@ -234,7 +226,7 @@ def _mix_sum(mix: NormalMixture, ts, kernel) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     flat = ts.ravel()
     normal, point, power = kernel
-    w, m, s = mix._arrays
+    w, m, s = mix.weights, mix.means, mix.sds
     out = np.zeros(flat.size)
     cont = s > 0
     _blocked_sum(flat, m[cont], s[cont], w[cont] * s[cont] ** power, normal, out)
@@ -278,7 +270,7 @@ def _tail_cube(d: Dist, t: float, side: float) -> float:
     the integral remainder outside the window on that side."""
     if isinstance(d, Pmf):
         return float(np.dot(np.maximum(side * (d.values_f - t), 0.0) ** 3, d.probs_f))
-    w, m, s = d._arrays
+    w, m, s = d.weights, d.means, d.sds
     past = side * (m - t)  # how far each center lies beyond t, into the tail
     out = np.maximum(past, 0.0) ** 3
     cont = s > 0
@@ -310,7 +302,7 @@ def _window(ds: Sequence[Dist], pad_sds: float) -> tuple:
             lo = min(lo, float(d.values_f[0]))
             hi = max(hi, float(d.values_f[-1]))
         else:
-            _, m, s = d._arrays
+            m, s = d.means, d.sds
             smax = float(s.max())
             lo = min(lo, float(m.min()) - pad_sds * smax)
             hi = max(hi, float(m.max()) + pad_sds * smax)
@@ -321,8 +313,7 @@ def _kinks(d: Dist) -> np.ndarray:
     """Points where the integrand may have a kink: atoms and point masses."""
     if isinstance(d, Pmf):
         return d.values_f
-    _, m, s = d._arrays
-    return m[s == 0]
+    return d.means[d.sds == 0]
 
 
 def _breakpoints(ds: Sequence[Dist], lo: float, hi: float) -> np.ndarray:
@@ -333,8 +324,7 @@ def _breakpoints(ds: Sequence[Dist], lo: float, hi: float) -> np.ndarray:
         else:
             # kinks of the integrand only occur at point-mass components;
             # smooth segments need no seeding beyond a coarse skeleton
-            _, m, s = d._arrays
-            pts += [m, m + s, m - s]
+            pts += [d.means, d.means + d.sds, d.means - d.sds]
     arr = np.unique(np.clip(np.concatenate(pts), lo, hi))
     if len(arr) > 96:
         keep = arr[np.unique(np.linspace(0, len(arr) - 1, 96).astype(int))]
@@ -599,7 +589,7 @@ class PiecewiseCubic:
         dist = _as_discrete(dist)
         if isinstance(dist, Pmf):
             return float(np.dot(self(dist.values_f), dist.probs_f))
-        w, m, s = dist._arrays
+        w, m, s = dist.weights, dist.means, dist.sds
         per = self(m)  # E f over each component; exact for point masses
         cont = np.flatnonzero(s > 0)
         b = np.asarray(self.breaks, dtype=float)

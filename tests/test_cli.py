@@ -249,3 +249,40 @@ def test_memory_error_is_capacity_exit(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_CAPACITY == 3
     assert err.startswith("capacity error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, env", [
+    (("moments", "--model", "node-depth", "--ns", "x:y"), None),
+    (("moments", "--model", "node-depth", "--ns", "4,,x"), None),
+    (("simulate", "--model", "node-depth", "--n", "10", "--runs", "10", "--seed", "-1"), None),
+    (("simulate", "--model", "node-depth", "--n", "10", "--runs", "10"), {"RECDIST_SEED": "abc"}),
+    (("fixed-point", "--equation", "dickman", "--population", "1000", "--iterations", "2",
+      "--bins", "0"), None),
+], ids=["ns-range", "ns-list", "negative-seed", "seed-env", "zero-bins"])
+def test_malformed_numbers_are_usage_errors(args, env):
+    res = run_cli(*args, env_extra=env)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("usage error:") and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["dist", "moments"])
+def test_nan_tail_eps_is_precondition_error(command):
+    where = ("--n", "5") if command == "dist" else ("--ns", "4,8")
+    res = run_cli(command, "--model", "node-depth", *where, "--tail-eps", "nan")
+    assert res.returncode == 4, res.stderr
+    assert "tail_eps" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_json_has_no_nan():
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    res = run_cli("verify", "--model", "unsuccessful-search", "--ns", "2,4")
+    assert res.returncode == 0, res.stderr
+    rows = json.loads(res.stdout, parse_constant=refuse)["rows"]
+    # the variance vanishes at n = 2, where the Kolmogorov distance is undefined
+    assert rows[0]["kolmogorov"] is None and rows[1]["kolmogorov"] > 0
+    csv = run_cli("verify", "--model", "unsuccessful-search", "--ns", "2,4", "--format", "csv")
+    assert csv.stdout.split("\n")[1].endswith(",2.0,")

@@ -132,17 +132,72 @@ def _mixture_moments(w, m, s):
 def test_accompanying_merges_equal_components_exactly(solver_bt):
     entry, n = make("broadcast_a_time"), 128
     acc = accompanying_law(solver_bt, n, entry.params)
-    # one component per joint atom, rebuilt independently from the joint law
+    # one component per atom of the float rows, rebuilt from the same rows
     p = entry.params
     logs = np.array([padded_log(i, p.delta) ** p.alpha for i in range(n + 1)])
     taus = solver_bt.sds_upto(n) / (math.sqrt(p.c) * logs)
-    idx = np.array([[int(i) for i in a[0]] for a in entry.spec.joint_atoms(n)])
+    idx = entry.spec.joint_arrays(n)[0]
     sds = np.sqrt(np.square(logs[idx] / logs[n] * taus[idx]).sum(axis=1))
-    merged = [np.array(v) for v in (acc.mixture.weights, acc.mixture.means, acc.mixture.sds)]
-    assert len(idx) == 8257 and len(merged[0]) == 4097
+    merged = [acc.mixture.weights, acc.mixture.means, acc.mixture.sds]
+    assert len(idx) == 6303 and len(merged[0]) == 4097
     assert len(merged[0]) == len(set(zip(acc.shifts.tolist(), sds.tolist())))
     expected = _mixture_moments(acc.weights, acc.shifts, sds)
     assert _mixture_moments(*merged) == pytest.approx(expected, rel=0, abs=1e-12)
+    # independently: one component per exact atom (8257, down to weight 2^-128)
+    atoms = entry.spec.joint_atoms(n)
+    exact_idx = np.array([a[0] for a in atoms])
+    mu = solver_bt.means_upto(n)
+    tolls = np.array([float(a[1]) for a in atoms])
+    shifts = (tolls - mu[n] + mu[exact_idx].sum(axis=1)) / (math.sqrt(p.c) * logs[n])
+    exact_sds = np.sqrt(np.square(logs[exact_idx] / logs[n] * taus[exact_idx]).sum(axis=1))
+    weights = np.array([float(a[2]) for a in atoms])
+    assert len(atoms) == 8257
+    exact = _mixture_moments(weights, shifts, exact_sds)
+    assert _mixture_moments(*merged) == pytest.approx(exact, rel=0, abs=1e-12)
+
+
+def test_surrogate_and_conditions_build_no_atom_table(monkeypatch):
+    from recdist.engine import RecurrenceSpec
+
+    def refuse(self, n):
+        raise AssertionError("the float view of the joint law builds no atom table")
+
+    monkeypatch.setattr(RecurrenceSpec, "joint_atoms", refuse)
+    monkeypatch.setattr(RecurrenceSpec, "index_atoms", refuse)
+    entry = make("broadcast_a_time")
+    solver = entry.solver()
+    acc = accompanying_law(solver, 64, entry.params)
+    assert acc.mixture.weights.dtype == np.float64 and not acc.mixture.weights.flags.writeable
+    rep = check_conditions(solver, entry.params, [16, 64])
+    assert rep.drift_ok and all(r.toll_l3_ratio is not None for r in rep.rows)
+
+
+@pytest.mark.parametrize("model", ["broadcast_a_time", "broadcast_a_comparisons"])
+def test_conditions_k2_match_the_exact_tables(model):
+    from recdist.catalog import broadcast_index_pmf
+
+    entry = make(model)
+    solver = entry.solver()
+    rep = check_conditions(solver, entry.params, [16, 64, 128])
+    for row in rep.rows:
+        n = row.n
+        # drift and index L3 from the exact index law
+        pmf = broadcast_index_pmf(n)
+        w = [float(p) for p in pmf.values()]
+        drift = math.fsum(
+            wi * (math.log(max(j, 1)) + math.log(max(k, 1)) - math.log(n))
+            for wi, (j, k) in zip(w, pmf)
+        )
+        l3 = math.fsum(wi * abs(math.log(max(j, 1) / n)) ** 3 for wi, (j, _) in zip(w, pmf))
+        # the toll norm from the exact joint atoms with the solver's means
+        mu = solver.means_upto(n)
+        toll = math.fsum(
+            float(p) * abs(float(t) - mu[n] + mu[j] + mu[k]) ** 3
+            for (j, k), t, p in entry.spec.joint_atoms(n)
+        )
+        got = (row.drift, row.index_l3, row.toll_l3_ratio)
+        ref = (drift, l3 ** (1 / 3), toll ** (1 / 3) / math.log(n) ** entry.params.kappa)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(

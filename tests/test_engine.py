@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import sys
 import threading
 from fractions import Fraction as F
@@ -149,6 +150,33 @@ def test_solve_options_validated():
         SolveOptions(tail_eps=-1)
     with pytest.raises(PreconditionError):
         SolveOptions(max_support=1)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_solve_options_reject_a_non_finite_tail_eps(eps):
+    # nan < 0 is False: a nan budget passed, and outer_trim never stopped
+    with pytest.raises(PreconditionError, match="finite"):
+        SolveOptions(tail_eps=eps)
+
+
+def test_joint_arrays_match_the_atom_table():
+    for name in ("unsuccessful_search", "node_depth", "broadcast_a_comparisons"):
+        spec = make(name).spec
+        idx, tolls, weights = spec.joint_arrays(40)
+        atoms = spec.joint_atoms(40)
+        assert idx.dtype == np.int64 and idx.shape == (len(atoms), spec.k)
+        assert idx.tolist() == [list(a[0]) for a in atoms]
+        assert tolls.tolist() == [float(a[1]) for a in atoms]
+        assert weights == pytest.approx([float(a[2]) for a in atoms], rel=1e-15, abs=0)
+    # atoms tabulated in JSON reach the arrays through the grouped rows
+    rows = [[2, 1, 1, 1, 1.0], [3, 1, 2, "1/3", "1/2"], [3, 2, 1, 2, "1/4"], [3, 2, 0, 2, "1/4"]]
+    spec = spec_from_json({"name": "pairs", "k": 2, "n0": 2,
+                           "base": [Pmf.delta(0).to_json_dict()] * 2, "rows": rows})
+    idx, tolls, weights = spec.joint_arrays(3)
+    got = sorted(zip(map(tuple, idx.tolist()), tolls.tolist(), weights.tolist()))
+    assert got == sorted((tuple(a), float(t), float(w)) for a, t, w in spec.joint_atoms(3))
+    with pytest.raises(UnsupportedExactError, match="sampler-only"):
+        make("broadcast_b_time").spec.joint_arrays(8)
 
 
 def test_concurrent_reads_after_fill():
