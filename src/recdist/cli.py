@@ -340,14 +340,16 @@ def _cmd_catalog(args) -> int:
 
 
 def _add_common(sp, model=True, seeded=False, params=False) -> None:
+    """Flags shared by the subcommands; ``model`` also adds the recurrence
+    choice and the solver's ``--exact`` and ``--tail-eps``."""
     if model:
         sp.add_argument("--model", help="catalog model name (see `recdist catalog`)")
         sp.add_argument("--spec-json", help="path to a custom recurrence JSON document")
+        sp.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+        sp.add_argument("--tail-eps", type=float, default=1e-12,
+                        help="per-step truncation budget (default 1e-12)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--output", help="write to this path instead of stdout")
-    sp.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-    sp.add_argument("--tail-eps", type=float, default=1e-12,
-                    help="per-step truncation budget (default 1e-12)")
     if seeded:
         sp.add_argument("--seed", type=int, default=None,
                         help="pseudo-random seed (default: RECDIST_SEED or 0)")

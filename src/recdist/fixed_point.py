@@ -75,6 +75,11 @@ def contraction_probe(eq: LimitEquation, rng: np.random.Generator, samples: int 
     return float(np.mean(np.abs(a) ** 3))
 
 
+def _check_bins(bins: int) -> None:
+    if bins < 1:
+        raise PreconditionError(f"bins must be at least 1 (got {bins})")
+
+
 def _bin_population(x: np.ndarray, bins: int = 400) -> Pmf:
     total = x.size
     uniq, counts = np.unique(x, return_counts=True)
@@ -98,6 +103,7 @@ def iterate_population(
     eq: LimitEquation, rng: np.random.Generator, bins: int = 400
 ) -> PopulationResult:
     """Push a particle population through the equation and bin the result."""
+    _check_bins(bins)
     probe = contraction_probe(eq, rng)
     if probe >= 1.0:
         raise PreconditionError(
@@ -157,6 +163,7 @@ def normal_characterization_iterate(
         )
     if steps < 0:
         raise PreconditionError("step count must be nonnegative")
+    _check_bins(bins)
     cums = np.cumsum(w_law.probs_f)
     cums /= cums[-1]
     picks = np.searchsorted(cums, rng.random(population))

@@ -13,16 +13,26 @@ member of the defining function class, evaluated by closed-form expectations)
 and bounds the integral value from below. Nothing calls it implicitly.
 
 Discrete-discrete distances are integrated exactly piece by piece; anything
-involving a normal component uses adaptive two-level Gauss quadrature with an
-analytic bound on the tail remainder.
+involving a normal component uses adaptive Gauss-Kronrod quadrature (the 21
+Kronrod nodes hold the 10 Gauss nodes, so one set of evaluations gives the
+value and its error estimate) with an analytic bound on the tail remainder.
 
-A mixture is evaluated at many points (its excess square E (X - t)+^2 and
-its CDF) through one blocked kernel: the (points x components) product is
-worked through in blocks of ``_BLOCK`` pairs with in-place ufuncs, so memory
-stays bounded whatever the numbers of points and components. The probe finds
-the sign changes of the integrand by bisecting all bracketed roots at once on
-that same batched evaluator, and takes expectations of its piecewise cubic
-in blocks of (pieces x components), anchored at the mean of the law.
+The integrand H(t) = E(X-t)+^2 - E(Y-t)+^2 is taken from its small side.
+Right of the common mean it is evaluated as written; left of it, as
+E(t-Y)+^2 - E(t-X)+^2, since there E(X-t)+^2 and E(Y-t)+^2 both grow like t^2
+and their difference would carry their rounding error. The two forms differ
+by the quadratic E(X-t)^2 - E(Y-t)^2, which vanishes for laws with equal mass
+and first two moments; its coefficients are the gaps in mass (lost mass
+included), mean and second moment, and the exact integral of its absolute
+value left of the mean is charged to the error bound.
+
+A mixture is evaluated at many points (its excess squares and its CDF)
+through one blocked kernel: the (points x components) product is worked
+through in blocks of ``_BLOCK`` pairs with in-place ufuncs, so memory stays
+bounded whatever the numbers of points and components. The probe finds the
+sign changes of the integrand by bisecting all bracketed roots at once on the
+quadrature's integrand and skeleton, and takes expectations of its piecewise
+cubic in blocks of (pieces x components), anchored at the mean of the law.
 """
 
 from __future__ import annotations
@@ -33,7 +43,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 from .errors import MomentMismatchError, PreconditionError
@@ -127,10 +136,13 @@ Dist = Union[Pmf, NormalMixture]
 class MetricReport:
     """A computed distance plus an absolute error bound.
 
-    The bound covers quadrature residuals, analytic tail remainders, and the
-    contribution of any truncated (lost) probability mass. ``adjustment``
-    records the (shift, scale - 1) applied to the second argument to match
-    moments exactly before integrating.
+    The bound covers quadrature residuals, analytic tail remainders, the
+    residue left of the mean that the two-sided integrand drops (the exact
+    integral of |E(X-t)^2 - E(Y-t)^2|, nonzero when mass, mean or second
+    moment differ, lost mass included), and the contribution of any truncated
+    (lost) probability mass. It does not bound the rounding of H right of the
+    mean. ``adjustment`` records the (shift, scale - 1) applied to the second
+    argument to match moments exactly before integrating.
     """
 
     value: float
@@ -163,14 +175,24 @@ def normal_partial_square_moment(t, mean=0.0, sd=1.0):
     return float(out) if np.isscalar(t) else out
 
 
-def _pmf_excess_square(p: Pmf, ts: np.ndarray) -> np.ndarray:
-    """E (X - t)+^2 for a discrete law, via suffix sums."""
-    v, w = p.values_f, p.probs_f
-    a = np.concatenate([np.cumsum((w)[::-1])[::-1], [0.0]])
-    b = np.concatenate([np.cumsum((w * v)[::-1])[::-1], [0.0]])
-    c = np.concatenate([np.cumsum((w * v * v)[::-1])[::-1], [0.0]])
-    idx = np.searchsorted(v, ts, side="right")
-    return c[idx] - 2.0 * ts * b[idx] + ts * ts * a[idx]
+def _pmf_excess_squares(p: Pmf, center: float) -> tuple:
+    """(E (X - t)+^2, E (t - X)+^2) of a discrete law as functions of t, from
+    suffix and prefix moment sums about ``center``, built once."""
+    u, w = p.values_f - center, p.probs_f
+    sums = np.stack([w, w * u, w * u * u])
+    zero = np.zeros((3, 1))
+    suffix = np.concatenate([np.cumsum(sums[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+    prefix = np.concatenate([zero, np.cumsum(sums, axis=1)], axis=1)
+
+    def evaluator(sums, side):
+        def excess(ts):
+            a, b, c = sums[:, np.searchsorted(p.values_f, ts, side=side)]
+            d = ts - center
+            return c - 2.0 * d * b + d * d * a
+
+        return excess
+
+    return evaluator(suffix, "right"), evaluator(prefix, "left")
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +242,14 @@ _EXCESS_SQUARE = (_normal_excess_kernel, _point_excess_kernel, 2)
 _CDF = (_normal_cdf_kernel, _point_cdf_kernel, 0)
 
 
-def _mix_sum(mix: NormalMixture, ts, kernel) -> np.ndarray:
-    """sum_j w_j s_j^p g((t - m_j) / s_j) at every t, with (g, g0, p) = kernel
-    and point masses (s_j = 0) contributing w_j g0(t - m_j)."""
+def _mix_sum(mix: NormalMixture, ts, kernel, side: float = 1.0) -> np.ndarray:
+    """sum_j w_j s_j^p g(side * (t - m_j) / s_j) at every t, with (g, g0, p) =
+    kernel and point masses (s_j = 0) contributing w_j g0(side * (t - m_j)).
+    Side -1 reflects the law, so the excess kernel gives E (t - X)+^2."""
     ts = np.asarray(ts, dtype=float)
-    flat = ts.ravel()
+    flat = side * ts.ravel()
     normal, point, power = kernel
-    w, m, s = mix.weights, mix.means, mix.sds
+    w, m, s = mix.weights, side * mix.means, mix.sds
     out = np.zeros(flat.size)
     cont = s > 0
     _blocked_sum(flat, m[cont], s[cont], w[cont] * s[cont] ** power, normal, out)
@@ -259,10 +282,52 @@ def _mix_excess_square(mix: NormalMixture, ts: np.ndarray) -> np.ndarray:
     return _mix_sum(mix, ts, _EXCESS_SQUARE)
 
 
-def _excess_square(d: Dist, ts: np.ndarray) -> np.ndarray:
+def _excess_squares(d: Dist, center: float) -> tuple:
+    """(E (X - t)+^2, E (t - X)+^2) as batched functions of t."""
     if isinstance(d, Pmf):
-        return _pmf_excess_square(d, ts)
-    return _mix_excess_square(d, ts)
+        return _pmf_excess_squares(d, center)
+    return (
+        lambda ts: _mix_excess_square(d, ts),
+        lambda ts: _mix_sum(d, ts, _EXCESS_SQUARE, side=-1.0),
+    )
+
+
+def _excess_gap(x: Dist, y: Dist) -> tuple:
+    """H(t) = E(X-t)+^2 - E(Y-t)+^2 from its small side, as a batched function
+    of t, and the center (the mean of x) where it switches sides: right of
+    it as written, left of it as E(t-Y)+^2 - E(t-X)+^2. The two differ by
+    the quadratic that :func:`_residue_charge` integrates."""
+    center = _mean(x)
+    (above_x, below_x), (above_y, below_y) = _excess_squares(x, center), _excess_squares(y, center)
+
+    def fn(ts: np.ndarray) -> np.ndarray:
+        out = np.empty(ts.shape)
+        left = ts < center
+        r, l = ts[~left], ts[left]
+        out[~left] = above_x(r) - above_y(r)
+        out[left] = below_y(l) - below_x(l)
+        return out
+
+    return fn, center
+
+
+def _residue_charge(x: Dist, y: Dist, lo: float, center: float) -> float:
+    """Exact integral over [lo, center] of |E(X-t)^2 - E(Y-t)^2|, the part of H
+    its left-side form drops. With u = t - center it is the quadratic
+    dm0 u^2 - 2 dm1 u + dm2 in the gaps of mass (lost mass included) and of
+    the first two moments about the center; moment matching makes it zero up
+    to rounding."""
+    dm0, dm1, dm2 = (a - b for a, b in zip(_moments_about(x, center), _moments_about(y, center)))
+    return _abs_quadratic_integral(dm0, -2.0 * dm1, dm2, lo - center, 0.0)
+
+
+def _moments_about(d: Dist, center: float) -> tuple:
+    """(mass, E(X - c), E(X - c)^2) about c = center, each summed exactly rounded."""
+    if isinstance(d, Pmf):
+        u, w, var = d.values_f - center, d.probs_f, 0.0
+    else:
+        u, w, var = d.means - center, d.weights, np.square(d.sds)
+    return math.fsum(w), math.fsum(w * u), math.fsum(w * (u * u + var))
 
 
 def _tail_cube(d: Dist, t: float, side: float) -> float:
@@ -280,10 +345,12 @@ def _tail_cube(d: Dist, t: float, side: float) -> float:
     return float(out @ w)
 
 
+def _mean(d: Dist) -> float:
+    return float(d.values_f @ d.probs_f) if isinstance(d, Pmf) else d.mean
+
+
 def _moments(d: Dist) -> tuple:
-    if isinstance(d, Pmf):
-        return float(d.values_f @ d.probs_f), float(d.variance)
-    return d.mean, d.variance
+    return _mean(d), float(d.variance)
 
 
 def _lost(d: Dist) -> float:
@@ -316,8 +383,21 @@ def _kinks(d: Dist) -> np.ndarray:
     return d.means[d.sds == 0]
 
 
-def _breakpoints(ds: Sequence[Dist], lo: float, hi: float) -> np.ndarray:
-    pts = [np.array([lo, hi])]
+#: the quadrature and probe skeleton spreads at most this many points over
+#: the atoms and the component means and means +- 1 sd; kinks come on top
+_SKELETON = 48
+#: the skeleton also marks this many widest sds past the extreme means,
+#: doubling out to the window's 12, so no tail segment spans many decades of
+#: the integrand's Gaussian decay
+_TAIL_SDS = (1.5, 3.0, 6.0)
+
+
+def _breakpoints(ds: Sequence[Dist], lo: float, hi: float, center: float) -> np.ndarray:
+    """Seed points of the quadrature and the probe: a skeleton of at most
+    ``_SKELETON`` points, the tail marks of ``_TAIL_SDS``, and every point
+    where the integrand may have a kink (atoms, point masses, the window
+    ends, and the center where it switches sides)."""
+    pts = []
     for d in ds:
         if isinstance(d, Pmf):
             pts.append(d.values_f)
@@ -326,34 +406,71 @@ def _breakpoints(ds: Sequence[Dist], lo: float, hi: float) -> np.ndarray:
             # smooth segments need no seeding beyond a coarse skeleton
             pts += [d.means, d.means + d.sds, d.means - d.sds]
     arr = np.unique(np.clip(np.concatenate(pts), lo, hi))
-    if len(arr) > 96:
-        keep = arr[np.unique(np.linspace(0, len(arr) - 1, 96).astype(int))]
-        kinks = np.clip(np.concatenate([[lo, hi]] + [_kinks(d) for d in ds]), lo, hi)
-        arr = np.unique(np.concatenate([keep, kinks]))
-    return arr
+    if len(arr) > _SKELETON:
+        arr = arr[np.unique(np.linspace(0, len(arr) - 1, _SKELETON).astype(int))]
+    marks = [lo, hi, center] + [v for pad in _TAIL_SDS for v in _window(ds, pad)]
+    kinks = np.clip(np.concatenate([marks] + [_kinks(d) for d in ds]), lo, hi)
+    return np.unique(np.concatenate([arr, kinks]))
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature (two-level Gauss rule, vectorized integrand)
+# adaptive quadrature (Gauss-Kronrod 10/21 pair, vectorized integrand)
 # ---------------------------------------------------------------------------
 
-_GAUSS_LO = leggauss(10)
-_GAUSS_HI = leggauss(21)
+# The 21-point Kronrod extension of the 10-point Gauss rule on [-1, 1]
+# (QUADPACK's qk21 table): the nonnegative nodes, then the Kronrod weights of
+# those nodes and the Gauss weights of the nodes at odd positions.
+_KRONROD_X = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_KRONROD_W = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525452184, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GAUSS_W = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
 
 
-def _gauss_pair(fn, a: np.ndarray, b: np.ndarray) -> tuple:
-    """Integrals of fn on segments [a_i, b_i] at two resolutions, batched."""
+def _kronrod_rule() -> tuple:
+    """(21 nodes in increasing order, 21 x 2 weights: Gauss column with zeros
+    at the Kronrod-only nodes, Kronrod column)."""
+    x, kw = np.array(_KRONROD_X), np.array(_KRONROD_W)
+    nodes = np.concatenate([-x[:-1], x[::-1]])
+    kronrod = np.concatenate([kw[:-1], kw[::-1]])
+    gauss = np.zeros(21)
+    gauss[1::2] = np.concatenate([_GAUSS_W, _GAUSS_W[::-1]])
+    return nodes, np.stack([gauss, kronrod], axis=1)
+
+
+_KRONROD_NODES, _KRONROD_WEIGHTS = _kronrod_rule()
+
+
+def _gauss_kronrod(fn, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Gauss (10-point) and Kronrod (21-point) integrals of fn on segments
+    [a_i, b_i], batched, from one evaluation at the 21 shared nodes."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    xs_lo = mid[:, None] + half[:, None] * _GAUSS_LO[0]
-    xs_hi = mid[:, None] + half[:, None] * _GAUSS_HI[0]
-    f_lo = fn(xs_lo.ravel()).reshape(xs_lo.shape)
-    f_hi = fn(xs_hi.ravel()).reshape(xs_hi.shape)
-    return half * (f_lo @ _GAUSS_LO[1]), half * (f_hi @ _GAUSS_HI[1])
+    xs = mid[:, None] + half[:, None] * _KRONROD_NODES
+    both = half[:, None] * (fn(xs.ravel()).reshape(xs.shape) @ _KRONROD_WEIGHTS)
+    return both[:, 0], both[:, 1]
 
 
 def _adaptive_abs_integral(fn, seeds: np.ndarray, atol: float, rtol: float) -> tuple:
-    """Integrate |fn| over the union of seed segments; returns (value, err bound)."""
+    """Integrate |fn| over the union of seed segments; returns (value, err
+    bound). Each segment's value is its Kronrod integral and its error
+    estimate the gap to the Gauss integral."""
     absfn = lambda xs: np.abs(fn(xs))
     a = seeds[:-1].copy()
     b = seeds[1:].copy()
@@ -362,31 +479,31 @@ def _adaptive_abs_integral(fn, seeds: np.ndarray, atol: float, rtol: float) -> t
     if a.size == 0:
         return 0.0, 0.0
     total_len = float(np.sum(b - a))
-    lo_est, hi_est = _gauss_pair(absfn, a, b)
-    scale = max(float(np.sum(hi_est)), atol)
+    gauss, kronrod = _gauss_kronrod(absfn, a, b)
+    scale = max(float(np.sum(kronrod)), atol)
     total = 0.0
     err = 0.0
     for _ in range(64):
-        seg_err = np.abs(hi_est - lo_est)
+        seg_err = np.abs(kronrod - gauss)
         tol_seg = max(atol, rtol * scale) * (b - a) / total_len
         tiny = (b - a) <= 1e-14 * np.maximum(1.0, np.abs(a))
         ok = (seg_err <= tol_seg) | tiny
-        total += float(np.sum(hi_est[ok]))
+        total += float(np.sum(kronrod[ok]))
         err += float(np.sum(seg_err[ok]))
         if bool(np.all(ok)) or a[~ok].size > 400_000:
             if not bool(np.all(ok)):
                 # give up on the stragglers, charging their error estimate
-                total += float(np.sum(hi_est[~ok]))
+                total += float(np.sum(kronrod[~ok]))
                 err += float(np.sum(seg_err[~ok]))
             return total, err
         a, b = a[~ok], b[~ok]
         mid = 0.5 * (a + b)
         a = np.concatenate([a, mid])
         b = np.concatenate([mid, b])
-        lo_est, hi_est = _gauss_pair(absfn, a, b)
-        scale = max(scale, total + float(np.sum(hi_est)))
-    total += float(np.sum(hi_est))
-    err += float(np.sum(np.abs(hi_est - lo_est)))
+        gauss, kronrod = _gauss_kronrod(absfn, a, b)
+        scale = max(scale, total + float(np.sum(kronrod)))
+    total += float(np.sum(kronrod))
+    err += float(np.sum(np.abs(kronrod - gauss)))
     return total, err
 
 
@@ -479,9 +596,10 @@ def _zeta3_discrete(x: Pmf, y: Pmf) -> tuple:
 
 def _zeta3_quad(x: Dist, y: Dist) -> tuple:
     lo, hi = _window((x, y), _WINDOW_SDS)
-    seeds = _breakpoints((x, y), lo, hi)
-    fn = lambda ts: _excess_square(x, ts) - _excess_square(y, ts)
+    fn, center = _excess_gap(x, y)
+    seeds = _breakpoints((x, y), lo, hi, center)
     val, err = _adaptive_abs_integral(fn, seeds, _QUAD_ATOL, _QUAD_RTOL)
+    err += _residue_charge(x, y, lo, center)
     tail = (
         _tail_cube(x, hi, 1.0)
         + _tail_cube(y, hi, 1.0)
@@ -648,12 +766,13 @@ _ROOT_XTOL = 1e-13
 def _sign_change_points(x: Dist, y: Dist, lo: float, hi: float) -> tuple:
     """Roots of H and the sign of H on each resulting piece.
 
-    H is evaluated on 33 points per seed segment in one batched call; every
+    H is the quadrature's integrand (:func:`_excess_gap`), evaluated on 33
+    points per segment of the quadrature's skeleton in one batched call; every
     bracketed sign change is then bisected at once, one batched call of the
     same evaluator per step, so a bracket never loses its sign change.
     """
-    fn = lambda ts: _excess_square(x, ts) - _excess_square(y, ts)
-    seeds = _breakpoints((x, y), lo, hi)
+    fn, center = _excess_gap(x, y)
+    seeds = _breakpoints((x, y), lo, hi, center)
     segs = np.diff(seeds) > 0
     grid = np.linspace(seeds[:-1][segs], seeds[1:][segs], 33, axis=1)
     sign = np.sign(fn(grid.ravel())).reshape(grid.shape)
@@ -690,7 +809,7 @@ def zeta3_lower_probe(x: Dist, y: Dist) -> float:
     else:
         breaks = tuple(roots)
         third = tuple(signs)
-    f_star = PiecewiseCubic(breaks, third, origin=_moments(x)[0])
+    f_star = PiecewiseCubic(breaks, third, origin=_mean(x))
     return abs(f_star.expect(x) - f_star.expect(y))
 
 

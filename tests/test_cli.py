@@ -266,6 +266,16 @@ def test_malformed_numbers_are_usage_errors(args, env):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("flag", [("--exact",), ("--tail-eps", "nan")], ids=["exact", "tail-eps"])
+def test_fixed_point_refuses_solver_flags(flag):
+    # population iteration solves no recurrence, so these would go unread
+    res = run_cli("fixed-point", "--equation", "dickman", "--population", "1000",
+                  "--iterations", "2", *flag)
+    assert res.returncode == 2, res.stderr
+    assert "unrecognized arguments" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["dist", "moments"])
 def test_nan_tail_eps_is_precondition_error(command):
     where = ("--n", "5") if command == "dist" else ("--ns", "4,8")

@@ -142,3 +142,13 @@ def test_moment_preconditions_enforced():
     skew = Pmf.from_atoms([(0, 0.5), (2, 0.5)])  # mean 1
     with pytest.raises(PreconditionError):
         normal_characterization_iterate(skew, 4, rng)
+
+
+@pytest.mark.parametrize("bins", [0, -3])
+def test_nonpositive_bins_are_precondition_errors(bins):
+    # numpy's histogram raised a bare ValueError after the whole iteration
+    with pytest.raises(PreconditionError, match="bins"):
+        iterate_population(dickman_equation(1000, 2), np.random.default_rng(0), bins=bins)
+    with pytest.raises(PreconditionError, match="bins"):
+        normal_characterization_iterate(Pmf.from_atoms([(-1, 0.5), (1, 0.5)]), 2,
+                                        np.random.default_rng(0), population=1000, bins=bins)

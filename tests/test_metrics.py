@@ -14,6 +14,7 @@ from scipy.special import ndtr
 
 from recdist import (
     MomentMismatchError,
+    make,
     NormalMixture,
     Pmf,
     PiecewiseCubic,
@@ -25,6 +26,7 @@ from recdist import (
     zeta3_lower_probe,
 )
 from recdist import metrics as metrics_module
+from recdist.clt import accompanying_law
 from recdist.metrics import _mix_excess_square, _zeta3_quad
 
 COIN = Pmf.from_atoms([(-1, 0.5), (1, 0.5)])
@@ -218,6 +220,117 @@ def test_zeta3_triangle_inequality_on_catalog_style_laws():
     an = zeta3(a, STD)
     bn = zeta3(b, STD)
     assert an.value <= ab.value + bn.value + an.abs_error_bound + ab.abs_error_bound + bn.abs_error_bound + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the quadrature: nested rule, integrand from its small side
+# ---------------------------------------------------------------------------
+
+
+def _surrogate(request, name, n):
+    """The accompanying normal surrogate of a catalog model at n, and the
+    normal it is measured against."""
+    solver = request.getfixturevalue({"broadcast_a_time": "solver_bt", "unsuccessful_search": "solver_us"}[name])
+    acc = accompanying_law(solver, n, make(name).params)
+    return acc.mixture, NormalMixture.normal(0.0, acc.sd)
+
+
+def test_gauss_kronrod_rule_nests_the_gauss_rule():
+    nodes, weights = metrics_module._KRONROD_NODES, metrics_module._KRONROD_WEIGHTS
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(nodes[1::2], gauss_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights[1::2, 0], gauss_w, rtol=0, atol=1e-15)
+    assert not weights[::2, 0].any()
+    # the 21-point Kronrod rule integrates every polynomial of degree <= 31
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert nodes**k @ weights[:, 1] == pytest.approx(exact, abs=1e-15)
+
+
+def _zeta3_reference(mp, mix) -> float:
+    """zeta3 of a normal mixture to the normal of its own first two moments,
+    in 40-digit arithmetic and without quadrature. With C(t) = E(X-t)+^3,
+    C' = -3 E(X-t)+^2, so zeta3 = sum |dC(e_i+1) - dC(e_i)| / 6 over the
+    roots e_i of H between -inf and inf, where dC(-inf) = E X^3 - E Y^3.
+    Roots are bracketed on an 81-point grid over the window and bisected.
+    Terms below 1e-40 of the scale are skipped, which can only move or add
+    roots far out in a tail, where they change the sum by as little."""
+    with mp.workdps(40):
+        w = [mp.mpf(float(v)) for v in mix.weights]
+        total = mp.fsum(w)
+        comps = [(a / total, mp.mpf(float(m)), mp.mpf(float(s))) for a, m, s in zip(w, mix.means, mix.sds)]
+        mu = mp.fsum(a * m for a, m, _ in comps)
+        sd = mp.sqrt(mp.fsum(a * (m * m + s * s) for a, m, s in comps) - mu * mu)
+        target = [(mp.mpf(1), mu, sd)]
+        rt2, rt2pi = mp.sqrt(2), mp.sqrt(2 * mp.pi)
+
+        def partial(law, t, power, side=1):
+            """E (side (X - t))+^power for power 2 or 3."""
+            out = []
+            for a, m, s in law:
+                if s == 0:
+                    out.append(a * max(side * (m - t), 0) ** power)
+                    continue
+                z = side * (t - m) / s
+                if z > 14:
+                    continue
+                tail, dens = (1, 0) if z < -14 else (mp.erfc(z / rt2) / 2, mp.exp(-z * z / 2) / rt2pi)
+                if power == 2:
+                    out.append(a * s**2 * ((1 + z * z) * tail - z * dens))
+                else:
+                    out.append(a * s**3 * ((z * z + 2) * dens - z * (z * z + 3) * tail))
+            return mp.fsum(out)
+
+        def h(t):  # each side from its small terms; the laws match to 40 digits
+            if t >= mu:
+                return partial(comps, t, 2) - partial(target, t, 2)
+            return partial(target, t, 2, -1) - partial(comps, t, 2, -1)
+
+        smax = max(s for _, _, s in comps)
+        lo = min(m for _, m, _ in comps) - 12 * smax
+        hi = max(m for _, m, _ in comps) + 12 * smax
+        ts = [lo + (hi - lo) * i / 80 for i in range(81)]
+        hs = [h(t) for t in ts]
+        roots = []
+        for a, b, ha, hb in zip(ts, ts[1:], hs, hs[1:]):
+            if ha * hb < 0:
+                for _ in range(40):  # the sum's error is quadratic in the root's
+                    mid = (a + b) / 2
+                    a, b = (mid, b) if h(mid) * ha > 0 else (a, mid)
+                roots.append((a + b) / 2)
+        third_gap = mp.fsum(a * (m**3 + 3 * m * s * s) for a, m, s in comps) - (mu**3 + 3 * mu * sd * sd)
+        dc = [third_gap] + [partial(comps, r, 3) - partial(target, r, 3) for r in roots] + [0]
+        return float(mp.fsum(abs(u - v) for u, v in zip(dc, dc[1:])) / 6)
+
+
+@pytest.mark.parametrize("name, n", [("broadcast_a_time", 16), ("broadcast_a_time", 32), ("unsuccessful_search", 128)])
+def test_surrogate_zeta3_is_within_its_bound_of_a_40_digit_reference(request, name, n):
+    mp = pytest.importorskip("mpmath")
+    x, y = _surrogate(request, name, n)
+    rep = zeta3(x, y)
+    assert abs(rep.value - _zeta3_reference(mp, x)) <= rep.abs_error_bound
+
+
+def test_surrogate_zeta3_spread_over_block_sizes_stays_within_its_bound(request, monkeypatch):
+    # the block size changes only the summation order of the mixture kernels
+    x, y = _surrogate(request, "broadcast_a_time", 128)
+    reports = []
+    for block in (1 << 12, 1 << 13, 1 << 14, 1 << 16):
+        monkeypatch.setattr(metrics_module, "_BLOCK", block)
+        reports.append(zeta3(x, y))
+    values = [r.value for r in reports]
+    assert max(values) - min(values) <= min(r.abs_error_bound for r in reports)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_probe_finds_no_rounding_noise_roots(request, n):
+    # left of the mean H was once the difference of two terms of size t^2,
+    # and its rounding noise gave the probe a dozen roots to bisect
+    x, y = _surrogate(request, "broadcast_a_time", n)
+    y, _ = metrics_module._match_moments(x, y)
+    lo, hi = metrics_module._window((x, y), metrics_module._WINDOW_SDS)
+    roots, _ = metrics_module._sign_change_points(x, y, lo, hi)
+    assert len(roots) <= 2
 
 
 # ---------------------------------------------------------------------------
