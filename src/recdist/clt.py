@@ -168,6 +168,15 @@ def accompanying_law(solver: Solver, n: int, params: CltParams) -> AccompanyingL
     # child pair in both orders)
     comps, which = np.unique(np.column_stack([shifts, comp_sds]), axis=0, return_inverse=True)
     comp_weights = np.bincount(which.ravel(), weights=weights, minlength=len(comps))
+    # fold the rounding residue of the float rows and their merged sums into
+    # the largest weight, so no mass gap enters zeta3's residue charge (the
+    # rows' own cut, under 2^-65 per n, is below half an ulp of 1)
+    top = int(np.argmax(comp_weights))
+    for _ in range(4):
+        residue = 1.0 - math.fsum(comp_weights)
+        if not residue:
+            break
+        comp_weights[top] += residue
     mixture = NormalMixture(comp_weights, comps[:, 0], comps[:, 1])
     return AccompanyingLaw(mixture, weights, gains, gaps, shifts, tau_n)
 
@@ -214,11 +223,7 @@ def _gap_terms(acc: AccompanyingLaw) -> SurrogateGapTerms:
 def zeta3_standardized(solver: Solver, n: int, params: CltParams) -> MetricReport:
     """Distance of the padded-log standardized law to a normal of matching scale."""
     law, tau = standardized_law(solver, n, params)
-    if tau == 0.0:
-        target: NormalMixture | Pmf = Pmf.delta(0.0)
-    else:
-        target = NormalMixture.normal(0.0, tau)
-    return zeta3(law, target)
+    return zeta3(law, NormalMixture.normal(0.0, tau))
 
 
 def zeta3_accompanying(solver: Solver, n: int, params: CltParams) -> MetricReport:
@@ -227,11 +232,7 @@ def zeta3_accompanying(solver: Solver, n: int, params: CltParams) -> MetricRepor
 
 
 def _zeta3_surrogate(acc: AccompanyingLaw) -> MetricReport:
-    if acc.sd == 0.0:
-        target: NormalMixture | Pmf = Pmf.delta(0.0)
-    else:
-        target = NormalMixture.normal(0.0, acc.sd)
-    return zeta3(acc.mixture, target)
+    return zeta3(acc.mixture, NormalMixture.normal(0.0, acc.sd))
 
 
 def zeta3_to_normal(solver: Solver, n: int) -> MetricReport:

@@ -12,13 +12,14 @@ on faith, so the library offers certification through
 member of the defining function class, evaluated by closed-form expectations)
 and bounds the integral value from below. Nothing calls it implicitly.
 
-Discrete-discrete distances are integrated exactly piece by piece; anything
-involving a normal component uses adaptive Gauss-Kronrod quadrature (the 21
-Kronrod nodes hold the 10 Gauss nodes, so one set of evaluations gives the
-value and its error estimate) with an analytic bound on the tail remainder.
+Every distance reads one view of its laws (:func:`_law`): sorted point masses
+(the atoms of a Pmf, or a mixture's zero-sd components merged by mean),
+normal components with sd > 0, and the lost mass. Point masses are always
+evaluated from prefix and suffix moment sums; normal components always
+through one blocked kernel.
 
 The integrand H(t) = E(X-t)+^2 - E(Y-t)+^2 is taken from its small side.
-Right of the common mean it is evaluated as written; left of it, as
+Right of the mean of X it is evaluated as written; left of it, as
 E(t-Y)+^2 - E(t-X)+^2, since there E(X-t)+^2 and E(Y-t)+^2 both grow like t^2
 and their difference would carry their rounding error. The two forms differ
 by the quadratic E(X-t)^2 - E(Y-t)^2, which vanishes for laws with equal mass
@@ -26,13 +27,23 @@ and first two moments; its coefficients are the gaps in mass (lost mass
 included), mean and second moment, and the exact integral of its absolute
 value left of the mean is charged to the error bound.
 
-A mixture is evaluated at many points (its excess squares and its CDF)
-through one blocked kernel: the (points x components) product is worked
-through in blocks of ``_BLOCK`` pairs with in-place ufuncs, so memory stays
-bounded whatever the numbers of points and components. The probe finds the
-sign changes of the integrand by bisecting all bracketed roots at once on the
-quadrature's integrand and skeleton, and takes expectations of its piecewise
-cubic in blocks of (pieces x components), anchored at the mean of the law.
+Between point masses only, H is a quadratic on each piece of the merged
+atoms (the mean of X included), read from the same sums, and |H| is
+integrated exactly; the bound is the charge above plus a rounding envelope
+of those sums, integrated the same way. Anything involving a
+normal component uses adaptive Gauss-Kronrod quadrature (the 21 Kronrod
+nodes hold the 10 Gauss nodes, so one set of evaluations gives the value and
+its error estimate) with an analytic bound on the tail remainder.
+
+The normal components are evaluated at many points (excess squares and the
+CDF) through one blocked kernel: the (points x components) product is worked
+through in blocks of ``_BLOCK`` pairs with in-place ufuncs, and each block is
+contracted with its coefficients by ``np.einsum``, which never enters
+threaded BLAS, so memory stays bounded and the cost does not depend on the
+machine's load. The probe finds the sign changes of the integrand by
+bisecting all bracketed roots at once on the quadrature's integrand and
+skeleton, and takes expectations of its piecewise cubic in blocks of
+(pieces x components), anchored at the mean of the law.
 """
 
 from __future__ import annotations
@@ -117,16 +128,10 @@ class NormalMixture:
         return NormalMixture(self.weights, scale * self.means + shift, abs(scale) * self.sds)
 
     def cdf(self, ts: np.ndarray) -> np.ndarray:
-        return _mix_sum(self, ts, _CDF)
+        return _law(self).cdf(ts)
 
     def is_discrete(self) -> bool:
         return not self.sds.any()
-
-    def as_pmf(self) -> Pmf:
-        """Point-mass-only mixtures converted to a Pmf; errors otherwise."""
-        if not self.is_discrete():
-            raise PreconditionError("mixture has continuous components")
-        return Pmf.from_atoms(zip(self.means.tolist(), self.weights.tolist()))
 
 
 Dist = Union[Pmf, NormalMixture]
@@ -140,9 +145,12 @@ class MetricReport:
     residue left of the mean that the two-sided integrand drops (the exact
     integral of |E(X-t)^2 - E(Y-t)^2|, nonzero when mass, mean or second
     moment differ, lost mass included), and the contribution of any truncated
-    (lost) probability mass. It does not bound the rounding of H right of the
-    mean. ``adjustment`` records the (shift, scale - 1) applied to the second
-    argument to match moments exactly before integrating.
+    (lost) probability mass. Between point masses only, the integral itself
+    is exact, and the bound is that residue, the lost mass and a rounding
+    envelope of the moment sums H is read from. With a normal component it
+    does not bound the rounding of H right of the mean. ``adjustment`` records the
+    (shift, scale - 1) applied to the second argument to match moments
+    exactly before integrating.
     """
 
     value: float
@@ -175,31 +183,84 @@ def normal_partial_square_moment(t, mean=0.0, sd=1.0):
     return float(out) if np.isscalar(t) else out
 
 
-def _pmf_excess_squares(p: Pmf, center: float) -> tuple:
-    """(E (X - t)+^2, E (t - X)+^2) of a discrete law as functions of t, from
-    suffix and prefix moment sums about ``center``, built once."""
-    u, w = p.values_f - center, p.probs_f
+# ---------------------------------------------------------------------------
+# the law view
+# ---------------------------------------------------------------------------
+
+_EMPTY = np.zeros(0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Law:
+    """A law as every distance reads it: point masses at sorted ``atoms``
+    with ``masses``, normal components (``means``, ``sds`` > 0, ``weights``),
+    and the ``lost`` mass."""
+
+    atoms: np.ndarray
+    masses: np.ndarray
+    means: np.ndarray
+    sds: np.ndarray
+    weights: np.ndarray
+    lost: float = 0.0
+
+    @cached_property
+    def mean(self) -> float:
+        return float(self.atoms @ self.masses + self.means @ self.weights)
+
+    @cached_property
+    def variance(self) -> float:
+        mu = self.mean
+        spread = np.square(self.means - mu) + np.square(self.sds)
+        return float(np.square(self.atoms - mu) @ self.masses + spread @ self.weights)
+
+    def affine(self, scale: float, shift: float) -> "_Law":
+        """The law of scale * X + shift, for scale > 0."""
+        return _Law(
+            scale * self.atoms + shift, self.masses, scale * self.means + shift, scale * self.sds,
+            self.weights, self.lost,
+        )
+
+    def cdf(self, ts) -> np.ndarray:
+        """P(X <= t) at every t, over retained mass."""
+        ts = np.asarray(ts, dtype=float)
+        flat = ts.ravel()
+        out = np.zeros(flat.size)
+        _blocked_sum(flat, self.means, self.sds, self.weights, _normal_cdf_kernel, out)
+        if self.atoms.size:
+            below = _atom_sums(self, 0.0)[1][0]
+            out += below[np.searchsorted(self.atoms, flat, side="right")]
+        return out.reshape(ts.shape)
+
+
+def _law(d: Dist) -> _Law:
+    """The view of a Pmf or a NormalMixture; a mixture's zero-sd components
+    become point masses, merged where their means are equal."""
+    if isinstance(d, Pmf):
+        return _Law(d.values_f, d.probs_f, _EMPTY, _EMPTY, _EMPTY, float(d.lost_mass))
+    point = d.sds == 0
+    atoms, which = np.unique(d.means[point], return_inverse=True)
+    masses = np.bincount(which, weights=d.weights[point], minlength=atoms.size)
+    normal = ~point
+    return _Law(atoms, masses, d.means[normal], d.sds[normal], d.weights[normal])
+
+
+def _atom_sums(d: _Law, center: float) -> tuple:
+    """(suffix, prefix): (3, atoms + 1) arrays whose column i sums
+    (w, w u, w u^2), u = atom - center, over the point masses from index i on
+    (suffix) and below index i (prefix)."""
+    u, w = d.atoms - center, d.masses
     sums = np.stack([w, w * u, w * u * u])
     zero = np.zeros((3, 1))
     suffix = np.concatenate([np.cumsum(sums[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
     prefix = np.concatenate([zero, np.cumsum(sums, axis=1)], axis=1)
-
-    def evaluator(sums, side):
-        def excess(ts):
-            a, b, c = sums[:, np.searchsorted(p.values_f, ts, side=side)]
-            d = ts - center
-            return c - 2.0 * d * b + d * d * a
-
-        return excess
-
-    return evaluator(suffix, "right"), evaluator(prefix, "left")
+    return suffix, prefix
 
 
 # ---------------------------------------------------------------------------
-# blocked mixture kernels
+# blocked normal kernels
 # ---------------------------------------------------------------------------
 
-#: (point, component) pairs a mixture kernel evaluates at once. It bounds the
+#: (point, component) pairs a normal kernel evaluates at once. It bounds the
 #: working memory of every mixture evaluation whatever the numbers of points
 #: and components; blocks that outgrow the CPU cache run slower, not faster.
 _BLOCK = 1 << 14
@@ -221,46 +282,13 @@ def _normal_excess_kernel(z, a, b):
     return np.maximum(z, 0.0, out=z)
 
 
-def _point_excess_kernel(z, a, b):
-    """((-z)+)^2 in place of z: the point-mass excess square at offset z = t - m."""
-    np.negative(z, out=z)
-    np.maximum(z, 0.0, out=z)
-    return np.square(z, out=z)
-
-
 def _normal_cdf_kernel(z, a, b):
     return ndtr(z, out=z)
 
 
-def _point_cdf_kernel(z, a, b):
-    return np.heaviside(z, 1.0, out=z)
-
-
-#: (kernel on continuous components, kernel on point masses, power of sd in
-#: the continuous coefficients w * sd^p)
-_EXCESS_SQUARE = (_normal_excess_kernel, _point_excess_kernel, 2)
-_CDF = (_normal_cdf_kernel, _point_cdf_kernel, 0)
-
-
-def _mix_sum(mix: NormalMixture, ts, kernel, side: float = 1.0) -> np.ndarray:
-    """sum_j w_j s_j^p g(side * (t - m_j) / s_j) at every t, with (g, g0, p) =
-    kernel and point masses (s_j = 0) contributing w_j g0(side * (t - m_j)).
-    Side -1 reflects the law, so the excess kernel gives E (t - X)+^2."""
-    ts = np.asarray(ts, dtype=float)
-    flat = side * ts.ravel()
-    normal, point, power = kernel
-    w, m, s = mix.weights, side * mix.means, mix.sds
-    out = np.zeros(flat.size)
-    cont = s > 0
-    _blocked_sum(flat, m[cont], s[cont], w[cont] * s[cont] ** power, normal, out)
-    disc = ~cont
-    _blocked_sum(flat, m[disc], None, w[disc], point, out)
-    return out.reshape(ts.shape)
-
-
 def _blocked_sum(ts, centers, scales, coefs, kernel, out) -> None:
     """out += sum_j coefs[j] * kernel((ts - centers[j]) / scales[j]), one block
-    of at most _BLOCK (point, component) pairs at a time; None scales mean 1."""
+    of at most _BLOCK (point, component) pairs at a time."""
     ncomp = centers.size
     if ncomp == 0:
         return
@@ -273,31 +301,40 @@ def _blocked_sum(ts, centers, scales, coefs, kernel, out) -> None:
             t = ts[i : i + rows]
             z, a, b = (buf[: t.size * c.size].reshape(t.size, c.size) for buf in bufs)
             np.subtract(t[:, None], c, out=z)
-            if scales is not None:
-                z /= scales[j : j + cols]
-            out[i : i + rows] += kernel(z, a, b) @ coefs[j : j + cols]
+            z /= scales[j : j + cols]
+            out[i : i + rows] += np.einsum("ij,j->i", kernel(z, a, b), coefs[j : j + cols])
 
 
-def _mix_excess_square(mix: NormalMixture, ts: np.ndarray) -> np.ndarray:
-    return _mix_sum(mix, ts, _EXCESS_SQUARE)
+def _excess_squares(d: _Law, center: float) -> tuple:
+    """(E (X - t)+^2, E (t - X)+^2) as batched functions of 1-D t: point
+    masses from their moment sums about ``center``, normal components through
+    the blocked kernel (on the reflected law for the lower side)."""
+    suffix, prefix = _atom_sums(d, center)
+    coefs = d.weights * np.square(d.sds)
+
+    def side(sums, how, sign):
+        means = sign * d.means
+
+        def excess(ts):
+            out = np.zeros(ts.size)
+            _blocked_sum(sign * ts, means, d.sds, coefs, _normal_excess_kernel, out)
+            if d.atoms.size:
+                a, b, c = sums[:, np.searchsorted(d.atoms, ts, side=how)]
+                u = ts - center
+                out += c - 2.0 * u * b + u * u * a
+            return out
+
+        return excess
+
+    return side(suffix, "right", 1.0), side(prefix, "left", -1.0)
 
 
-def _excess_squares(d: Dist, center: float) -> tuple:
-    """(E (X - t)+^2, E (t - X)+^2) as batched functions of t."""
-    if isinstance(d, Pmf):
-        return _pmf_excess_squares(d, center)
-    return (
-        lambda ts: _mix_excess_square(d, ts),
-        lambda ts: _mix_sum(d, ts, _EXCESS_SQUARE, side=-1.0),
-    )
-
-
-def _excess_gap(x: Dist, y: Dist) -> tuple:
+def _excess_gap(x: _Law, y: _Law) -> tuple:
     """H(t) = E(X-t)+^2 - E(Y-t)+^2 from its small side, as a batched function
     of t, and the center (the mean of x) where it switches sides: right of
     it as written, left of it as E(t-Y)+^2 - E(t-X)+^2. The two differ by
     the quadratic that :func:`_residue_charge` integrates."""
-    center = _mean(x)
+    center = x.mean
     (above_x, below_x), (above_y, below_y) = _excess_squares(x, center), _excess_squares(y, center)
 
     def fn(ts: np.ndarray) -> np.ndarray:
@@ -311,76 +348,44 @@ def _excess_gap(x: Dist, y: Dist) -> tuple:
     return fn, center
 
 
-def _residue_charge(x: Dist, y: Dist, lo: float, center: float) -> float:
+def _residue_charge(x: _Law, y: _Law, lo: float, center: float) -> float:
     """Exact integral over [lo, center] of |E(X-t)^2 - E(Y-t)^2|, the part of H
     its left-side form drops. With u = t - center it is the quadratic
     dm0 u^2 - 2 dm1 u + dm2 in the gaps of mass (lost mass included) and of
     the first two moments about the center; moment matching makes it zero up
     to rounding."""
     dm0, dm1, dm2 = (a - b for a, b in zip(_moments_about(x, center), _moments_about(y, center)))
-    return _abs_quadratic_integral(dm0, -2.0 * dm1, dm2, lo - center, 0.0)
+    return float(_abs_quadratic_integral(dm0, -2.0 * dm1, dm2, lo - center, 0.0))
 
 
-def _moments_about(d: Dist, center: float) -> tuple:
+def _moments_about(d: _Law, center: float) -> tuple:
     """(mass, E(X - c), E(X - c)^2) about c = center, each summed exactly rounded."""
-    if isinstance(d, Pmf):
-        u, w, var = d.values_f - center, d.probs_f, 0.0
-    else:
-        u, w, var = d.means - center, d.weights, np.square(d.sds)
+    u = np.concatenate([d.atoms, d.means]) - center
+    w = np.concatenate([d.masses, d.weights])
+    var = np.concatenate([np.zeros(d.atoms.size), np.square(d.sds)])
     return math.fsum(w), math.fsum(w * u), math.fsum(w * (u * u + var))
 
 
-def _tail_cube(d: Dist, t: float, side: float) -> float:
+def _tail_cube(d: _Law, t: float, side: float) -> float:
     """E (side * (X - t))+^3: with side +1 (above t) or -1 (below t) it bounds
     the integral remainder outside the window on that side."""
-    if isinstance(d, Pmf):
-        return float(np.dot(np.maximum(side * (d.values_f - t), 0.0) ** 3, d.probs_f))
-    w, m, s = d.weights, d.means, d.sds
-    past = side * (m - t)  # how far each center lies beyond t, into the tail
-    out = np.maximum(past, 0.0) ** 3
-    cont = s > 0
-    z = -past[cont] / s[cont]
+    atoms = float(np.dot(np.maximum(side * (d.atoms - t), 0.0) ** 3, d.masses))
+    z = side * (t - d.means) / d.sds  # how far t lies past each mean, into the tail
     val = _phi(z) * (z * z + 2.0) - z * (z * z + 3.0) * ndtr(-z)
-    out[cont] = s[cont] ** 3 * np.maximum(val, 0.0)
-    return float(out @ w)
+    return atoms + float(d.sds**3 * np.maximum(val, 0.0) @ d.weights)
 
 
-def _mean(d: Dist) -> float:
-    return float(d.values_f @ d.probs_f) if isinstance(d, Pmf) else d.mean
-
-
-def _moments(d: Dist) -> tuple:
-    return _mean(d), float(d.variance)
-
-
-def _lost(d: Dist) -> float:
-    return float(d.lost_mass) if isinstance(d, Pmf) else 0.0
-
-
-def _diameter(*ds: Dist) -> float:
-    lo, hi = _window(ds, 0.0)
-    return hi - lo
-
-
-def _window(ds: Sequence[Dist], pad_sds: float) -> tuple:
+def _window(ds: Sequence[_Law], pad_sds: float) -> tuple:
     lo, hi = math.inf, -math.inf
     for d in ds:
-        if isinstance(d, Pmf):
-            lo = min(lo, float(d.values_f[0]))
-            hi = max(hi, float(d.values_f[-1]))
-        else:
-            m, s = d.means, d.sds
-            smax = float(s.max())
-            lo = min(lo, float(m.min()) - pad_sds * smax)
-            hi = max(hi, float(m.max()) + pad_sds * smax)
+        if d.atoms.size:
+            lo = min(lo, float(d.atoms[0]))
+            hi = max(hi, float(d.atoms[-1]))
+        if d.sds.size:
+            pad = pad_sds * float(d.sds.max())
+            lo = min(lo, float(d.means.min()) - pad)
+            hi = max(hi, float(d.means.max()) + pad)
     return lo, hi
-
-
-def _kinks(d: Dist) -> np.ndarray:
-    """Points where the integrand may have a kink: atoms and point masses."""
-    if isinstance(d, Pmf):
-        return d.values_f
-    return d.means[d.sds == 0]
 
 
 #: the quadrature and probe skeleton spreads at most this many points over
@@ -392,24 +397,17 @@ _SKELETON = 48
 _TAIL_SDS = (1.5, 3.0, 6.0)
 
 
-def _breakpoints(ds: Sequence[Dist], lo: float, hi: float, center: float) -> np.ndarray:
+def _breakpoints(ds: Sequence[_Law], lo: float, hi: float, center: float) -> np.ndarray:
     """Seed points of the quadrature and the probe: a skeleton of at most
     ``_SKELETON`` points, the tail marks of ``_TAIL_SDS``, and every point
-    where the integrand may have a kink (atoms, point masses, the window
-    ends, and the center where it switches sides)."""
-    pts = []
-    for d in ds:
-        if isinstance(d, Pmf):
-            pts.append(d.values_f)
-        else:
-            # kinks of the integrand only occur at point-mass components;
-            # smooth segments need no seeding beyond a coarse skeleton
-            pts += [d.means, d.means + d.sds, d.means - d.sds]
+    where the integrand may have a kink (point masses, the window ends, and
+    the center where it switches sides)."""
+    pts = [v for d in ds for v in (d.atoms, d.means, d.means + d.sds, d.means - d.sds)]
     arr = np.unique(np.clip(np.concatenate(pts), lo, hi))
     if len(arr) > _SKELETON:
         arr = arr[np.unique(np.linspace(0, len(arr) - 1, _SKELETON).astype(int))]
     marks = [lo, hi, center] + [v for pad in _TAIL_SDS for v in _window(ds, pad)]
-    kinks = np.clip(np.concatenate([marks] + [_kinks(d) for d in ds]), lo, hi)
+    kinks = np.clip(np.concatenate([marks] + [d.atoms for d in ds]), lo, hi)
     return np.unique(np.concatenate([arr, kinks]))
 
 
@@ -512,10 +510,10 @@ def _adaptive_abs_integral(fn, seeds: np.ndarray, atol: float, rtol: float) -> t
 # ---------------------------------------------------------------------------
 
 
-def _match_moments(x: Dist, y: Dist) -> tuple:
+def _match_moments(x: _Law, y: _Law) -> tuple:
     """Recenter/rescale y to x's first two moments; returns (y', (shift, scale-1))."""
-    mx, vx = _moments(x)
-    my, vy = _moments(y)
+    mx, vx = x.mean, x.variance
+    my, vy = y.mean, y.variance
     mean_gap = abs(mx - my)
     m2_gap = abs((vx + mx * mx) - (vy + my * my))
     scale_ref = max(1.0, abs(mx), math.sqrt(max(vx, vy, 0.0)))
@@ -531,70 +529,53 @@ def _match_moments(x: Dist, y: Dist) -> tuple:
     shift = mx - scale * my
     if scale == 1.0 and shift == 0.0:
         return y, (0.0, 0.0)
-    if isinstance(y, Pmf):
-        return y.affine(scale, shift), (shift, scale - 1.0)
-    return y.scaled_shifted(scale, shift), (shift, scale - 1.0)
+    return y.affine(scale, shift), (shift, scale - 1.0)
 
 
-def _as_discrete(d: Dist) -> Dist:
-    if isinstance(d, NormalMixture) and d.is_discrete():
-        return d.as_pmf()
-    return d
+def _abs_quadratic_integral(a2, a1, a0, lo, hi) -> np.ndarray:
+    """Exact integral of |a2 u^2 + a1 u + a0| over [lo, hi], elementwise. The
+    interval is cut at the roots, and each piece is integrated from its left
+    end, so no term grows with the distance from u = 0."""
+    a2, a1, a0, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a2, a1, a0, lo, hi)))
+    disc = a1 * a1 - 4.0 * a2 * a0
+    two = (np.abs(a2) > 1e-300) & (disc > 0)
+    one = (np.abs(a2) <= 1e-300) & (np.abs(a1) > 1e-300)
+    # the roots of a quadratic as q / a2 and a0 / q, free of cancellation
+    q = -0.5 * (a1 + np.copysign(np.sqrt(np.where(two, disc, 0.0)), a1))
+    r1 = np.where(two, q / np.where(two, a2, 1.0), np.where(one, -a0 / np.where(one, a1, 1.0), lo))
+    r2 = np.where(two, a0 / np.where(two, q, 1.0), lo)
+    cuts = np.sort(np.stack([lo, np.clip(r1, lo, hi), np.clip(r2, lo, hi), hi]), axis=0)
+    u, h = cuts[:-1], np.diff(cuts, axis=0)
+    piece = h * ((a2 * u + a1) * u + a0 + h * (a2 * u + 0.5 * a1 + h * (a2 / 3.0)))
+    return np.abs(piece).sum(axis=0)
 
 
-def _abs_quadratic_integral(a2: float, a1: float, a0: float, lo: float, hi: float) -> float:
-    """Exact integral of |a2 t^2 + a1 t + a0| over [lo, hi]."""
+def _zeta3_discrete(x: _Law, y: _Law) -> tuple:
+    """Exact integral of |H| between point masses. On each piece of the
+    merged atoms, the mean of x included, H is a quadratic in u = t - mean
+    whose coefficients are the moment-sum gaps from the piece's side of the
+    mean (:func:`_atom_sums`).
 
-    def antideriv(t: float) -> float:
-        return ((a2 / 3.0) * t + a1 / 2.0) * t * t + a0 * t
-
-    roots = []
-    if abs(a2) > 1e-300:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc > 0:
-            r = math.sqrt(disc)
-            roots = sorted(((-a1 - r) / (2 * a2), (-a1 + r) / (2 * a2)))
-    elif abs(a1) > 1e-300:
-        roots = [-a0 / a1]
-    cuts = [lo] + [r for r in roots if lo < r < hi] + [hi]
-    total = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        total += abs(antideriv(right) - antideriv(left))
-    return total
-
-
-def _zeta3_discrete(x: Pmf, y: Pmf) -> tuple:
-    """Exact piecewise-quadratic integration of |H| between atoms."""
-    vx, px = x.values_f, x.probs_f
-    vy, py = y.values_f, y.probs_f
-    grid = np.unique(np.concatenate([vx, vy]))
-    # suffix moment sums of each law, aligned to the merged grid
-    def suffix(v, p):
-        a = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])
-        b = np.concatenate([np.cumsum((p * v)[::-1])[::-1], [0.0]])
-        c = np.concatenate([np.cumsum((p * v * v)[::-1])[::-1], [0.0]])
-        idx = np.searchsorted(v, grid, side="right")
-        return a[idx], b[idx], c[idx]
-
-    ax, bx, cx = suffix(vx, px)
-    ay, by, cy = suffix(vy, py)
-    total = 0.0
-    for i in range(len(grid) - 1):
-        a2 = ax[i] - ay[i]
-        a1 = -2.0 * (bx[i] - by[i])
-        a0 = cx[i] - cy[i]
-        total += _abs_quadratic_integral(a2, a1, a0, grid[i], grid[i + 1])
-    # Below the merged support H vanishes for exactly moment-matched laws;
-    # floating residue there is charged to the error bound instead.
-    d_mass = abs(float(np.sum(px) - np.sum(py)))
-    d_m1 = abs(float(px @ vx - py @ vy))
-    d_m2 = abs(float(px @ (vx * vx) - py @ (vy * vy)))
-    t0 = abs(grid[0]) + grid[-1] - grid[0] + 1.0
-    err = 0.5 * (d_mass * t0 * t0 + 2.0 * d_m1 * t0 + d_m2) * (grid[-1] - grid[0] + 1.0)
-    return 0.5 * total, err
+    The bound adds to the residue charge a rounding envelope: the sums, the
+    gaps and the integration each err by at most (atoms + 10) ulps of
+    sum w (|atom - mean| + |u|)^2 <= 2 (w u^2 + w (atom - mean)^2) over both
+    laws' side sums, integrated exactly like H."""
+    center = x.mean
+    grid = np.unique(np.concatenate([x.atoms, y.atoms, [center]]))
+    lo, hi = grid[:-1] - center, grid[1:] - center
+    sides = []
+    for d in (x, y):
+        suffix, prefix = _atom_sums(d, center)
+        i = np.searchsorted(d.atoms, grid[:-1], side="right")
+        sides.append(np.where(lo < 0, prefix[:, i], suffix[:, i]))
+    gap, size = sides[0] - sides[1], sides[0] + sides[1]
+    total = math.fsum(_abs_quadratic_integral(gap[0], -2.0 * gap[1], gap[2], lo, hi))
+    ulps = (x.atoms.size + y.atoms.size + 10) * np.finfo(float).eps
+    envelope = 2.0 * ulps * math.fsum(_abs_quadratic_integral(size[0], 0.0, size[2], lo, hi))
+    return 0.5 * total, 0.5 * (_residue_charge(x, y, float(grid[0]), center) + envelope)
 
 
-def _zeta3_quad(x: Dist, y: Dist) -> tuple:
+def _zeta3_quad(x: _Law, y: _Law) -> tuple:
     lo, hi = _window((x, y), _WINDOW_SDS)
     fn, center = _excess_gap(x, y)
     seeds = _breakpoints((x, y), lo, hi, center)
@@ -616,14 +597,14 @@ def zeta3(x: Dist, y: Dist) -> MetricReport:
     infinite otherwise); small mismatches are absorbed by recentring and
     rescaling ``y``, and the applied adjustment is reported.
     """
-    x = _as_discrete(x)
-    y, adjustment = _match_moments(x, _as_discrete(y))
-    if isinstance(x, Pmf) and isinstance(y, Pmf):
-        value, err = _zeta3_discrete(x, y)
-    else:
+    x = _law(x)
+    y, adjustment = _match_moments(x, _law(y))
+    if x.sds.size or y.sds.size:
         value, err = _zeta3_quad(x, y)
-    spread = _diameter(x, y)
-    err += (_lost(x) + _lost(y)) * spread * spread
+    else:
+        value, err = _zeta3_discrete(x, y)
+    lo, hi = _window((x, y), 0.0)
+    err += (x.lost + y.lost) * (hi - lo) * (hi - lo)
     return MetricReport(value, err, adjustment)
 
 
@@ -704,28 +685,25 @@ class PiecewiseCubic:
         return f[idx] + d[idx] * u + s[idx] * u * u / 2 + c[idx] * u**3 / 6
 
     def expect(self, dist: Dist) -> float:
-        dist = _as_discrete(dist)
-        if isinstance(dist, Pmf):
-            return float(np.dot(self(dist.values_f), dist.probs_f))
-        w, m, s = dist.weights, dist.means, dist.sds
-        per = self(m)  # E f over each component; exact for point masses
-        cont = np.flatnonzero(s > 0)
+        return self._expect(_law(dist))
+
+    def _expect(self, d: _Law) -> float:
+        per = np.empty(d.means.size)  # E f over each normal component
         b = np.asarray(self.breaks, dtype=float)
-        anchor, f, d, ss, c3 = (v[:, None] for v in self._pieces)
+        anchor, f, df, ss, c3 = (v[:, None] for v in self._pieces)
         step = max(1, _BLOCK // len(self.third))  # components per (pieces x components) block
-        for lo in range(0, cont.size, step):
-            i = cont[lo : lo + step]
-            mi, si = m[i], s[i]
+        for lo in range(0, d.means.size, step):
+            mi, si = d.means[lo : lo + step], d.sds[lo : lo + step]
             # E f = sum over pieces of sum_q e_q si^q J_q, with e_q the Taylor
             # coefficients of the piece's cubic at the component mean and J_q
             # the standard normal's partial moments over the piece
             j0, j1, j2, j3 = _piece_partials(b, mi, si)
             u = mi - anchor
-            e0 = f + u * (d + u * (ss / 2.0 + u * c3 / 6.0))
-            e1 = d + u * (ss + u * c3 / 2.0)
+            e0 = f + u * (df + u * (ss / 2.0 + u * c3 / 6.0))
+            e1 = df + u * (ss + u * c3 / 2.0)
             e2 = (ss + u * c3) / 2.0
-            per[i] = (e0 * j0 + si * (e1 * j1 + si * (e2 * j2 + si * (c3 / 6.0) * j3))).sum(axis=0)
-        return math.fsum(w * per)
+            per[lo : lo + step] = (e0 * j0 + si * (e1 * j1 + si * (e2 * j2 + si * (c3 / 6.0) * j3))).sum(axis=0)
+        return math.fsum(np.concatenate([d.masses * self(d.atoms), d.weights * per]))
 
 
 def _piece_partials(breaks: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> tuple:
@@ -763,7 +741,7 @@ def random_smooth_member(rng: np.random.Generator, lo: float, hi: float, max_kno
 _ROOT_XTOL = 1e-13
 
 
-def _sign_change_points(x: Dist, y: Dist, lo: float, hi: float) -> tuple:
+def _sign_change_points(x: _Law, y: _Law, lo: float, hi: float) -> tuple:
     """Roots of H and the sign of H on each resulting piece.
 
     H is the quadrature's integrand (:func:`_excess_gap`), evaluated on 33
@@ -799,8 +777,8 @@ def zeta3_lower_probe(x: Dist, y: Dist) -> float:
     """Expectation gap of the extremal admissible function: a certified lower
     bound on zeta3, computed by direct expectations rather than the integral
     representation."""
-    x = _as_discrete(x)
-    y, _ = _match_moments(x, _as_discrete(y))
+    x = _law(x)
+    y, _ = _match_moments(x, _law(y))
     lo, hi = _window((x, y), _WINDOW_SDS)
     roots, signs = _sign_change_points(x, y, lo, hi)
     if not roots:
@@ -809,8 +787,8 @@ def zeta3_lower_probe(x: Dist, y: Dist) -> float:
     else:
         breaks = tuple(roots)
         third = tuple(signs)
-    f_star = PiecewiseCubic(breaks, third, origin=_mean(x))
-    return abs(f_star.expect(x) - f_star.expect(y))
+    f_star = PiecewiseCubic(breaks, third, origin=x.mean)
+    return abs(f_star._expect(x) - f_star._expect(y))
 
 
 # ---------------------------------------------------------------------------
@@ -819,20 +797,19 @@ def zeta3_lower_probe(x: Dist, y: Dist) -> float:
 
 
 def kolmogorov(x: Dist, y: Dist) -> float:
-    """sup_t |F_x(t) - F_y(t)|, evaluated at atoms (both sides) and, for a
-    pair of continuous mixtures, at refined stationary points of the gap."""
-    x = _as_discrete(x)
-    y = _as_discrete(y)
-    ts = np.unique(np.concatenate([_kinks(x), _kinks(y)]))
-    best = abs(_lost(x) - _lost(y))  # limiting gap above both supports
+    """sup_t |F_x(t) - F_y(t)|, evaluated at point masses (both sides) and,
+    when both laws have normal components, at refined stationary points of
+    the gap."""
+    x, y = _law(x), _law(y)
+    ts = np.unique(np.concatenate([x.atoms, y.atoms]))
+    best = abs(x.lost - y.lost)  # limiting gap above both supports
     if ts.size:
         fx, fy = x.cdf(ts), y.cdf(ts)
         best = max(best, float(np.max(np.abs(fx - fy))))
         eps = 1e-12 * np.maximum(1.0, np.abs(ts))
         fx_l, fy_l = x.cdf(ts - eps), y.cdf(ts - eps)
         best = max(best, float(np.max(np.abs(fx_l - fy_l))))
-    both_cont = not isinstance(x, Pmf) and not isinstance(y, Pmf)
-    if both_cont:
+    if x.sds.size and y.sds.size:
         lo, hi = _window((x, y), _WINDOW_SDS)
         ts = np.linspace(lo, hi, 8193)
         gap = np.abs(x.cdf(ts) - y.cdf(ts))

@@ -28,6 +28,8 @@ from recdist import (
 )
 from recdist.clt import VERIFICATION_COLUMNS, conservative_delta, verification_row
 
+from conftest import shared_solver
+
 
 US = make("unsuccessful_search")
 ND = make("node_depth")
@@ -202,17 +204,47 @@ def test_conditions_k2_match_the_exact_tables(model):
 
 @pytest.mark.parametrize(
     "model, ns",
-    [("unsuccessful_search", (48, 64, 512)), ("broadcast_a_time", (16, 32, 64, 128))],
+    [
+        ("unsuccessful_search", (16, 32, 48, 64, 128, 256, 512, 1024, 2048)),
+        ("broadcast_a_time", (16, 32, 64, 128)),
+    ],
 )
 def test_surrogate_lower_probe_stays_below_the_distance(model, ns):
+    # the verify grids of the benchmark, standardized law and surrogate alike
     entry = make(model)
-    solver = entry.solver()
+    solver = shared_solver(model)
     for n in ns:
+        law, tau = standardized_law(solver, n, entry.params)
         acc = accompanying_law(solver, n, entry.params)
-        rep = zeta3_accompanying(solver, n, entry.params)
-        probe = zeta3_lower_probe(acc.mixture, NormalMixture.normal(0.0, acc.sd))
+        for x, y, rep in (
+            (law, NormalMixture.normal(0.0, tau), zeta3_standardized(solver, n, entry.params)),
+            (acc.mixture, NormalMixture.normal(0.0, acc.sd), zeta3_accompanying(solver, n, entry.params)),
+        ):
+            probe = zeta3_lower_probe(x, y)
+            assert probe <= rep.value + rep.abs_error_bound
+            assert probe >= 0.999 * rep.value
+
+
+def test_unit_variance_lower_probe_stays_below_the_distance(solver_nd):
+    # the rate grid of the benchmark
+    for n in (64, 128, 256, 512, 1024, 2048):
+        sd, mu = solver_nd.sd(n), float(solver_nd.mean(n))
+        law = solver_nd.law(n).affine(1.0 / sd, -mu / sd)
+        rep = zeta3_to_normal(solver_nd, n)
+        probe = zeta3_lower_probe(law, NormalMixture.std_normal())
         assert probe <= rep.value + rep.abs_error_bound
         assert probe >= 0.999 * rep.value
+
+
+@pytest.mark.parametrize("n, old_bound", [(256, 2.73e-12), (512, 3.01e-12), (1024, 6.70e-12)])
+def test_surrogate_weights_sum_to_one(solver_bt, n, old_bound):
+    # merged float weights once summed to 1 + 2 or 4 ulps here, and the
+    # residue charge spread that mass gap over the whole left tail into a
+    # bound just above old_bound
+    entry = make("broadcast_a_time")
+    acc = accompanying_law(solver_bt, n, entry.params)
+    assert math.fsum(acc.mixture.weights) == 1.0
+    assert zeta3_accompanying(solver_bt, n, entry.params).abs_error_bound < old_bound
 
 
 def test_sampler_only_accompanying_rejected():

@@ -27,7 +27,7 @@ from recdist import (
 )
 from recdist import metrics as metrics_module
 from recdist.clt import accompanying_law
-from recdist.metrics import _mix_excess_square, _zeta3_quad
+from recdist.metrics import _excess_squares, _law, _zeta3_quad
 
 COIN = Pmf.from_atoms([(-1, 0.5), (1, 0.5)])
 STD = NormalMixture.std_normal()
@@ -79,10 +79,12 @@ def test_partial_square_moment_degenerate_sd():
 
 
 def _point_and_normal_mixture(rng, n_normal, n_point):
+    # point masses share means in threes, so the view must merge them
     k = n_normal + n_point
     w = rng.uniform(0.5, 1.5, k)
     w /= math.fsum(w)
     m = rng.normal(0.0, 2.0, k)
+    m[n_normal:] = m[n_normal + np.arange(n_point) // 3]
     s = np.concatenate([rng.uniform(0.1, 2.0, n_normal), np.zeros(n_point)])
     return NormalMixture(tuple(w.tolist()), tuple(m.tolist()), tuple(s.tolist()))
 
@@ -98,7 +100,8 @@ def test_blocked_mixture_kernels_match_one_shot_reference(monkeypatch, block):
     comps = list(zip(mix.weights, mix.means, mix.sds))
     excess = sum(w * normal_partial_square_moment(ts, m, s) for w, m, s in comps)
     cdf = sum(w * (ndtr((ts - m) / s) if s > 0 else (ts >= m)) for w, m, s in comps)
-    np.testing.assert_allclose(_mix_excess_square(mix, ts), excess, rtol=1e-12, atol=0)
+    assert 0 < _law(mix).atoms.size < 40
+    np.testing.assert_allclose(_excess_squares(_law(mix), 0.0)[0](ts), excess, rtol=1e-12, atol=0)
     np.testing.assert_allclose(mix.cdf(ts), cdf, rtol=1e-12, atol=0)
     assert mix.cdf(ts.reshape(1, -1, 1)).shape == (1, ts.size, 1)
 
@@ -183,8 +186,52 @@ def test_zeta3_discrete_sweep_matches_quadrature_path():
     a = Pmf.from_atoms([(-1, 0.5), (1, 0.5)])
     b = Pmf.from_atoms([(-2, 0.125), (0, 0.75), (2, 0.125)])
     exact = zeta3(a, b)
-    val, err = _zeta3_quad(a, b)
+    val, err = _zeta3_quad(_law(a), _law(b))
     assert exact.value == pytest.approx(val, rel=1e-8, abs=1e-10 + err)
+
+
+def _discrete_zeta3_reference(mp, x, y) -> float:
+    """zeta3 between two discrete laws in 40-digit arithmetic: half the
+    integral of |H| over the merged support, H(t) = E(X-t)+^2 - E(Y-t)+^2 as
+    written. On each piece between atoms H is a quadratic, summed atom by
+    atom and integrated exactly between its roots."""
+    with mp.workdps(40):
+        laws = [[(mp.mpf(v), mp.mpf(p)) for v, p in zip(d.values_f.tolist(), d.probs_f.tolist())] for d in (x, y)]
+        grid = sorted({v for law in laws for v, _ in law})
+        total = []
+        for a, b in zip(grid, grid[1:]):
+            c2 = c1 = c0 = 0
+            for law, sign in zip(laws, (1, -1)):
+                for v, p in law:
+                    if v > a:
+                        c2, c1, c0 = c2 + sign * p, c1 - 2 * sign * p * v, c0 + sign * p * v * v
+            roots = [-c0 / c1] if c2 == 0 and c1 != 0 else []
+            disc = c1 * c1 - 4 * c2 * c0
+            if c2 != 0 and disc > 0:
+                roots = [(-c1 + s * mp.sqrt(disc)) / (2 * c2) for s in (-1, 1)]
+            cuts = [a] + sorted(r for r in roots if a < r < b) + [b]
+            antideriv = lambda t: ((c2 / 3 * t + c1 / 2) * t + c0) * t
+            total += [abs(antideriv(r) - antideriv(l)) for l, r in zip(cuts, cuts[1:])]
+        return float(mp.fsum(total) / 2)
+
+
+def _moment_matched_pair(rng, k, j) -> tuple:
+    x, y = (Pmf.from_atoms(zip(rng.normal(size=m).tolist(), rng.dirichlet(np.ones(m)).tolist())) for m in (k, j))
+    scale = math.sqrt(x.variance / y.variance)
+    return x, y.affine(scale, x.mean - scale * y.mean)
+
+
+@pytest.mark.parametrize("atoms", [None, (5, 8), (50, 53)], ids=["coin", "5-8", "50-53"])
+def test_discrete_zeta3_is_within_its_bound_of_a_40_digit_reference(atoms):
+    mp = pytest.importorskip("mpmath")
+    if atoms is None:
+        x, y = COIN, Pmf.from_atoms([(-2, 0.125), (0, 0.75), (2, 0.125)])
+    else:
+        x, y = _moment_matched_pair(np.random.default_rng(31), *atoms)
+    rep = zeta3(x, y)
+    shift, stretch = rep.adjustment  # (shift, scale - 1): measure the y that zeta3 did
+    ref = _discrete_zeta3_reference(mp, x, y.affine(1.0 + stretch, shift) if rep.adjustment != (0.0, 0.0) else y)
+    assert abs(rep.value - ref) <= rep.abs_error_bound + 0.5 * math.ulp(rep.value)
 
 
 def test_zeta3_lower_probe_certifies_integral_value():
@@ -327,6 +374,7 @@ def test_probe_finds_no_rounding_noise_roots(request, n):
     # left of the mean H was once the difference of two terms of size t^2,
     # and its rounding noise gave the probe a dozen roots to bisect
     x, y = _surrogate(request, "broadcast_a_time", n)
+    x, y = _law(x), _law(y)
     y, _ = metrics_module._match_moments(x, y)
     lo, hi = metrics_module._window((x, y), metrics_module._WINDOW_SDS)
     roots, _ = metrics_module._sign_change_points(x, y, lo, hi)
