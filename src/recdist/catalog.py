@@ -11,13 +11,14 @@ a fitted value before any scale-sensitive analysis.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .clt import CltParams
-from .engine import RecurrenceSpec, SolveOptions, Solver, VectorGroup
+from .engine import RecurrenceSpec, SolveOptions, Solver, VectorBlock, VectorGroup
 from .errors import PreconditionError, UnsupportedExactError
 from .pmf import Pmf
 
@@ -177,14 +178,24 @@ def _quickselect() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
+#: Binomial(m, 1/2) rows by m and their float sums, shared by every solver
+#: of the process; grown in order under the lock, read without it
 _BINOM_ROWS = [np.array([1.0])]
+_BINOM_SUMS = [1.0]
+_BINOM_LOCK = threading.Lock()
 
 
 def _binom_row(m: int) -> np.ndarray:
     """Binomial(m, 1/2) probabilities, rows built incrementally."""
-    while len(_BINOM_ROWS) <= m:
-        prev = _BINOM_ROWS[-1]
-        _BINOM_ROWS.append(0.5 * (np.append(prev, 0.0) + np.insert(prev, 0, 0.0)))
+    if len(_BINOM_ROWS) <= m:
+        with _BINOM_LOCK:
+            while len(_BINOM_ROWS) <= m:
+                prev = _BINOM_ROWS[-1]
+                row = np.append(prev, 0.0)
+                row[1:] += prev
+                row *= 0.5
+                _BINOM_SUMS.append(float(row.sum()))  # before the row, which publishes both
+                _BINOM_ROWS.append(row)
     return _BINOM_ROWS[m]
 
 
@@ -209,26 +220,39 @@ def broadcast_index_pmf(n: int) -> dict:
 #: mass (under 2^-65) lands in lost_mass
 _FLOAT_CUT = 2.0**-66
 
+#: trailing sizes k of the float rows, and their scales 2^-(k+1), down to the cut
+_FLOAT_TRAILING = np.arange(66).reshape(-1, 1)
+_FLOAT_SCALES = 2.0 ** -(_FLOAT_TRAILING[:, 0] + 1.0)
+_FLOAT_TRAILING.flags.writeable = _FLOAT_SCALES.flags.writeable = False
+
 
 def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
-    """The law of :func:`broadcast_index_pmf` as weight rows, in its atom
-    order: the atom (0, 0), then per trailing size k the leading sizes
+    """The law of :func:`broadcast_index_pmf` as the atom (0, 0) and one
+    block, in its atom order: per trailing size k the leading sizes
     j = 1..n-k with weights C(n-k-1, j-1) 2^-n; the toll is toll + slope*j.
-    Exact rows hold binomial coefficients under the scale 2^-n, float rows
-    Binomial(n-k-1, 1/2) probabilities under 2^-(k+1), down to ``_FLOAT_CUT``.
+    Exact rows hold binomial coefficients under the scale 2^-n. Float rows
+    are the memoized Binomial(n-k-1, 1/2) rows themselves (cache key
+    n-k-1) under 2^-(k+1), down to ``_FLOAT_CUT``.
     """
+    keys = np.arange(n - 1, -1, -1)
     if exact:
         s = Fraction(1, 2**n)
-        rows = [(np.array([math.comb(n - k - 1, i) for i in range(n - k)], dtype=object), s)
-                for k in range(n)]
+        rows = tuple(
+            np.array([math.comb(m, i) for i in range(m + 1)], dtype=object) for m in keys.tolist()
+        )
+        scales = np.full(n, s, dtype=object)
+        block = VectorBlock(1, rows, keys[::-1].reshape(-1, 1), scales, toll, slope, keys)
     else:
         s = 2.0**-n
-        rows = [(_binom_row(n - k - 1), 2.0 ** -(k + 1)) for k in range(min(n, 66))]  # 2^-66 cut
-    groups = [VectorGroup(1, row, scale, (k,), toll, slope, cache_key=n - k - 1)
-              for k, (row, scale) in enumerate(rows)]
+        K = min(n, len(_FLOAT_SCALES))
+        _binom_row(n - 1)
+        rows = tuple(_BINOM_ROWS[n - K : n][::-1])
+        scales = _FLOAT_SCALES[:K]
+        masses = scales * np.array(_BINOM_SUMS[n - K : n][::-1])
+        block = VectorBlock(1, rows, _FLOAT_TRAILING[:K], scales, toll, slope, keys[:K], masses)
     if exact or s >= _FLOAT_CUT:  # the atom (0, 0)
-        groups.insert(0, VectorGroup(0, np.ones(1, dtype=object if exact else float), s, (0,), toll, slope))
-    return groups
+        return [VectorGroup(0, np.ones(1, dtype=object if exact else float), s, (0,), toll, slope), block]
+    return [block]
 
 
 _SWAR_MASKS = tuple(

@@ -7,21 +7,29 @@ convolutions shifted by the toll, solved bottom-up with memoization.
 
 The solver sees a joint law in one encoding: weight rows (:class:`VectorGroup`)
 of atoms sharing their trailing indices, with a toll affine in the leading
-index; atoms tabulated by hand or in JSON are grouped by trailing indices and
-toll. Atoms referring back to ``n``, in any position, are removed
-algebraically: an unshifted self term divides the rest by one minus its
-weight; an upward-shifted one (next to point masses) adds a shift series,
-summed until its remainder drops below the budget.
+index, or blocks of such rows (:class:`VectorBlock`) sharing leading start,
+toll and slope, one row per trailing index; atoms tabulated by hand or in
+JSON are grouped by trailing indices and toll. Atoms referring back to ``n``,
+in any position, are removed algebraically: an unshifted self term divides
+the rest by one minus its weight; an upward-shifted one (next to point
+masses) adds a shift series, summed until its remainder drops below the
+budget.
 
 Every law is a dense numpy row on the integer lattice of spacing ``1/D``,
 ``D`` the lcm of the denominators of base atoms, tolls and slopes: float64 in
 float mode; in exact mode Python-int numerators (object dtype) over one int
 denominator per row, reduced by one gcd per level, so no ``Fraction`` is made
-while solving. A row mixes over its leading index by one of two kernels, a
-matrix-vector product over the stacked child rows (float mode, constant toll)
-or shifted adds of the child rows (exact mode or sloped toll), and is then
-convolved with the trailing children. A solved level stores only its trimmed
-row; its law and moments are built from that row on first read.
+while solving. A row first mixes the child laws over its leading index (its
+inner mixture), by one of two kernels: a matrix-vector product over the
+stacked child rows (float mode, constant toll) or shifted adds of the child
+rows (exact mode or sloped toll). Inner mixtures are memoized by cache key,
+in float mode as rows of one stacked matrix in the child rows' column frame.
+Float mode then takes a whole block at once: its scaled trailing child rows,
+transposed, times its inner mixtures, summed along the anti-diagonals, is
+the sum of every row's convolution; a :class:`VectorGroup` is a block of one
+row. Exact mode expands blocks into rows and convolves row by row with the
+integer kernels. A solved level stores only its trimmed row; its law and
+moments are built from that row on first read.
 """
 
 from __future__ import annotations
@@ -29,10 +37,11 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
-from numbers import Rational
-from typing import Callable, Hashable, Sequence
+from numbers import Integral, Rational
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,9 +52,16 @@ from .pmf import MASS_TOL, Pmf, outer_trim
 #: remainder is added to lost_mass)
 _GEO_EPS_FLOOR = 1e-30
 
-#: the stacked matrix is given up (rows then mix by shifted adds) before it
-#: holds more than this many cells per stored row entry, plus 4096
+#: the stacked matrices are given up (rows then mix by shifted adds) before
+#: they hold more than this many cells per stored row entry, plus 4096
 _STACK_SPARSITY = 16
+
+#: cells of one slab of the trailing-rows x inner-mixtures product
+_SLAB = 1 << 16
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_TRAIL = np.empty((1, 0), dtype=np.int64)  # the trailing indices of a k = 1 row
+_NO_TRAIL.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -58,8 +74,9 @@ class VectorGroup:
     int weights under ``scale = Fraction(1, d)`` reach the solver's integer
     kernels as they are. Float rows hold float64. A float row with slope 0
     mixes as a product with the stacked child rows, any other by shifted adds.
-    ``cache_key`` marks weight rows reused across levels, whose inner
-    mixtures the engine memoizes (it must identify weights and slope).
+    ``cache_key``, a nonnegative int, marks weight rows reused across levels,
+    whose inner mixtures the engine memoizes (it must identify weights and
+    slope). To the float solver a group is a :class:`VectorBlock` of one row.
     """
 
     first_start: int
@@ -68,7 +85,96 @@ class VectorGroup:
     others: tuple = ()
     toll: object = 0
     slope: object = 0
-    cache_key: Hashable | None = None
+    cache_key: int | None = None
+
+
+@dataclass(frozen=True)
+class VectorBlock:
+    """Weight rows sharing leading start, toll and slope: the rows of several
+    :class:`VectorGroup` s, one per trailing index tuple, in one record.
+
+    Row ``r`` stands for ``VectorGroup(first_start, rows[r], scales[r],
+    tuple(others[r]), toll, slope, cache_keys[r])``, and the block lists its
+    atoms in row order. ``others`` is an int array of shape (rows, k - 1);
+    rows may be shared references to memoized arrays (the engine never writes
+    them). ``masses[r]``, the float ``scales[r] * rows[r].sum()``, feeds the
+    float tail drop; None sums the rows. Float mode mixes every row at once:
+    one product of the scaled trailing child rows with the rows' inner
+    mixtures (module docstring); exact mode expands the block row by row.
+    """
+
+    first_start: int
+    rows: tuple
+    others: np.ndarray
+    scales: np.ndarray
+    toll: object = 0
+    slope: object = 0
+    cache_keys: np.ndarray | None = None
+    masses: np.ndarray | None = None
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """The length of every row."""
+        return np.fromiter(map(len, self.rows), np.int64, len(self.rows))
+
+    def expand(self) -> list:
+        """The rows as :class:`VectorGroup` s, in order."""
+        keys = [None] * len(self.rows) if self.cache_keys is None else self.cache_keys.tolist()
+        return [
+            VectorGroup(self.first_start, w, s, tuple(o), self.toll, self.slope, key)
+            for w, s, o, key in zip(self.rows, self.scales, self.others.tolist(), keys)
+        ]
+
+    def head(self, count: int) -> "VectorBlock":
+        """The block of its first ``count`` rows."""
+        cut = slice(count)
+        return replace(
+            self, rows=self.rows[cut], others=self.others[cut], scales=self.scales[cut],
+            cache_keys=None if self.cache_keys is None else self.cache_keys[cut],
+            masses=None if self.masses is None else self.masses[cut],
+        )
+
+
+def _unit_rows(g) -> tuple:
+    """(rows, their lengths, trailing indices as a rows x (k - 1) int array,
+    scales, cache keys or None) of a group or block; a group is a block of
+    one row."""
+    if isinstance(g, VectorBlock):
+        return g.rows, g.lengths, g.others, g.scales, g.cache_keys
+    keys = None if g.cache_key is None else np.array([g.cache_key], dtype=np.int64)
+    others = np.array([g.others], dtype=np.int64) if g.others else _NO_TRAIL
+    return (g.weights,), (len(g.weights),), others, (g.scale,), keys
+
+
+def _unit_malformed(g, k: int, n: int) -> bool:
+    """True when a group or block has the wrong trailing arity, mismatched
+    block fields, an index outside {0,...,n} or a cache key that is not a
+    nonnegative int."""
+    if not isinstance(g, VectorBlock):
+        t, key = g.others, g.cache_key
+        return bool(
+            len(t) != k - 1
+            or g.first_start < 0
+            or g.first_start + len(g.weights) > n + 1
+            or (t and (min(t) < 0 or max(t) > n))
+            or (key is not None and not (isinstance(key, Integral) and key >= 0))
+        )
+    rows, lens, others, scales, keys = g.rows, g.lengths, g.others, g.scales, g.cache_keys
+    if (
+        not isinstance(others, np.ndarray)
+        or others.ndim != 2
+        or not len(rows) == len(others) == len(scales)
+        or (g.masses is not None and len(g.masses) != len(rows))
+        or (keys is not None and (len(keys) != len(rows) or keys.dtype.kind not in "iu"))
+    ):
+        return True
+    return bool(
+        others.shape[1] != k - 1
+        or g.first_start < 0
+        or g.first_start + int(lens.max(initial=0)) > n + 1
+        or (others.size and (others.min() < 0 or others.max() > n))
+        or (keys is not None and keys.size and keys.min() < 0)
+    )
 
 
 @dataclass(frozen=True)
@@ -135,28 +241,23 @@ class RecurrenceSpec:
             )
 
     def law_groups(self, n: int, exact: bool) -> list:
-        """The joint law at ``n`` as weight rows, exact or float64."""
+        """The joint law at ``n`` as weight rows, exact or float64; exact mode
+        expands blocks into their rows."""
         if self.groups is None:
             return _atom_groups(self.joint_atoms(n), exact)
         self._check_index(n)
         groups = list(self.groups(n, exact))
-        if not groups:
+        if any(_unit_malformed(g, self.k, n) for g in groups):
+            raise PreconditionError("joint group arity differs from k or index outside {0,...,n}")
+        if not exact:
             return groups
+        groups = [r for g in groups for r in (g.expand() if isinstance(g, VectorBlock) else (g,))]
         # one pass per property over all rows; the weights themselves are
         # checked for being rational where the exact kernels read them
-        if exact and (
-            any(g.weights.dtype != object for g in groups)
-            or not all(isinstance(g.scale, Rational) for g in groups)
+        if any(g.weights.dtype != object for g in groups) or not all(
+            isinstance(g.scale, Rational) for g in groups
         ):
             raise PreconditionError("exact mode requires rational joint weights")
-        trailing = [i for g in groups for i in g.others]
-        if (
-            {len(g.others) for g in groups} != {self.k - 1}
-            or min(g.first_start for g in groups) < 0
-            or max(g.first_start + len(g.weights) for g in groups) > n + 1
-            or (trailing and (min(trailing) < 0 or max(trailing) > n))
-        ):
-            raise PreconditionError("joint group arity differs from k or index outside {0,...,n}")
         return groups
 
     def joint_atoms(self, n: int) -> list:
@@ -185,12 +286,17 @@ class RecurrenceSpec:
         row by row."""
         parts = [(np.empty((0, self.k), dtype=np.int64), np.empty(0), np.empty(0))]
         for g in self.law_groups(n, exact=False):
-            w = float(g.scale) * np.asarray(g.weights, dtype=float)
+            rows, lens, others, scales, _ = _unit_rows(g)
+            if not rows:
+                continue
+            lens = np.asarray(lens)
+            w = np.repeat(np.asarray(scales, dtype=float), lens) * np.concatenate(rows).astype(float)
             keep = np.flatnonzero(w)
-            j = g.first_start + keep
+            # the leading index of each entry: its place within its row
+            j = g.first_start + (np.arange(w.size) - np.repeat(np.cumsum(lens) - lens, lens))[keep]
             idx = np.empty((keep.size, self.k), dtype=np.int64)
             idx[:, 0] = j
-            idx[:, 1:] = g.others
+            idx[:, 1:] = np.repeat(others, lens, axis=0)[keep]
             parts.append((idx, float(g.toll) + float(g.slope) * j, w[keep]))
         idx, tolls, weights = zip(*parts)
         return np.concatenate(idx), np.concatenate(tolls), np.concatenate(weights)
@@ -253,6 +359,37 @@ def _exact_weight(q):
     if isinstance(q, Rational):
         return Fraction(q)
     raise PreconditionError("exact mode requires rational joint weights")
+
+
+class _Stack:
+    """Float rows stored densely in the solver's column frame, with the first
+    and last lattice position of each row (``lo > hi``: nothing stored)."""
+
+    __slots__ = ("vals", "lo", "hi")
+
+    def __init__(self, height: int, width: int):
+        self.vals = np.zeros((height, width))
+        self.lo = np.full(height, 2**62, dtype=np.int64)
+        self.hi = np.full(height, -(2**62), dtype=np.int64)
+
+    def resized(self, height: int, width: int, shift: int) -> "_Stack":
+        """A copy of the given shape, its columns moved ``shift`` to the right."""
+        new = _Stack(height, width)
+        h, w = self.vals.shape
+        new.vals[:h, shift : shift + w] = self.vals
+        new.lo[:h], new.hi[:h] = self.lo, self.hi
+        return new
+
+    def stored(self, keys: np.ndarray) -> np.ndarray:
+        """Which of the rows ``keys`` hold a stored row."""
+        inside = keys < len(self.lo)
+        out = np.zeros(len(keys), dtype=bool)
+        out[inside] = self.lo[keys[inside]] <= self.hi[keys[inside]]
+        return out
+
+    def cells(self) -> int:
+        span = self.hi - self.lo + 1
+        return int(span[span > 0].sum())
 
 
 class _Level:
@@ -339,10 +476,11 @@ class Solver:
         self._levels: list = []
         self._rows: list = []  # (lattice offset, dense row, row denominator) per solved index
         self._den = math.lcm(*(_rational(v).denominator for b in spec.base_laws for v in b.values))
-        self._stackable = not self._exact  # see _mat_write
-        self._mat: np.ndarray | None = None
-        self._col_lo = 0
-        self._inner_cache: dict = {}
+        self._stackable = not self._exact  # see _stack_write
+        self._mat: _Stack | None = None  # child rows, by index
+        self._imat: _Stack | None = None  # inner mixtures, by cache key
+        self._col_lo = 0  # lattice position of the stacks' first column
+        self._inner_cache: dict = {}  # inner mixtures by cache key when not stacked
         self._atom_pos: dict = {}
 
     # ---- public surface ----
@@ -479,38 +617,12 @@ class Solver:
         if den != self._den:
             self._refine(m, den)
         if not exact and self.opts.tail_eps > 0:
-            # drop the longest run of trailing rows (models list rows heaviest
-            # first) whose mass fits in tail_eps/4; it lands in lost_mass
-            cut, dropped = len(groups), 0.0
-            while cut > 1:
-                dropped += groups[cut - 1].scale * float(groups[cut - 1].weights.sum())
-                if dropped > self.opts.tail_eps / 4.0:
-                    break
-                cut -= 1
-            groups = groups[:cut]
+            groups = _drop_tail(groups, self.opts.tail_eps / 4.0)
 
         self_terms: list = []
         pieces: list = []  # (offset, array, denominator, scale, None) contributions
         for g in groups:
-            weights, fs = g.weights, g.first_start
-            # self-referential atoms: n in a trailing position makes the whole
-            # row refer back, n as the leading index one entry of it
-            if m in g.others:
-                selfs, weights = np.flatnonzero(weights).tolist(), weights[:0]
-            else:
-                selfs = [m - fs] if fs + len(weights) > m and weights[m - fs] else []
-                weights = weights[: m - fs]
-            self_terms += [self._self_atom_term(m, g, i) for i in selfs]
-            inner = self._inner_mix(m, g, weights)
-            if inner is None:
-                continue
-            off, vec, vden = inner
-            for i in g.others:
-                off_i, arr_i, den_i = self._rows[i]
-                vec = self._convolve(m, vec, arr_i)
-                off, vden = off + off_i, vden * den_i
-            pieces.append((off + self._units(g.toll), vec, vden, g.scale, None))
-
+            pieces += self._mix(m, g, self_terms)
         if not pieces:
             raise PreconditionError(f"law at n={m} has no mass")
         lo, acc, den = self._add_rows(m, pieces)
@@ -528,16 +640,15 @@ class Solver:
         self._rows, self._den = rows, den
         self._atom_pos.clear()
         self._inner_cache.clear()
-        self._mat = None
+        self._mat = self._imat = None
         for i, (off, arr, _) in enumerate(rows):
-            self._mat_write(i, off, arr)
+            self._stack_write(False, i, off, arr)
 
-    def _self_atom_term(self, m: int, g: VectorGroup, i: int) -> tuple:
-        """Reduce the self-referential atom ``i`` of row ``g`` to (coefficient,
-        lattice shift): the unknown law may occur once, next to point-mass
-        factors only."""
-        j = g.first_start + i
-        idx, shift = (j, *g.others), self._units(g.toll + g.slope * j)
+    def _self_atom_term(self, m: int, idx: tuple, toll, w) -> tuple:
+        """Reduce the self-referential atom with indices ``idx``, toll
+        ``toll`` and weight ``w`` to (coefficient, lattice shift): the unknown
+        law may occur once, next to point-mass factors only."""
+        shift = self._units(toll)
         if idx.count(m) > 1:
             raise UnsupportedExactError(
                 f"{self.spec.name}: joint law at n={m} multiplies the unknown law with itself"
@@ -550,7 +661,6 @@ class Solver:
                         f"{self.spec.name}: self atom at n={m} paired with a non-degenerate factor"
                     )
                 shift += off_i
-        w = g.weights[i] * g.scale
         return (_exact_weight(w) if self._exact else w), shift
 
     def _eliminate_self(self, m: int, acc: np.ndarray, den: int, self_terms: list) -> tuple:
@@ -602,7 +712,7 @@ class Solver:
         """Check level m's dense mixture ``acc / den`` as :class:`Pmf` would
         (every atom positive, mass at most 1), truncate it, reduce an exact
         row by its gcd, then store the row and publish the level."""
-        nz = np.flatnonzero(acc)
+        nz = acc.nonzero()[0]
         if nz.size == 0:
             raise PreconditionError(f"law at n={m} has no mass")
         atoms = acc[nz]
@@ -623,64 +733,251 @@ class Solver:
                 row, den = row // g, den // g
         off = lo + int(nz[first])
         self._rows.append((off, row, den))
-        self._mat_write(m, off, row)
+        self._stack_write(False, m, off, row)
         self._levels.append(_Level(off, row, den, self._den))
+
+    # ---- one group or block: inner mixtures, then the trailing children ----
+
+    def _mix(self, m: int, g, self_terms: list) -> list:
+        """The pieces ``(offset, array, denominator, scale, None)`` that one
+        group or block adds to level m; its self-referential atoms are
+        appended to ``self_terms``.
+
+        Each row mixes the child rows over its leading index (its inner
+        mixture), memoized by cache key, and is convolved with its trailing
+        children. Exact mode does so row by row with the integer kernels;
+        float mode takes every row at once in :meth:`_contract`.
+        """
+        fs, toll, slope = g.first_start, g.toll, g.slope
+        rows, lens, trail, scales, keys = _unit_rows(g)
+        # self-referential atoms: n in a trailing position makes the whole
+        # row refer back, n as the leading index one entry of it; such rows
+        # are mixed from what is left of them, and never memoized
+        fresh: dict = {}
+        for r in _self_rows(m, fs, lens, trail):
+            w, others = rows[r], trail[r].tolist()
+            if m in others:
+                js, fresh[r] = (fs + np.flatnonzero(w)).tolist(), w[:0]
+            else:
+                js, fresh[r] = ([m] if w[m - fs] else []), w[: m - fs]
+            self_terms += [
+                self._self_atom_term(m, (j, *others), toll + slope * j, w[j - fs] * scales[r]) for j in js
+            ]
+        stacked, inner = self._inner_rows(m, fs, rows, keys, slope, fresh)
+        tu = self._units(toll)
+        if self._exact:  # law_groups hands exact mode single rows
+            pieces = []
+            for r, mix in sorted(inner.items()):
+                if mix is not None:
+                    off, vec, vden = self._convolved(m, trail[r], *mix)
+                    pieces.append((off + tu, vec, vden, scales[r], None))
+            return pieces
+        R = len(rows)
+        src = keys[stacked] if stacked.size else stacked
+        mixed = self._dense(m, R, self._imat, src, stacked, inner)
+        if mixed is None:
+            return []
+        lo, I = mixed
+        if trail.shape[1] == 0:  # no trailing children (k = 1)
+            if R == 1:
+                return [(lo + tu, I[0], 1, scales[0], None)]
+            return [(lo + tu, np.asarray(scales, dtype=float) @ I, 1, 1, None)]
+        kids = np.flatnonzero(~(trail == m).any(axis=1))  # rows whose inner mixture may have mass
+        if trail.shape[1] == 1 and self._mat is not None:
+            lo_t, T = self._dense(m, R, self._mat, trail[kids, 0], kids, {})
+        else:
+            parts = {r: self._convolved(m, trail[r], 0, np.ones(1), 1) for r in kids.tolist()}
+            lo_t, T = self._dense(m, R, None, (), (), parts)
+        if R == 1:
+            self._span(m, I.shape[1] + T.shape[1] - 1)
+            return [(lo + lo_t + tu, np.convolve(I[0], T[0]), 1, scales[0], None)]
+        T *= np.asarray(scales, dtype=float)[:, None]
+        return [(lo + lo_t + tu, self._contract(m, T, I), 1, 1, None)]
+
+    def _convolved(self, m: int, idx: np.ndarray, off: int, vec: np.ndarray, den: int) -> tuple:
+        """The row ``vec / den`` at lattice offset ``off`` convolved with the
+        stored rows ``idx``, as (offset, array, denominator)."""
+        for i in idx.tolist():
+            off_i, arr_i, den_i = self._rows[i]
+            off, vec, den = off + off_i, self._convolve(m, vec, arr_i), den * den_i
+        return off, vec, den
+
+    def _dense(self, m: int, R: int, stack, src, dst, parts: dict):
+        """Float rows as one dense matrix over their joint lattice span, as
+        (offset, matrix of R rows): rows ``dst`` copied from the rows ``src``
+        of ``stack``, row r from ``parts[r] = (offset, array, 1)`` (None: no
+        mass; rows listed nowhere stay zero). None when no row has mass."""
+        if not len(src) and R == 1:  # one row: its array as it is
+            p = parts.get(0)
+            return None if p is None else (p[0], p[1].reshape(1, -1))
+        spans = [(p[0], p[0] + len(p[1]) - 1) for p in parts.values() if p is not None]
+        if len(src):
+            a, b = int(stack.lo[src].min()), int(stack.hi[src].max())
+            spans.append((a, b))
+        if not spans:
+            return None
+        lo = min(x for x, _ in spans)
+        out = np.zeros((R, self._span(m, max(y for _, y in spans) - lo + 1)))
+        if len(src):
+            out[dst, a - lo : b + 1 - lo] = stack.vals[src, a - self._col_lo : b + 1 - self._col_lo]
+        for r, p in parts.items():
+            if p is not None:
+                out[r, p[0] - lo : p[0] - lo + len(p[1])] = p[1]
+        return lo, out
+
+    def _contract(self, m: int, T: np.ndarray, I: np.ndarray) -> np.ndarray:
+        """The sum over rows r of the full convolutions of ``T[r]`` and
+        ``I[r]``: the product ``I.T @ T`` summed along its anti-diagonals, in
+        slabs of I's columns that keep the product near ``_SLAB`` cells."""
+        A, B = I.shape[1], T.shape[1]
+        out = self._zeros(m, A + B - 1)
+        step = max(1, _SLAB // B)
+        for a0 in range(0, A, step):
+            P = I[:, a0 : a0 + step].T @ T
+            a, L = len(P), len(P) + B - 1
+            # row i of P written i places further on in rows of length L
+            skew = np.zeros(a * (L + 1))
+            skew.reshape(a, L + 1)[:, :B] = P
+            out[a0 : a0 + L] += skew[: a * L].reshape(a, L).sum(axis=0)
+        return out
 
     # ---- inner mixtures over the leading index ----
 
-    def _mat_write(self, m: int, off: int, arr: np.ndarray) -> None:
-        """Store row m in the stacked matrix (float mode), growing it as needed;
-        give it up rather than let drifting rows span levels x global width."""
+    def _stack_write(self, inner: bool, i: int, off: int, arr: np.ndarray) -> None:
+        """Store ``arr`` at lattice offset ``off`` as row i of the stacked
+        child rows or of the stacked inner mixtures (float mode)."""
         if not self._stackable:
             return
         lo, hi = off, off + len(arr) - 1
-        mat = self._mat
+        st = self._imat if inner else self._mat
+        c = lo - self._col_lo
+        if st is None or i >= len(st.lo) or c < 0 or c + len(arr) > st.vals.shape[1]:
+            if not self._grow_stacks(inner, i, lo, hi):
+                return
+            st, c = self._imat if inner else self._mat, lo - self._col_lo
+        st.vals[i, c : c + len(arr)] = arr
+        st.lo[i], st.hi[i] = lo, hi
+
+    def _grow_stacks(self, inner: bool, i: int, lo: int, hi: int) -> bool:
+        """Grow the shared column frame to hold columns lo..hi and the stack
+        to hold row i; give both stacks up (False) rather than let drifting
+        rows span levels x global width."""
+        mat, imat = self._mat, self._imat
         if mat is None:
-            col_lo, width, height = lo - 16, max(64, hi - lo + 1 + 32), 256
+            col_lo, width = lo - 16, max(64, hi - lo + 1 + 32)
         else:
-            col_lo, (height, width) = self._col_lo, mat.shape
+            col_lo, width = self._col_lo, mat.vals.shape[1]
             if lo < col_lo or hi >= col_lo + width:
                 col_lo, width = min(col_lo, lo - 16), max(col_lo + width, hi + 17) - min(col_lo, lo - 16)
-            height = max(2 * height, m + 1) if m >= height else height
-        if mat is None or (height, width) != mat.shape:
-            stored = sum(len(r[1]) for r in self._rows)
-            if height * width > _STACK_SPARSITY * (stored + 4096):
-                self._mat, self._stackable = None, False
-                return
-            grown = np.zeros((height, width))
-            if mat is not None:  # cached inner mixtures keep their absolute offsets
-                shift = self._col_lo - col_lo
-                grown[: mat.shape[0], shift : shift + mat.shape[1]] = mat
-            self._mat, self._col_lo = grown, col_lo
-        self._mat[m, lo - col_lo : hi + 1 - col_lo] = arr
+        heights = [0 if st is None else len(st.lo) for st in (mat, imat)]
+        h = heights[inner]
+        if i >= h:
+            heights[inner] = max(2 * h, i + 1) if h else max(256, i + 1)
+        stored = sum(len(r[1]) for r in self._rows) + (imat.cells() if imat else 0)
+        if sum(heights) * width > _STACK_SPARSITY * (stored + 4096):
+            self._mat, self._imat, self._stackable = None, None, False
+            return False
+        shift = self._col_lo - col_lo  # stored rows keep their lattice positions
+        self._mat, self._imat = (
+            None if not hgt
+            else _Stack(hgt, width) if st is None
+            else st if shift == 0 and st.vals.shape == (hgt, width)
+            else st.resized(hgt, width, shift)
+            for st, hgt in zip((mat, imat), heights)
+        )
+        self._col_lo = col_lo
+        return True
 
-    def _inner_mix(self, m: int, g: VectorGroup, weights: np.ndarray):
-        """Mixture over the leading index of a row, each child shifted by its
-        ``slope * j``, as (offset, dense array, denominator); None if it has
-        no mass."""
-        # a cached mixture had mass, and its key identifies these weights
-        cacheable = g.cache_key is not None and len(weights) == len(g.weights)
-        if cacheable and g.cache_key in self._inner_cache:
-            return self._inner_cache[g.cache_key]
+    def _inner_rows(self, m: int, fs: int, rows, keys, slope, fresh: dict) -> tuple:
+        """The inner mixtures of a group's or block's rows: (the rows read
+        from the stacked inner mixtures, {row: (offset, array, denominator)
+        or None without mass} for the others). Rows in ``fresh`` mix the
+        given weights instead and are not memoized."""
+        R = len(rows)
+        if keys is None:  # nothing memoized: every row mixed afresh
+            return _NO_ROWS, {
+                r: self._inner_mix(m, fs, fresh.get(r, w), slope) for r, w in enumerate(rows)
+            }
+        if self._stackable:
+            cached = self._imat.stored(keys) if self._imat is not None else np.zeros(R, dtype=bool)
+        else:
+            cached = np.fromiter((k in self._inner_cache for k in keys.tolist()), bool, R)
+        if fresh:
+            cached[list(fresh)] = False
+        parts = {r: self._inner_mix(m, fs, w, slope) for r, w in fresh.items()}
+        for r in np.flatnonzero(~cached).tolist():
+            if r in parts:
+                continue
+            parts[r] = mix = self._inner_mix(m, fs, rows[r], slope)
+            if mix is None:  # only mixtures with mass are kept
+                continue
+            if self._stackable:
+                self._stack_write(True, int(keys[r]), mix[0], mix[1])
+            else:
+                self._inner_cache[int(keys[r])] = mix
+        if self._stackable:
+            return np.flatnonzero(cached), parts
+        for r in np.flatnonzero(cached).tolist():  # memoized in the dict, or stacked until given up
+            key = int(keys[r])
+            if key not in self._inner_cache:
+                self._inner_cache[key] = self._inner_mix(m, fs, rows[r], slope)
+            parts[r] = self._inner_cache[key]
+        return _NO_ROWS, parts
+
+    def _inner_mix(self, m: int, fs: int, weights: np.ndarray, slope):
+        """Mixture of the child rows ``fs, fs + 1, ...`` by ``weights``, each
+        child shifted by its ``slope * j``, as (offset, dense array,
+        denominator); None if it has no mass."""
         if not weights.any():
             return None
-        fs = g.first_start
-        if g.slope == 0 and self._mat is not None:
-            lo, vec, den = self._col_lo, weights @ self._mat[fs : fs + len(weights)], 1
+        if slope == 0 and self._mat is not None:
+            lo, vec, den = self._col_lo, weights @ self._mat.vals[fs : fs + len(weights)], 1
         else:
             terms = []
             for i in np.flatnonzero(weights).tolist():
                 off, arr, row_den = self._rows[fs + i]
                 atoms = self._atoms_of(fs + i) if self._exact else None
-                terms.append((off + self._units(g.slope * (fs + i)), arr, row_den, weights[i], atoms))
+                terms.append((off + self._units(slope * (fs + i)), arr, row_den, weights[i], atoms))
             lo, vec, den = self._add_rows(m, terms)
-        nz = np.flatnonzero(vec)
+        nz = vec.nonzero()[0]
         if nz.size == 0:
             return None
-        out = (lo + int(nz[0]), vec[nz[0] : nz[-1] + 1], den)
-        if cacheable:
-            self._inner_cache[g.cache_key] = out
-        return out
+        return lo + int(nz[0]), vec[nz[0] : nz[-1] + 1], den
+
+
+def _self_rows(m: int, fs: int, lens, trail: np.ndarray) -> list:
+    """The rows holding a self-referential atom at level m: a trailing index
+    m, or leading indices ``fs, fs + 1, ...`` that reach m."""
+    if len(lens) == 1:  # one row
+        return [0] if fs <= m < fs + lens[0] or (trail.size and m in trail) else []
+    hit = lens > m - fs if fs <= m else np.zeros(len(lens), dtype=bool)
+    if trail.size:
+        hit |= (trail == m).any(axis=1)
+    return hit.nonzero()[0].tolist()
+
+
+def _drop_tail(groups: list, eps: float) -> list:
+    """Float mode: drop the longest run of trailing rows (models list rows
+    heaviest first) whose mass fits in ``eps``, keeping at least one row; the
+    dropped mass lands in lost_mass."""
+    if not groups or (len(groups) == 1 and not isinstance(groups[0], VectorBlock)):
+        return groups  # one row is always kept
+    masses = [
+        (g.scale * float(g.weights.sum()),) if not isinstance(g, VectorBlock)
+        else g.masses if g.masses is not None
+        else np.asarray(g.scales, float) * np.array([float(w.sum()) for w in g.rows])
+        for g in groups
+    ]
+    counts = [len(x) for x in masses]
+    over = np.cumsum(np.concatenate(masses)[:0:-1]) > eps  # running mass from the last row back
+    drop = int(np.argmax(over)) if over.any() else len(over)
+    keep, out = sum(counts) - drop, []
+    for g, c in zip(groups, counts):
+        if keep <= 0:
+            break
+        out.append(g if c <= keep else g.head(keep))
+        keep -= c
+    return out
 
 
 def _lattice_value(k: int, den: int):

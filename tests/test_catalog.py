@@ -1,6 +1,10 @@
 """Tests for the model catalog: joint laws, tolls, and parameters."""
 
+import dataclasses
+import hashlib
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,7 +19,9 @@ from recdist import (
     make,
     rate_exponent,
 )
+from recdist import catalog, engine
 from recdist.catalog import NAMES, _fair_binomial, _popcount, fit_variance_constant
+from recdist.engine import VectorBlock
 
 from brute import broadcast_means, election_rounds_law, sampled_tv
 
@@ -110,7 +116,7 @@ def test_groups_expand_to_reference_tables(name):
     spec = make(name).spec
     for n in (2, 3, 7, 12, 33):
         expanded: dict = {}
-        for g in spec.groups(n, True):
+        for g in spec.law_groups(n, True):
             for j, w in enumerate(g.weights.tolist(), g.first_start):
                 if w:
                     key = ((j, *g.others), g.toll + g.slope * j)
@@ -119,6 +125,124 @@ def test_groups_expand_to_reference_tables(name):
         assert expanded == _reference_table(name, n)
         # the derived atom list keeps the reference table's order
         assert [(idx, t) for idx, t, _ in spec.joint_atoms(n)] == list(_reference_table(name, n))
+
+
+def test_binomial_rows_grow_safely_from_threads(monkeypatch):
+    """Four threads growing the shared binomial rows from an empty cache,
+    released together, leave row m of length m + 1 and mass 1 at every m."""
+
+    def grow(start):
+        start.wait()
+        catalog._binom_row(400)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the growth loop too
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(catalog, "_BINOM_ROWS", [np.array([1.0])])
+            monkeypatch.setattr(catalog, "_BINOM_SUMS", [1.0])
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=grow, args=(start,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            rows = catalog._BINOM_ROWS
+            assert len(rows) == 401
+            assert all(len(row) == m + 1 for m, row in enumerate(rows))
+            assert all(abs(math.fsum(row) - 1.0) < 1e-12 for row in rows)
+            assert catalog._BINOM_SUMS == [float(row.sum()) for row in rows]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _per_row(spec):
+    """The spec with each block handed to the solver as one VectorGroup per row."""
+
+    def groups(n, exact):
+        units = spec.groups(n, exact)
+        return [r for g in units for r in (g.expand() if isinstance(g, VectorBlock) else [g])]
+
+    return dataclasses.replace(spec, groups=groups)
+
+
+def _assert_same_float_laws(got: Solver, want: Solver, ns) -> None:
+    for n in ns:
+        a, b = got.law(n), want.law(n)
+        assert a.values == b.values, n
+        assert np.max(np.abs(np.subtract(a.probs, b.probs))) <= 1e-15, n
+        assert abs(a.lost_mass - b.lost_mass) <= 1e-15, n
+        for x, y in zip(got._level(n).moments(), want._level(n).moments()):
+            assert x == pytest.approx(y, rel=1e-12, abs=0), n
+
+
+@pytest.mark.parametrize("name", ["broadcast_a_time", "broadcast_a_comparisons"])
+def test_broadcast_blocks_match_their_rows(name):
+    """Float laws of the one-block encoding against the same law handed over
+    row by row, at every n to 70 and at 256: the self atom (j = n, k = 0),
+    the (0, 0) atom's cut after n = 66 and the tail drop near k = 42."""
+    spec = make(name).spec
+    solver = Solver(spec)
+    ns = [*range(71), 256]
+    _assert_same_float_laws(solver, Solver(_per_row(spec)), ns)
+    if name == "broadcast_a_time":
+        # the atoms regroup into one row per (k, toll), the same rows; with the
+        # toll n - j every atom of the comparisons is a row of its own, and the
+        # tail drop then cuts rows that the block keeps whole
+        atoms = dataclasses.replace(spec, groups=None, joint_law=spec.joint_atoms)
+        _assert_same_float_laws(solver, Solver(atoms), range(71))
+
+
+@pytest.mark.parametrize("sparsity", [4, 8])
+def test_broadcast_blocks_without_stacks_match(monkeypatch, sparsity):
+    """With the stacked matrices given up (sparsity 4: while storing an inner
+    mixture, 8: while storing a level), blocks mix by shifted adds and the
+    same contraction, and give the stacked solve's laws."""
+    for name in ("broadcast_a_time", "broadcast_a_comparisons"):
+        stacked = Solver(make(name).spec)
+        stacked.mean(128)
+        monkeypatch.setattr(engine, "_STACK_SPARSITY", sparsity)
+        solver = Solver(make(name).spec)
+        _assert_same_float_laws(solver, stacked, range(129))
+        assert solver._mat is None and solver._imat is None
+        monkeypatch.undo()
+
+
+#: sha256 of the exact laws (values, probabilities, lost mass) for n up to
+#: the given top, and of the float joint arrays at n = 2..70, 256 and 1024,
+#: as the one-row-per-trailing-size encoding produced them
+_BROADCAST_DIGESTS = {
+    "broadcast_a_time": (
+        30,
+        "137a5be737703c9bc8ca4f008cdbd96478ab438fb352dd8f4115596aefb6664c",
+        "7ee6d3e16f59d1bbbbfc15ed67fc643a5dc5f2d26f821fa2eccd48d0cc814e62",
+    ),
+    "broadcast_a_comparisons": (
+        40,
+        "fa0124f9b6087a866c9e9994e4c54caf8e76a8d19a7ae97ade3d002b73bc53fd",
+        "0733736deca1bedecefb122c383bfd5c5802a3ee1d2fb7cc2574eb58d89084b1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROADCAST_DIGESTS))
+def test_broadcast_exact_laws_and_joint_arrays_are_pinned(name):
+    top, law_digest, arrays_digest = _BROADCAST_DIGESTS[name]
+    spec = make(name).spec
+    solver = Solver(spec, SolveOptions(mode="exact"))
+    h = hashlib.sha256()
+    for n in range(top + 1):
+        law = solver.law(n)
+        h.update(repr((law.values, law.probs, law.lost_mass)).encode())
+    assert h.hexdigest() == law_digest
+    h = hashlib.sha256()
+    for n in [*range(2, 71), 256, 1024]:
+        for a in spec.joint_arrays(n):
+            h.update(str(a.dtype).encode())
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+    assert h.hexdigest() == arrays_digest
 
 
 def test_broadcast_comparisons_float_means_match_the_mean_recurrence():
