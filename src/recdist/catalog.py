@@ -70,18 +70,10 @@ def list_entries() -> list:
 # ---------------------------------------------------------------------------
 
 
-def _ratios(nums, den: int, exact: bool) -> tuple:
-    """The weights ``nums / den`` as (row, scale): int numerators under the
-    scale ``Fraction(1, den)`` (exact), or float64 ratios under the scale 1."""
-    if exact:
-        return np.array([int(a) for a in nums], dtype=object), Fraction(1, den)
-    return np.asarray(nums, dtype=float) / den, 1
-
-
 def _unsuccessful_search() -> CatalogEntry:
     def groups(n: int, exact: bool) -> list:
-        weights, scale = _ratios(np.ones(n - 1), n - 1, exact)
-        return [VectorGroup(1, weights, scale, (), 1)]
+        # leading index j = 1..n-1 with weight 1/(n-1)
+        return [VectorGroup(1, scale=Fraction(1, n - 1), toll=1, poly=(1,))]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         return [rng.integers(1, ns)], np.ones(ns.size)
@@ -110,11 +102,12 @@ def _unsuccessful_search() -> CatalogEntry:
 
 def _node_depth() -> CatalogEntry:
     def groups(n: int, exact: bool) -> list:
-        # leading index 0 with weight 1/n, k >= 1 with weight 2k/n^2
-        nums = 2 * np.arange(n)
-        nums[0] = n
-        weights, scale = _ratios(nums, n * n, exact)
-        return [VectorGroup(0, weights, scale, (), 1)]
+        # leading index 0 with weight 1/n, j = 1..n-1 with weight 2j/n^2
+        one = np.ones(1, dtype=object if exact else float)
+        return [
+            VectorGroup(0, one, Fraction(1, n) if exact else 1.0 / n, (), 1),
+            VectorGroup(1, scale=Fraction(1, n * n), toll=1, poly=(0, 2)),
+        ]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         n = ns.astype(float)
@@ -147,8 +140,8 @@ def _node_depth() -> CatalogEntry:
 
 def _quickselect() -> CatalogEntry:
     def groups(n: int, exact: bool) -> list:
-        weights, scale = _ratios(np.ones(n), n, exact)
-        return [VectorGroup(0, weights, scale, (), n - 1)]
+        # leading index j = 0..n-1 with weight 1/n
+        return [VectorGroup(0, scale=Fraction(1, n), toll=n - 1, poly=(1,))]
 
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         return [rng.integers(0, ns)], (ns - 1).astype(float)

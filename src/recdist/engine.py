@@ -7,23 +7,31 @@ convolutions shifted by the toll, solved bottom-up with memoization.
 
 The solver sees a joint law in one encoding: weight rows (:class:`VectorGroup`)
 of atoms sharing their trailing indices, with a toll affine in the leading
-index, or blocks of such rows (:class:`VectorBlock`) sharing leading start,
-toll and slope, one row per trailing index; atoms tabulated by hand or in
-JSON are grouped by trailing indices and toll. Atoms referring back to ``n``,
-in any position, are removed algebraically: an unshifted self term divides
-the rest by one minus its weight; an upward-shifted one (next to point
-masses) adds a shift series, summed until its remainder drops below the
-budget.
+index, given as weights or, for rows over ``first_start..n-1``, as a
+polynomial in the leading index; or blocks of such rows (:class:`VectorBlock`)
+sharing leading start, toll and slope, one row per trailing index; atoms
+tabulated by hand or in JSON are grouped by trailing indices and toll (never
+into polynomial rows). Atoms referring back to ``n``, in any position, are
+removed algebraically: an unshifted self term divides the rest by one minus
+its weight; an upward-shifted one (next to point masses) adds a shift
+series, summed until its remainder drops below the budget.
 
 Every law is a dense numpy row on the integer lattice of spacing ``1/D``,
 ``D`` the lcm of the denominators of base atoms, tolls and slopes: float64 in
 float mode; in exact mode Python-int numerators (object dtype) over one int
 denominator per row, reduced by one gcd per level, so no ``Fraction`` is made
 while solving. A row first mixes the child laws over its leading index (its
-inner mixture), by one of two kernels: a matrix-vector product over the
-stacked child rows (float mode, constant toll) or shifted adds of the child
-rows (exact mode or sloped toll). Inner mixtures are memoized by cache key,
-in float mode as rows of one stacked matrix in the child rows' column frame.
+inner mixture), by one of three kernels. A polynomial row takes running
+sums, in both modes: the sum over ``first_start <= j < n`` of ``j**p`` times
+child row ``j`` is kept for each power ``p`` across levels, each new row is
+added once (compensated in float mode, over the lcm of the denominators in
+exact mode), and the mixture is the sums times the coefficients, so a level
+costs O(width) instead of O(n * width). Any other row mixes by a
+matrix-vector product over the stacked child rows (float mode, constant
+toll; the stack is built when a row first reads it, so models written in
+polynomial rows never hold one) or by shifted adds of the child rows (exact
+mode or sloped toll). Inner mixtures are memoized by cache key, in float
+mode as rows of one stacked matrix in the child rows' column frame.
 Float mode then takes a whole block at once: its scaled trailing child rows,
 transposed, times its inner mixtures, summed along the anti-diagonals, is
 the sum of every row's convolution; a :class:`VectorGroup` is a block of one
@@ -77,15 +85,42 @@ class VectorGroup:
     ``cache_key``, a nonnegative int, marks weight rows reused across levels,
     whose inner mixtures the engine memoizes (it must identify weights and
     slope). To the float solver a group is a :class:`VectorBlock` of one row.
+
+    A polynomial row gives ``poly`` instead of ``weights``: at level ``n``
+    the weight at ``j = first_start .. n - 1`` is ``scale * sum(poly[p] *
+    j**p)``, with rational coefficients in exact mode; its scale may be
+    rational in float mode too. The solver mixes it by running sums over the
+    stored rows in both modes, one step per level (module docstring); only
+    readers of atoms tabulate its weights (:meth:`dense`). The uniform rows
+    of ``unsuccessful_search`` and ``quickselect`` and the rows ``2j/n^2``
+    of ``node_depth`` take this form.
     """
 
     first_start: int
-    weights: np.ndarray
+    weights: np.ndarray | None = None
     scale: object = 1
     others: tuple = ()
     toll: object = 0
     slope: object = 0
     cache_key: int | None = None
+    poly: tuple = ()
+
+    def dense(self, n: int, exact: bool) -> "VectorGroup":
+        """The group at level ``n`` as a plain weight row: a polynomial row's
+        weights tabulated over ``first_start..n-1`` (ints or Fractions in
+        exact mode; float64 otherwise, a rational scale ``a/d`` taken in as
+        ``poly(j) * a / d``, so ``2j/n^2`` is the correctly rounded ratio);
+        any other group as it is."""
+        if not self.poly:
+            return self
+        if exact:
+            w = [sum(c * j**p for p, c in enumerate(self.poly)) for j in range(self.first_start, n)]
+            return replace(self, weights=np.array(w, dtype=object), poly=())
+        s = self.scale
+        a, d = (s.numerator, s.denominator) if isinstance(s, Rational) else (s, 1)
+        js = np.arange(self.first_start, n, dtype=float)
+        weights = np.polynomial.polynomial.polyval(js, [float(c * a) for c in self.poly]) / d
+        return replace(self, weights=weights, scale=1, poly=())
 
 
 @dataclass(frozen=True)
@@ -149,9 +184,18 @@ def _unit_rows(g) -> tuple:
 def _unit_malformed(g, k: int, n: int) -> bool:
     """True when a group or block has the wrong trailing arity, mismatched
     block fields, an index outside {0,...,n} or a cache key that is not a
-    nonnegative int."""
+    nonnegative int, or is a polynomial row with no coefficients, an empty
+    range first_start..n-1 or a trailing index n (a self reference)."""
     if not isinstance(g, VectorBlock):
         t, key = g.others, g.cache_key
+        if g.poly or g.weights is None:
+            return bool(
+                not g.poly
+                or g.weights is not None
+                or len(t) != k - 1
+                or not 0 <= g.first_start < n
+                or (t and (min(t) < 0 or max(t) >= n))
+            )
         return bool(
             len(t) != k - 1
             or g.first_start < 0
@@ -242,22 +286,26 @@ class RecurrenceSpec:
 
     def law_groups(self, n: int, exact: bool) -> list:
         """The joint law at ``n`` as weight rows, exact or float64; exact mode
-        expands blocks into their rows."""
+        expands blocks into their rows. Polynomial rows are handed over as
+        they are (:meth:`VectorGroup.dense` tabulates them)."""
         if self.groups is None:
             return _atom_groups(self.joint_atoms(n), exact)
         self._check_index(n)
         groups = list(self.groups(n, exact))
         if any(_unit_malformed(g, self.k, n) for g in groups):
-            raise PreconditionError("joint group arity differs from k or index outside {0,...,n}")
-        if not exact:
-            return groups
-        groups = [r for g in groups for r in (g.expand() if isinstance(g, VectorBlock) else (g,))]
-        # one pass per property over all rows; the weights themselves are
-        # checked for being rational where the exact kernels read them
-        if any(g.weights.dtype != object for g in groups) or not all(
-            isinstance(g.scale, Rational) for g in groups
-        ):
-            raise PreconditionError("exact mode requires rational joint weights")
+            raise PreconditionError(
+                f"joint group at n={n}: arity differs from k, index outside {{0,...,n}}, "
+                "or polynomial row with no coefficients, an empty range or a trailing index n"
+            )
+        if exact:
+            groups = [r for g in groups for r in (g.expand() if isinstance(g, VectorBlock) else (g,))]
+            # one pass per property over all rows; the weights themselves are
+            # checked for being rational where the exact kernels read them
+            if any(g.weights is not None and g.weights.dtype != object for g in groups) or not all(
+                isinstance(g.scale, Rational) and all(isinstance(c, Rational) for c in g.poly)
+                for g in groups
+            ):
+                raise PreconditionError("exact mode requires rational joint weights")
         return groups
 
     def joint_atoms(self, n: int) -> list:
@@ -266,7 +314,7 @@ class RecurrenceSpec:
         if self.groups is not None:
             return [
                 ((j, *g.others), g.toll + g.slope * j, g.scale * w)
-                for g in self.law_groups(n, True)
+                for g in (g.dense(n, True) for g in self.law_groups(n, True))
                 for j, w in enumerate(g.weights.tolist(), g.first_start)
                 if w
             ]
@@ -286,7 +334,7 @@ class RecurrenceSpec:
         row by row."""
         parts = [(np.empty((0, self.k), dtype=np.int64), np.empty(0), np.empty(0))]
         for g in self.law_groups(n, exact=False):
-            rows, lens, others, scales, _ = _unit_rows(g)
+            rows, lens, others, scales, _ = _unit_rows(g if isinstance(g, VectorBlock) else g.dense(n, False))
             if not rows:
                 continue
             lens = np.asarray(lens)
@@ -392,6 +440,20 @@ class _Stack:
         return int(span[span > 0].sum())
 
 
+class _RunningSum:
+    """One running sum of a polynomial row (``Solver._running_sum``): a
+    dense row from lattice position ``lo`` holding the rows ``first <= j <
+    upto``, nonzero only on ``a..b``. Float sums carry the Kahan
+    compensation ``comp`` alongside; exact sums are int numerators over the
+    int ``den``."""
+
+    __slots__ = ("vals", "comp", "lo", "a", "b", "den", "upto")
+
+    def __init__(self, first: int):
+        self.vals = self.comp = None
+        self.lo, self.a, self.b, self.den, self.upto = 0, 0, -1, 1, first
+
+
 class _Level:
     """One solved index, published to readers in a single append.
 
@@ -477,10 +539,11 @@ class Solver:
         self._rows: list = []  # (lattice offset, dense row, row denominator) per solved index
         self._den = math.lcm(*(_rational(v).denominator for b in spec.base_laws for v in b.values))
         self._stackable = not self._exact  # see _stack_write
-        self._mat: _Stack | None = None  # child rows, by index
+        self._mat: _Stack | None = None  # child rows, by index, once a group reads them
         self._imat: _Stack | None = None  # inner mixtures, by cache key
         self._col_lo = 0  # lattice position of the stacks' first column
         self._inner_cache: dict = {}  # inner mixtures by cache key when not stacked
+        self._sums: dict = {}  # running sums of polynomial rows, by (first_start, power, slope)
         self._atom_pos: dict = {}
 
     # ---- public surface ----
@@ -622,7 +685,10 @@ class Solver:
         self_terms: list = []
         pieces: list = []  # (offset, array, denominator, scale, None) contributions
         for g in groups:
-            pieces += self._mix(m, g, self_terms)
+            if isinstance(g, VectorGroup) and g.poly:
+                pieces += self._mix_poly(m, g)
+            else:
+                pieces += self._mix(m, g, self_terms)
         if not pieces:
             raise PreconditionError(f"law at n={m} has no mass")
         lo, acc, den = self._add_rows(m, pieces)
@@ -640,9 +706,8 @@ class Solver:
         self._rows, self._den = rows, den
         self._atom_pos.clear()
         self._inner_cache.clear()
-        self._mat = self._imat = None
-        for i, (off, arr, _) in enumerate(rows):
-            self._stack_write(False, i, off, arr)
+        self._sums.clear()
+        self._mat = self._imat = None  # rebuilt on first use
 
     def _self_atom_term(self, m: int, idx: tuple, toll, w) -> tuple:
         """Reduce the self-referential atom with indices ``idx``, toll
@@ -733,7 +798,8 @@ class Solver:
                 row, den = row // g, den // g
         off = lo + int(nz[first])
         self._rows.append((off, row, den))
-        self._stack_write(False, m, off, row)
+        if self._mat is not None:
+            self._stack_write(False, m, off, row)
         self._levels.append(_Level(off, row, den, self._den))
 
     # ---- one group or block: inner mixtures, then the trailing children ----
@@ -783,7 +849,7 @@ class Solver:
                 return [(lo + tu, I[0], 1, scales[0], None)]
             return [(lo + tu, np.asarray(scales, dtype=float) @ I, 1, 1, None)]
         kids = np.flatnonzero(~(trail == m).any(axis=1))  # rows whose inner mixture may have mass
-        if trail.shape[1] == 1 and self._mat is not None:
+        if trail.shape[1] == 1 and self._child_rows() is not None:
             lo_t, T = self._dense(m, R, self._mat, trail[kids, 0], kids, {})
         else:
             parts = {r: self._convolved(m, trail[r], 0, np.ones(1), 1) for r in kids.tolist()}
@@ -841,7 +907,82 @@ class Solver:
             out[a0 : a0 + L] += skew[: a * L].reshape(a, L).sum(axis=0)
         return out
 
+    # ---- polynomial rows: running sums over the stored rows ----
+
+    def _mix_poly(self, m: int, g: VectorGroup) -> list:
+        """The pieces ``(offset, array, denominator, scale, None)`` that a
+        polynomial row adds to level m: for each coefficient ``c_p`` the
+        running sum over ``j`` of ``j**p`` times child row ``j``, convolved
+        with the trailing children, under the scale ``scale * c_p``."""
+        tu = self._units(g.toll)
+        trail = np.array(g.others, dtype=np.int64)
+        pieces = []
+        for p, c in enumerate(g.poly):
+            if c:
+                off, arr, den = self._convolved(m, trail, *self._running_sum(m, g.first_start, p, g.slope))
+                scale = g.scale * c if self._exact else float(g.scale) * c
+                pieces.append((off + tu, arr, den, scale, None))
+        return pieces
+
+    def _running_sum(self, m: int, fs: int, p: int, slope) -> tuple:
+        """The sum over ``fs <= j < m`` of ``j**p`` times stored row ``j``,
+        shifted by ``slope * j``, as (offset, array, denominator). Sums are
+        kept across levels: a read adds only the rows stored since the last
+        one, so a level costs O(width). Every term is nonnegative, so the
+        children's lost mass is carried through and nothing cancels."""
+        s = self._sums.get((fs, p, slope))
+        if s is None:
+            s = self._sums[(fs, p, slope)] = _RunningSum(fs)
+        for j in range(s.upto, m):
+            off, arr, den = self._rows[j]
+            off += self._units(slope * j)
+            if s.vals is None or off < s.lo or off + len(arr) > s.lo + len(s.vals):
+                self._widen(m, s, off, off + len(arr) - 1)
+            at = off - s.lo
+            if self._exact:  # numerators brought to the lcm of the two denominators
+                lcm = math.lcm(s.den, den)
+                if lcm != s.den:
+                    s.vals[s.a - s.lo : s.b - s.lo + 1] *= lcm // s.den
+                    s.den = lcm
+                pos = self._atoms_of(j)
+                s.vals[at + pos] += arr[pos] * (j**p * (lcm // den))
+            else:  # compensated (Kahan) adds: the sum stays within a few ulps over 2^20 rows
+                cut = slice(at, at + len(arr))
+                y = (arr if p == 0 else float(j) ** p * arr) - s.comp[cut]
+                t = s.vals[cut] + y
+                s.comp[cut] = (t - s.vals[cut]) - y
+                s.vals[cut] = t
+            s.a, s.b = min(s.a, off), max(s.b, off + len(arr) - 1)
+        s.upto = m
+        return s.a, s.vals[s.a - s.lo : s.b - s.lo + 1], s.den
+
+    def _widen(self, m: int, s: "_RunningSum", lo: int, hi: int) -> None:
+        """Reallocate a running sum to hold lattice positions lo..hi and its
+        own span, with room to grow by half its width on either side; only
+        the span itself counts against ``max_support``."""
+        a, b = (lo, hi) if s.vals is None else (min(s.a, lo), max(s.b, hi))
+        pad = (b - a) // 2 + 8
+        size = self._span(m, b - a + 1) + 2 * pad
+        vals = np.zeros(size, dtype=object if self._exact else float)
+        comp = None if self._exact else np.zeros(size)
+        if s.vals is None:
+            s.a, s.b = lo, hi
+        else:
+            old, new = slice(s.a - s.lo, s.b - s.lo + 1), slice(s.a - a + pad, s.b - a + pad + 1)
+            vals[new] = s.vals[old]
+            if comp is not None:
+                comp[new] = s.comp[old]
+        s.vals, s.comp, s.lo = vals, comp, a - pad
+
     # ---- inner mixtures over the leading index ----
+
+    def _child_rows(self) -> _Stack | None:
+        """The stacked child rows (float mode), built from the stored rows
+        on first use; None in exact mode or once the stacks are given up."""
+        if self._mat is None and self._stackable:
+            for i, (off, arr, _) in enumerate(self._rows):
+                self._stack_write(False, i, off, arr)
+        return self._mat
 
     def _stack_write(self, inner: bool, i: int, off: int, arr: np.ndarray) -> None:
         """Store ``arr`` at lattice offset ``off`` as row i of the stacked
@@ -863,10 +1004,10 @@ class Solver:
         to hold row i; give both stacks up (False) rather than let drifting
         rows span levels x global width."""
         mat, imat = self._mat, self._imat
-        if mat is None:
+        if mat is None and imat is None:
             col_lo, width = lo - 16, max(64, hi - lo + 1 + 32)
         else:
-            col_lo, width = self._col_lo, mat.vals.shape[1]
+            col_lo, width = self._col_lo, (imat if mat is None else mat).vals.shape[1]
             if lo < col_lo or hi >= col_lo + width:
                 col_lo, width = min(col_lo, lo - 16), max(col_lo + width, hi + 17) - min(col_lo, lo - 16)
         heights = [0 if st is None else len(st.lo) for st in (mat, imat)]
@@ -930,7 +1071,10 @@ class Solver:
         denominator); None if it has no mass."""
         if not weights.any():
             return None
-        if slope == 0 and self._mat is not None:
+        if len(weights) == 1 and not self._exact:  # one child: its stored row, scaled
+            off, arr, _ = self._rows[fs]
+            return off + self._units(slope * fs), (arr if weights[0] == 1 else weights[0] * arr), 1
+        if slope == 0 and self._child_rows() is not None:
             lo, vec, den = self._col_lo, weights @ self._mat.vals[fs : fs + len(weights)], 1
         else:
             terms = []
@@ -958,12 +1102,14 @@ def _self_rows(m: int, fs: int, lens, trail: np.ndarray) -> list:
 
 def _drop_tail(groups: list, eps: float) -> list:
     """Float mode: drop the longest run of trailing rows (models list rows
-    heaviest first) whose mass fits in ``eps``, keeping at least one row; the
-    dropped mass lands in lost_mass."""
+    heaviest first) whose mass fits in ``eps``, keeping at least one row and
+    every polynomial row; the dropped mass lands in lost_mass."""
     if not groups or (len(groups) == 1 and not isinstance(groups[0], VectorBlock)):
         return groups  # one row is always kept
+    if isinstance(groups[-1], VectorGroup) and groups[-1].poly:
+        return groups  # so is a polynomial row, and the rows before it
     masses = [
-        (g.scale * float(g.weights.sum()),) if not isinstance(g, VectorBlock)
+        ((math.inf if g.poly else g.scale * float(g.weights.sum())),) if not isinstance(g, VectorBlock)
         else g.masses if g.masses is not None
         else np.asarray(g.scales, float) * np.array([float(w.sum()) for w in g.rows])
         for g in groups

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from recdist import (
+    CapacityError,
     PreconditionError,
     SolveOptions,
     Solver,
@@ -24,6 +25,7 @@ from recdist.catalog import NAMES, _fair_binomial, _popcount, fit_variance_const
 from recdist.engine import VectorBlock
 
 from brute import broadcast_means, election_rounds_law, sampled_tv
+from conftest import shared_solver
 
 
 def test_all_entries_constructible():
@@ -116,7 +118,7 @@ def test_groups_expand_to_reference_tables(name):
     spec = make(name).spec
     for n in (2, 3, 7, 12, 33):
         expanded: dict = {}
-        for g in spec.law_groups(n, True):
+        for g in (g.dense(n, True) for g in spec.law_groups(n, True)):
             for j, w in enumerate(g.weights.tolist(), g.first_start):
                 if w:
                     key = ((j, *g.others), g.toll + g.slope * j)
@@ -243,6 +245,103 @@ def test_broadcast_exact_laws_and_joint_arrays_are_pinned(name):
             h.update(repr(a.shape).encode())
             h.update(a.tobytes())
     assert h.hexdigest() == arrays_digest
+
+
+#: the models whose rows are polynomial in the leading index, and the top
+#: index of their float comparison (quickselect stops at its solve cap)
+_POLYNOMIAL = {"unsuccessful_search": 8192, "node_depth": 8192, "quickselect": 256}
+
+
+def _plain_rows(spec):
+    """The spec with each polynomial row handed over as its tabulated weights."""
+    return dataclasses.replace(spec, groups=lambda n, exact: [g.dense(n, exact) for g in spec.groups(n, exact)])
+
+
+@pytest.mark.parametrize("name", sorted(_POLYNOMIAL))
+@pytest.mark.parametrize("tail_eps", [1e-12, 0.0], ids=["default_eps", "untruncated"])
+def test_polynomial_rows_give_the_plain_rows_exact_laws(name, tail_eps):
+    """Exact laws and lost mass from the running sums equal those of the same
+    weights mixed row by row, at every n to 100: the stored rows, reduced
+    int numerators over one denominator, are equal, and so is the law at
+    n = 100."""
+    spec = make(name).spec
+    assert any(g.poly for g in spec.groups(9, True))
+    opts = SolveOptions(mode="exact", tail_eps=tail_eps)
+    sums, rows = Solver(spec, opts), Solver(_plain_rows(spec), opts)
+    assert sums.law(100) == rows.law(100)
+    for (off, row, den), (want_off, want_row, want_den) in zip(sums._rows, rows._rows, strict=True):
+        assert (off, den) == (want_off, want_den) and row.tolist() == want_row.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(_POLYNOMIAL))
+def test_polynomial_rows_give_the_plain_rows_float_laws(name):
+    """Float moments agree to 1e-12 relative and lost mass to 2e-15 with the
+    same weights mixed row by row, at every n from 64 to 8192. The row-by-row
+    product is the less accurate side: against an 80-bit recomputation of
+    the same recursion and truncation its lost mass is off by up to 1.9e-15
+    (unsuccessful_search), the running sums' by at most 4.5e-16."""
+    sums, top = shared_solver(name), _POLYNOMIAL[name]
+    rows = Solver(_plain_rows(sums.spec))
+    for n in range(64, top + 1):
+        a, b = sums._level(n), rows._level(n)
+        for x, y in zip(a.moments(), b.moments()):
+            assert x == pytest.approx(y, rel=1e-12, abs=0), n
+        assert abs(a.law().lost_mass - b.law().lost_mass) <= 2e-15, n
+
+
+def test_running_sums_stay_within_an_ulp_of_the_exact_sums():
+    """The compensated running sum of node_depth, the sum of j * row_j over
+    1 <= j < m for m >= 8192 stored rows, against every column summed
+    exactly."""
+    solver = shared_solver("node_depth")
+    solver.mean(8192)
+    m = len(solver._rows)
+    off, got, _ = solver._running_sum(m, 1, 1, 0)
+    columns = [[] for _ in got]
+    for j in range(1, m):
+        row_off, row, _ = solver._rows[j]
+        for i, p in enumerate(row.tolist(), row_off - off):
+            columns[i].append(j * p)
+    want = np.array([math.fsum(c) for c in columns])
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+
+
+@pytest.mark.parametrize("name", sorted(_POLYNOMIAL))
+def test_polynomial_rows_tabulate_to_the_correctly_rounded_ratios(name):
+    """joint_arrays of a polynomial row reads its weights as the float
+    ratios of the integer numerators to the integer denominator (2j/n^2,
+    not 2j times 1/n^2), the atoms in leading-index order with their tolls."""
+    for n in (3, 7, 100, 1001, 4097):
+        js = np.arange(n)
+        nums, den, tolls = {
+            "unsuccessful_search": (np.ones(n - 1), n - 1, np.ones(n - 1)),
+            "node_depth": (np.where(js == 0, n, 2 * js), n * n, np.ones(n)),
+            "quickselect": (np.ones(n), n, np.full(n, n - 1.0)),
+        }[name]
+        idx, got_tolls, weights = make(name).spec.joint_arrays(n)
+        assert idx[:, 0].tolist() == list(range(n - len(nums), n))
+        assert np.array_equal(got_tolls, tolls)
+        assert np.array_equal(weights, nums.astype(float) / den)
+
+
+def test_running_sums_count_only_their_span_against_max_support():
+    """quickselect to n = 100 needs a lattice span of 1058 cells, mixed row
+    by row or by running sums: both solve under max_support = 1058 and both
+    refuse 1057. The sums' room to grow is not counted."""
+    spec = make("quickselect").spec
+    for s in (spec, _plain_rows(spec)):
+        Solver(s, SolveOptions(max_support=1058)).law(100)
+        with pytest.raises(CapacityError):
+            Solver(s, SolveOptions(max_support=1057)).law(100)
+
+
+@pytest.mark.parametrize("name", sorted(_POLYNOMIAL))
+def test_polynomial_models_never_stack_their_child_rows(name):
+    """A solver of a model written as polynomial rows holds no stacked child
+    matrix after its solve."""
+    solver = make(name).solver()
+    solver.law(_POLYNOMIAL[name] // 2)
+    assert solver._mat is None and solver._imat is None
 
 
 def test_broadcast_comparisons_float_means_match_the_mean_recurrence():

@@ -157,6 +157,27 @@ def test_spec_json_input(tmp_path):
     assert [a[:2] for a in out["pmf"]["atoms"]] == [[1, 1], [2, 1]]
 
 
+def test_spec_json_rows_keep_their_law_bytes(tmp_path):
+    """A JSON recurrence carries no polynomial rows: Y_n = Y_I + 1/2 with I
+    uniform on 1..n-1, tabulated row by row, keeps the `dist` output bytes
+    it had before polynomial rows existed (sha256, spec path masked)."""
+    import hashlib
+
+    from recdist import cli, spec_from_json
+
+    rows = [[n, i, None, "1/2", f"1/{n - 1}"] for n in range(2, 101) for i in range(1, n)]
+    doc = {"name": "half_toll_search", "k": 1, "n0": 2,
+           "base": [{"atoms": [[0, 1, 1.0]]}, {"atoms": [[0, 1, 1.0]]}], "rows": rows}
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    spec.write_text(json.dumps(doc))
+    assert not any(g.poly for g in spec_from_json(doc).law_groups(100, False))
+    assert cli.main(["dist", "--spec-json", str(spec), "--n", "100", "--output", str(out)]) == 0
+    text = out.read_text().replace(str(spec), "SPEC")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0c6d73df74ce8f11e938f69e8db36050a07be23ff6525416808f492ee7f7627c"
+    )
+
+
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("weights", [("3/5", "3/5"), ("3/2", "-1/2")], ids=["heavy", "negative"])
 def test_moments_spec_json_rejects_malformed_weights(tmp_path, exact, weights):

@@ -28,6 +28,7 @@ from recdist import (
     sample_many,
     spec_from_json,
 )
+from recdist import catalog
 from recdist.engine import _BLOCK, _TableSampler
 
 from brute import brute_law, sampled_tv
@@ -585,6 +586,87 @@ def test_malformed_weight_rows_rejected(k, groups, modes):
     for mode in modes:
         with pytest.raises(PreconditionError):
             Solver(spec, SolveOptions(mode=mode)).law(3)
+
+
+def _poly_spec(first: int, poly=(1,), toll=1, slope=0, others=()):
+    """A polynomial row on first..n-1, scaled to mass 1; index 1 is a fair
+    coin, so trailing children spread the law."""
+
+    def groups(n, exact):
+        total = sum(sum(F(c) * j**p for p, c in enumerate(poly)) for j in range(first, n)) or 1
+        scale = 1 / total if exact else 1.0 / float(total)
+        t = toll(n) if callable(toll) else toll
+        return [VectorGroup(first, scale=scale, others=others, toll=t, slope=slope, poly=poly)]
+
+    return _rows_spec(1 + len(others), groups)
+
+
+def _rows_spec(k: int, groups):
+    base = (Pmf.delta(0), Pmf((0, 1), (F(1, 2), F(1, 2))))
+    return RecurrenceSpec(name="poly", k=k, n0=2, base_laws=base, groups=groups)
+
+
+@pytest.mark.parametrize(
+    "k, row, modes",
+    [
+        (1, lambda n: VectorGroup(1, scale=F(1, n - 1), toll=1), ("float", "exact")),
+        (1, lambda n: VectorGroup(0, scale=F(1, n), toll=1, poly=(1.0,)), ("exact",)),
+        (1, lambda n: VectorGroup(n, scale=1, toll=1, poly=(1,)), ("float", "exact")),
+        (2, lambda n: VectorGroup(1, scale=F(1, n - 1), others=(n,), toll=1, poly=(1,)), ("float", "exact")),
+    ],
+    ids=["no_coefficients", "float_coefficient", "empty_range", "trailing_self"],
+)
+def test_malformed_polynomial_rows_rejected(k, row, modes):
+    """A polynomial row needs at least one coefficient, rational in exact
+    mode, a nonempty range first_start..n-1 and no trailing index n (the
+    running sums hold only solved rows); anything else is refused before a
+    level is mixed."""
+    spec = _rows_spec(k, lambda n, exact: [row(n)])
+    for mode in modes:
+        with pytest.raises(PreconditionError):
+            Solver(spec, SolveOptions(mode=mode)).law(3)
+
+
+@pytest.mark.parametrize(
+    "poly, toll, slope, others",
+    [
+        ((1,), F(1, 2), 0, ()),
+        ((1,), lambda n: 1 if n < 10 else F(1, 2), 0, ()),
+        ((0, 1, 3), 1, 1, ()),
+        ((2, F(1, 3)), F(1, 3), F(-1, 2), ()),
+        ((1, 1), 1, 0, (1,)),
+    ],
+    ids=["half_toll", "half_toll_from_10", "sloped_toll", "rational_slope", "trailing_child"],
+)
+def test_polynomial_rows_with_rational_or_sloped_tolls_mix_like_their_weights(poly, toll, slope, others):
+    """Running sums of rows shifted by a sloped toll, sums rebuilt when a
+    rational toll or slope refines the lattice (at the first level, or at
+    n = 10 after the sums were built), and sums convolved with a trailing
+    child give the laws of the same weights mixed row by row: identical in
+    exact mode, within 1e-15 in float mode (float coefficients too)."""
+    spec = _poly_spec(1, poly, toll, slope, others)
+    plain = dataclasses.replace(spec, groups=lambda n, exact: [g.dense(n, exact) for g in spec.groups(n, exact)])
+    exact = SolveOptions(mode="exact")
+    sums, rows = Solver(spec, exact), Solver(plain, exact)
+    assert [sums.law(n) for n in range(40)] == [rows.law(n) for n in range(40)]
+    floats = _poly_spec(1, tuple(map(float, poly)), toll, slope, others)
+    sums, rows = Solver(floats), Solver(plain)
+    for n in range(40):
+        a, b = sums.law(n), rows.law(n)
+        assert a.values == b.values and abs(a.lost_mass - b.lost_mass) <= 1e-15, n
+        assert np.max(np.abs(np.subtract(a.probs, b.probs))) <= 1e-15, n
+
+
+def test_polynomial_row_refusal_exits_4(monkeypatch, capsys):
+    from recdist import cli
+
+    entry = make("unsuccessful_search")
+    bad = dataclasses.replace(entry, spec=_poly_spec(1, poly=()))
+    monkeypatch.setitem(catalog._BUILDERS, "unsuccessful_search", lambda: bad)
+    code = cli.main(["moments", "--model", "unsuccessful-search", "--ns", "4"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PRECONDITION == 4
+    assert "polynomial row" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
