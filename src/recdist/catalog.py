@@ -171,10 +171,9 @@ def _quickselect() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-#: Binomial(m, 1/2) rows by m and their float sums, shared by every solver
-#: of the process; grown in order under the lock, read without it
+#: Binomial(m, 1/2) rows by m, shared by every solver of the process; grown
+#: in order under the lock, read without it
 _BINOM_ROWS = [np.array([1.0])]
-_BINOM_SUMS = [1.0]
 _BINOM_LOCK = threading.Lock()
 
 
@@ -187,7 +186,6 @@ def _binom_row(m: int) -> np.ndarray:
                 row = np.append(prev, 0.0)
                 row[1:] += prev
                 row *= 0.5
-                _BINOM_SUMS.append(float(row.sum()))  # before the row, which publishes both
                 _BINOM_ROWS.append(row)
     return _BINOM_ROWS[m]
 
@@ -241,8 +239,7 @@ def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
         _binom_row(n - 1)
         rows = tuple(_BINOM_ROWS[n - K : n][::-1])
         scales = _FLOAT_SCALES[:K]
-        masses = scales * np.array(_BINOM_SUMS[n - K : n][::-1])
-        block = VectorBlock(1, rows, _FLOAT_TRAILING[:K], scales, toll, slope, keys[:K], masses)
+        block = VectorBlock(1, rows, _FLOAT_TRAILING[:K], scales, toll, slope, keys[:K])
     if exact or s >= _FLOAT_CUT:  # the atom (0, 0)
         return [VectorGroup(0, np.ones(1, dtype=object if exact else float), s, (0,), toll, slope), block]
     return [block]

@@ -36,8 +36,9 @@ Float mode then takes a whole block at once: its scaled trailing child rows,
 transposed, times its inner mixtures, summed along the anti-diagonals, is
 the sum of every row's convolution; a :class:`VectorGroup` is a block of one
 row. Exact mode expands blocks into rows and convolves row by row with the
-integer kernels. A solved level stores only its trimmed row; its law and
-moments are built from that row on first read.
+integer kernels. Both modes truncate by one rule: a solved level's row is
+trimmed at both ends within ``tail_eps`` of mass, and the level stores only
+that row; its law and moments are built from it on first read.
 """
 
 from __future__ import annotations
@@ -132,10 +133,9 @@ class VectorBlock:
     tuple(others[r]), toll, slope, cache_keys[r])``, and the block lists its
     atoms in row order. ``others`` is an int array of shape (rows, k - 1);
     rows may be shared references to memoized arrays (the engine never writes
-    them). ``masses[r]``, the float ``scales[r] * rows[r].sum()``, feeds the
-    float tail drop; None sums the rows. Float mode mixes every row at once:
-    one product of the scaled trailing child rows with the rows' inner
-    mixtures (module docstring); exact mode expands the block row by row.
+    them). Float mode mixes every row at once: one product of the scaled
+    trailing child rows with the rows' inner mixtures (module docstring);
+    exact mode expands the block row by row.
     """
 
     first_start: int
@@ -145,7 +145,6 @@ class VectorBlock:
     toll: object = 0
     slope: object = 0
     cache_keys: np.ndarray | None = None
-    masses: np.ndarray | None = None
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -159,15 +158,6 @@ class VectorBlock:
             VectorGroup(self.first_start, w, s, tuple(o), self.toll, self.slope, key)
             for w, s, o, key in zip(self.rows, self.scales, self.others.tolist(), keys)
         ]
-
-    def head(self, count: int) -> "VectorBlock":
-        """The block of its first ``count`` rows."""
-        cut = slice(count)
-        return replace(
-            self, rows=self.rows[cut], others=self.others[cut], scales=self.scales[cut],
-            cache_keys=None if self.cache_keys is None else self.cache_keys[cut],
-            masses=None if self.masses is None else self.masses[cut],
-        )
 
 
 def _unit_rows(g) -> tuple:
@@ -208,7 +198,6 @@ def _unit_malformed(g, k: int, n: int) -> bool:
         not isinstance(others, np.ndarray)
         or others.ndim != 2
         or not len(rows) == len(others) == len(scales)
-        or (g.masses is not None and len(g.masses) != len(rows))
         or (keys is not None and (len(keys) != len(rows) or keys.dtype.kind not in "iu"))
     ):
         return True
@@ -223,7 +212,11 @@ def _unit_malformed(g, k: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Arithmetic mode and truncation budget for exact solves."""
+    """Arithmetic mode, truncation budget and support cap of a solve.
+
+    ``tail_eps`` means the same in both modes: each level's row loses at
+    most ``tail_eps`` of mass from its two ends (a self-reference series
+    stops within a quarter of it), and what is cut lands in lost_mass."""
 
     mode: str = "float"  # "float" | "exact"
     tail_eps: float = 1e-12
@@ -679,8 +672,6 @@ class Solver:
                     den = math.lcm(den, _rational(t).denominator)
         if den != self._den:
             self._refine(m, den)
-        if not exact and self.opts.tail_eps > 0:
-            groups = _drop_tail(groups, self.opts.tail_eps / 4.0)
 
         self_terms: list = []
         pieces: list = []  # (offset, array, denominator, scale, None) contributions
@@ -1098,32 +1089,6 @@ def _self_rows(m: int, fs: int, lens, trail: np.ndarray) -> list:
     if trail.size:
         hit |= (trail == m).any(axis=1)
     return hit.nonzero()[0].tolist()
-
-
-def _drop_tail(groups: list, eps: float) -> list:
-    """Float mode: drop the longest run of trailing rows (models list rows
-    heaviest first) whose mass fits in ``eps``, keeping at least one row and
-    every polynomial row; the dropped mass lands in lost_mass."""
-    if not groups or (len(groups) == 1 and not isinstance(groups[0], VectorBlock)):
-        return groups  # one row is always kept
-    if isinstance(groups[-1], VectorGroup) and groups[-1].poly:
-        return groups  # so is a polynomial row, and the rows before it
-    masses = [
-        ((math.inf if g.poly else g.scale * float(g.weights.sum())),) if not isinstance(g, VectorBlock)
-        else g.masses if g.masses is not None
-        else np.asarray(g.scales, float) * np.array([float(w.sum()) for w in g.rows])
-        for g in groups
-    ]
-    counts = [len(x) for x in masses]
-    over = np.cumsum(np.concatenate(masses)[:0:-1]) > eps  # running mass from the last row back
-    drop = int(np.argmax(over)) if over.any() else len(over)
-    keep, out = sum(counts) - drop, []
-    for g, c in zip(groups, counts):
-        if keep <= 0:
-            break
-        out.append(g if c <= keep else g.head(keep))
-        keep -= c
-    return out
 
 
 def _lattice_value(k: int, den: int):

@@ -390,8 +390,9 @@ def test_criterion_11_broadcast_moment_stability():
     comp = make("broadcast_a_comparisons")
     exact_mean = broadcast_means(window[-1], lambda n: n / 2)  # E(n - J) = n/2
     time_mean = broadcast_means(window[-1], lambda n: 1.0, (1.0, 1.0))
-    # relative gaps; float solves drop up to ~1e-11 of tail mass, which
-    # lowers their means by about that fraction
+    # relative gaps; the float solves trim up to tail_eps (1e-12) of mass per
+    # level, as exact solves do, which lowers their means by about the lost
+    # mass
     exact_solver = Solver(comp.spec, SolveOptions(mode="exact", tail_eps=0.0))
     checks = [
         (exact_solver, exact_mean, range(17)),

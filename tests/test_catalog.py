@@ -142,7 +142,6 @@ def test_binomial_rows_grow_safely_from_threads(monkeypatch):
     try:
         for _ in range(20):
             monkeypatch.setattr(catalog, "_BINOM_ROWS", [np.array([1.0])])
-            monkeypatch.setattr(catalog, "_BINOM_SUMS", [1.0])
             start = threading.Barrier(4)
             threads = [threading.Thread(target=grow, args=(start,)) for _ in range(4)]
             for t in threads:
@@ -154,7 +153,6 @@ def test_binomial_rows_grow_safely_from_threads(monkeypatch):
             assert len(rows) == 401
             assert all(len(row) == m + 1 for m, row in enumerate(rows))
             assert all(abs(math.fsum(row) - 1.0) < 1e-12 for row in rows)
-            assert catalog._BINOM_SUMS == [float(row.sum()) for row in rows]
     finally:
         sys.setswitchinterval(interval)
 
@@ -182,18 +180,29 @@ def _assert_same_float_laws(got: Solver, want: Solver, ns) -> None:
 @pytest.mark.parametrize("name", ["broadcast_a_time", "broadcast_a_comparisons"])
 def test_broadcast_blocks_match_their_rows(name):
     """Float laws of the one-block encoding against the same law handed over
-    row by row, at every n to 70 and at 256: the self atom (j = n, k = 0),
-    the (0, 0) atom's cut after n = 66 and the tail drop near k = 42."""
+    row by row, at every n to 70 and at 256, and handed over as atoms, at
+    every n to 70: the self atom (j = n, k = 0) and the (0, 0) atom's cut
+    after n = 66. The atoms regroup into one row per (k, toll), or with the
+    comparisons' toll n - j into one row per atom; every grouping keeps all
+    of its rows, so each gives the same law."""
     spec = make(name).spec
     solver = Solver(spec)
     ns = [*range(71), 256]
     _assert_same_float_laws(solver, Solver(_per_row(spec)), ns)
-    if name == "broadcast_a_time":
-        # the atoms regroup into one row per (k, toll), the same rows; with the
-        # toll n - j every atom of the comparisons is a row of its own, and the
-        # tail drop then cuts rows that the block keeps whole
-        atoms = dataclasses.replace(spec, groups=None, joint_law=spec.joint_atoms)
-        _assert_same_float_laws(solver, Solver(atoms), range(71))
+    atoms = dataclasses.replace(spec, groups=None, joint_law=spec.joint_atoms)
+    _assert_same_float_laws(solver, Solver(atoms), range(71))
+
+
+@pytest.mark.parametrize("name", ["broadcast_a_time", "broadcast_a_comparisons"])
+def test_broadcast_float_moments_match_exact_ones(name):
+    """With the default tail_eps, float and exact solves truncate by the same
+    rule, so their moments and lost mass agree to round-off at every n to 64."""
+    spec = make(name).spec
+    fl, ex = Solver(spec), Solver(spec, SolveOptions(mode="exact"))
+    for n in range(65):
+        for x, y in zip(fl._level(n).moments(), ex._level(n).moments()):
+            assert x == pytest.approx(float(y), rel=1e-13, abs=0), n
+        assert abs(fl.law(n).lost_mass - float(ex.law(n).lost_mass)) <= 1e-15, n
 
 
 @pytest.mark.parametrize("sparsity", [4, 8])
