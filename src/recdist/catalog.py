@@ -19,7 +19,7 @@ import numpy as np
 
 from .clt import CltParams
 from .engine import RecurrenceSpec, SolveOptions, Solver, VectorBlock, VectorGroup
-from .errors import PreconditionError, UnsupportedExactError
+from .errors import PreconditionError
 from .pmf import Pmf
 
 NAMES = (

@@ -30,7 +30,10 @@ def _parse_ns(text: str) -> list:
     """Parse 'a:b' into the doubling grid a, 2a, 4a, ..., b; or 'a,b,c' / 'a'."""
     try:
         if ":" not in text:
-            return [int(x) for x in text.split(",") if x]
+            ns = [int(x) for x in text.split(",") if x]
+            if ns:
+                return ns
+            raise UsageError(f"--ns names no index, got {text!r}")
         lo, hi = (int(x) for x in text.split(":", 1))
     except ValueError:
         raise UsageError(f"--ns takes 'a:b' or a comma list of integers, got {text!r}") from None
@@ -53,8 +56,11 @@ def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -98,8 +104,12 @@ def _entry(args) -> catalog.CatalogEntry:
 
 def _spec_and_solver(args):
     if getattr(args, "spec_json", None):
-        with open(args.spec_json) as fh:
-            spec = spec_from_json(json.load(fh))
+        try:
+            with open(args.spec_json, "rb") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --spec-json: {exc}") from None
+        spec = spec_from_json(text)
         return spec, Solver(spec, _opts(args))
     entry = _entry(args)
     return entry.spec, Solver(entry.spec, _opts(args))

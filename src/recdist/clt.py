@@ -86,15 +86,6 @@ def rate_exponent(params: CltParams, k: int = 1) -> RateGate:
     return RateGate(beta, beta > 1.0)
 
 
-def conservative_delta(eps: float, gamma: float, beta: float) -> float:
-    """The padding value used in the rate-transfer argument: eps*(eta^1)/(6 eta)
-    with eta = gamma + 1 - beta. Exposed for reproducing that bookkeeping."""
-    eta = gamma + 1.0 - beta
-    if eta <= 0 or eps <= 0:
-        raise PreconditionError("need gamma + 1 > beta and a positive margin")
-    return eps * min(eta, 1.0) / (6.0 * eta)
-
-
 # ---------------------------------------------------------------------------
 # standardized and accompanying laws
 # ---------------------------------------------------------------------------

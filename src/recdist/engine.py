@@ -1097,19 +1097,8 @@ def _lattice_value(k: int, den: int):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation surface
+# sampling
 # ---------------------------------------------------------------------------
-
-
-def exact_distribution(spec: RecurrenceSpec, n: int, opts: SolveOptions | None = None) -> Pmf:
-    """Solve the recurrence exactly at index ``n`` (memoized bottom-up)."""
-    return Solver(spec, opts).law(n)
-
-
-def moment_table(solver_or_spec, ns: Sequence[int], opts: SolveOptions | None = None) -> list:
-    """Mean, variance and third absolute central moment per requested index."""
-    solver = solver_or_spec if isinstance(solver_or_spec, Solver) else Solver(solver_or_spec, opts)
-    return solver.moment_rows(ns)
 
 
 class _TableSampler:
@@ -1234,12 +1223,6 @@ def _sample_block(spec: RecurrenceSpec, draw, base: list, ns: np.ndarray, rng) -
     return totals
 
 
-def sample(spec: RecurrenceSpec, n: int, rng: np.random.Generator):
-    """One draw of the recurrence value at ``n`` with independent subcalls."""
-    val = float(sample_many(spec, n, 1, rng)[0])
-    return int(val) if val.is_integer() else val
-
-
 # ---------------------------------------------------------------------------
 # custom recurrences from JSON
 # ---------------------------------------------------------------------------
@@ -1256,7 +1239,7 @@ def _parse_number(x):
     return x
 
 
-def spec_from_json(doc: dict | str) -> RecurrenceSpec:
+def spec_from_json(doc: dict | str | bytes) -> RecurrenceSpec:
     """Build a recurrence from a JSON document tabulating joint-law rows.
 
     Expected shape::
@@ -1266,15 +1249,23 @@ def spec_from_json(doc: dict | str) -> RecurrenceSpec:
          "rows": [[n, i1, i2_or_null, toll, prob], ...]}
 
     Tolls and probabilities may be numbers or fraction strings like "1/3".
+    A document that is not JSON or not of this shape raises
+    :class:`PreconditionError`.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    k = int(doc["k"])
+    try:
+        if isinstance(doc, (str, bytes)):
+            doc = json.loads(doc)
+        k, n0, rows = int(doc["k"]), int(doc["n0"]), list(doc["rows"])
+        name = str(doc.get("name", "custom"))
+        base = tuple(Pmf.from_json_dict(b) for b in doc["base"])
+    except PreconditionError:
+        raise
+    except (TypeError, ValueError, KeyError, AttributeError, ZeroDivisionError) as exc:
+        raise PreconditionError(f"malformed recurrence document: {type(exc).__name__}: {exc}") from None
     if k not in (1, 2):
         raise PreconditionError("custom recurrences support k in {1, 2}")
-    base = tuple(Pmf.from_json_dict(b) for b in doc["base"])
     table: dict = {}
-    for row in doc["rows"]:
+    for row in rows:
         try:
             n, i1, i2, toll, prob = row
             idx = (int(i1),) if k == 1 else (int(i1), int(i2))
@@ -1288,9 +1279,9 @@ def spec_from_json(doc: dict | str) -> RecurrenceSpec:
         return table[n]
 
     return RecurrenceSpec(
-        name=str(doc.get("name", "custom")),
+        name=name,
         k=k,
-        n0=int(doc["n0"]),
+        n0=n0,
         base_laws=base,
         joint_law=joint_law,
     )

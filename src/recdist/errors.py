@@ -42,4 +42,5 @@ class DivergenceError(RecdistError, RuntimeError):
 
 
 class UsageError(RecdistError):
-    """Bad command-line input (unknown model or flag combination)."""
+    """Bad command-line input: an unknown model, a bad flag value, or a file
+    that cannot be read or written."""

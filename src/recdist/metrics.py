@@ -99,14 +99,6 @@ class NormalMixture:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_components(cls, comps: Sequence[tuple]) -> "NormalMixture":
-        arr = np.array(list(comps), dtype=float).reshape(-1, 3)
-        arr = arr[arr[:, 0] != 0]
-        if not arr.size:
-            raise PreconditionError("no components with positive weight")
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2])
-
-    @classmethod
     def std_normal(cls) -> "NormalMixture":
         return cls.normal(0.0, 1.0)
 
@@ -156,9 +148,6 @@ class MetricReport:
     value: float
     abs_error_bound: float
     adjustment: tuple = (0.0, 0.0)
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "abs_error_bound": self.abs_error_bound}
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +818,8 @@ def wasserstein1(x: Pmf, y: Pmf) -> float:
     """integral |F_x - F_y| dt between two discrete laws, exactly."""
     if not isinstance(x, Pmf) or not isinstance(y, Pmf):
         raise PreconditionError("wasserstein1 is defined for discrete laws")
-    grid = np.unique(np.concatenate([x.values_f, y.values_f]))
+    x, y = _law(x), _law(y)
+    grid = np.unique(np.concatenate([x.atoms, y.atoms]))
     if len(grid) == 1:
         return 0.0
     fx, fy = x.cdf(grid[:-1]), y.cdf(grid[:-1])

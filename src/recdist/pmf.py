@@ -1,19 +1,23 @@
 """Finite discrete probability laws with exact atoms and honest mass bookkeeping.
 
-Atom values are exact numbers (ints or :class:`fractions.Fraction`, floats in
-floating mode); probabilities are carried either as fractions (exact mode) or
-as floats. Mass removed by truncation is accumulated in ``lost_mass`` and is
-never silently renormalized away, so ``sum(probs) + lost_mass == 1`` always
-holds within ``MASS_TOL``.
+A :class:`Pmf` is what the solver hands out for one index: strictly
+increasing atoms (ints or :class:`fractions.Fraction`, floats in floating
+mode) with probabilities carried as fractions (exact mode) or floats, plus
+the mass lost to truncation. It offers affine maps, moments, cached float
+views and the JSON encoding; distances read it through ``metrics._law``.
+
+Truncation has one rule, :func:`outer_trim`, which the solver applies at
+every level. Mass it removes is accumulated in ``lost_mass`` and is never
+silently renormalized away, so ``sum(probs) + lost_mass == 1`` always holds
+within ``MASS_TOL``.
 
 All operations are pure functions on immutable values.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
@@ -134,29 +138,6 @@ class Pmf:
         exact = _is_exact_number(value)
         return cls((_canonical_value(value),), (Fraction(1) if exact else 1.0,))
 
-    @classmethod
-    def mix(cls, components: Sequence[tuple]) -> "Pmf":
-        """Weighted superposition of laws; equal atoms merge.
-
-        ``components`` is a sequence of (weight, Pmf). Weights must be
-        nonnegative and sum to 1 within ``MASS_TOL``.
-        """
-        wsum = math.fsum(float(w) for w, _ in components)
-        for w, _ in components:
-            if w < 0:
-                raise PreconditionError(f"negative mixture weight {w}")
-        if abs(wsum - 1.0) > MASS_TOL:
-            raise PreconditionError(f"mixture weights sum to {wsum}, not 1")
-        atoms: list = []
-        lost = 0
-        for w, p in components:
-            if w == 0:
-                continue
-            lost = lost + w * p.lost_mass
-            for v, q in zip(p.values, p.probs):
-                atoms.append((v, w * q))
-        return cls.from_atoms(atoms, lost)
-
     # ---- cached float views ----
 
     @cached_property
@@ -175,18 +156,6 @@ class Pmf:
         )
 
     # ---- algebra ----
-
-    def convolve(self, other: "Pmf") -> "Pmf":
-        """Law of the independent sum; lost mass accumulates."""
-        atoms: dict = {}
-        for v, p in zip(self.values, self.probs):
-            for w, q in zip(other.values, other.probs):
-                s = v + w
-                if isinstance(s, float) and not math.isfinite(s):
-                    raise CapacityError("atom value overflow in convolution")
-                atoms[s] = atoms.get(s, 0) + p * q
-        lost = 1 - (1 - self.lost_mass) * (1 - other.lost_mass)
-        return Pmf.from_atoms(atoms.items(), lost)
 
     def affine(self, scale, shift=0) -> "Pmf":
         """Map atoms x -> scale*x + shift; probabilities are unchanged."""
@@ -217,53 +186,7 @@ class Pmf:
             v = v - float(np.dot(v, self.probs_f))
         return float(np.dot(v**k, self.probs_f))
 
-    def abs_central_moment(self, k: int):
-        """E|X - EX|^k over the retained atoms."""
-        if self.exact:
-            mu = self.moment(1)
-            return sum(p * abs(v - mu) ** k for v, p in zip(self.values, self.probs))
-        v = self.values_f - float(np.dot(self.values_f, self.probs_f))
-        return float(np.dot(np.abs(v) ** k, self.probs_f))
-
-    @property
-    def mean(self):
-        return self.moment(1)
-
-    @property
-    def variance(self):
-        return self.moment(2, central=True)
-
-    def cdf_at(self, t) -> float:
-        """P(X <= t), right-continuous; tops out at 1 - lost_mass."""
-        return math.fsum(float(p) for v, p in zip(self.values, self.probs) if v <= t)
-
-    def cdf(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized right-continuous CDF over retained mass."""
-        cums = np.concatenate([[0.0], np.cumsum(self.probs_f)])
-        idx = np.searchsorted(self.values_f, np.asarray(ts, dtype=float), side="right")
-        return cums[idx]
-
-    def truncate_tail(self, eps) -> "Pmf":
-        """Remove lowest-probability outer atoms with total removed mass <= eps
-        (:func:`outer_trim`, the rule the solver applies at every level).
-
-        Removed mass is added to ``lost_mass``; remaining atoms are NOT
-        renormalized, keeping the mass bookkeeping exact.
-        """
-        if eps < 0:
-            raise PreconditionError("truncation budget must be nonnegative")
-        if eps == 0 or len(self.values) == 1:
-            return self
-        lo, hi, removed = outer_trim(self.probs, eps)
-        if removed == 0:
-            return self
-        return Pmf(
-            self.values[lo : hi + 1],
-            self.probs[lo : hi + 1],
-            self.lost_mass + removed,
-        )
-
-    # ---- comparisons and serialization ----
+    # ---- serialization ----
 
     def to_json_dict(self) -> dict:
         atoms = []
@@ -272,9 +195,6 @@ class Pmf:
             atoms.append([int(fv.numerator), int(fv.denominator), float(p)])
         return {"atoms": atoms, "lost_mass": float(self.lost_mass)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Pmf":
         atoms = [
@@ -282,12 +202,6 @@ class Pmf:
             for num, den, p in doc["atoms"]
         ]
         return cls.from_atoms(atoms, float(doc.get("lost_mass", 0.0)))
-
-    def to_csv(self) -> str:
-        lines = ["value,prob"]
-        for v, p in zip(self.values, self.probs):
-            lines.append(f"{float(v)!r},{float(p)!r}")
-        return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:  # compact, atoms elided when long
         inner = ", ".join(

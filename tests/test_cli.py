@@ -1,4 +1,4 @@
-"""CLI surface tests: schemas, determinism, exit codes."""
+"""CLI and package surface tests: schemas, determinism, exit codes, exports."""
 
 import json
 import subprocess
@@ -317,3 +317,61 @@ def test_verify_json_has_no_nan():
     assert rows[0]["kolmogorov"] is None and rows[1]["kolmogorov"] > 0
     csv = run_cli("verify", "--model", "unsuccessful-search", "--ns", "2,4", "--format", "csv")
     assert csv.stdout.split("\n")[1].endswith(",2.0,")
+
+
+def _main_in_process(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process CLI run; an uncaught
+    exception fails the test instead of printing a traceback."""
+    from recdist import cli
+
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+@pytest.mark.parametrize("content, code", [
+    (None, 2),
+    ("", 4),
+    ("{not json", 4),
+    ('{"k": 1}', 4),
+    ("[1, 2]", 4),
+    ('{"k": 1, "n0": 1, "base": [{"atoms": [[0, 1, 1.0]]}], "rows": 5}', 4),
+], ids=["missing", "empty", "not-json", "no-base", "not-an-object", "rows-not-a-list"])
+def test_bad_spec_json_is_a_typed_error(tmp_path, capsys, content, code):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_text(content)
+    got, out, err = _main_in_process(capsys, ["dist", "--spec-json", str(path), "--n", "3"])
+    assert got == code, err
+    assert err.startswith("usage error:" if code == 2 else "precondition error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--model", "node-depth", "--n", "3", "--format", "csv"],
+    ["catalog"],
+], ids=["dist", "catalog"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _main_in_process(capsys, argv + ["--output", str(target)])
+    assert code == 2, err
+    assert err.startswith("usage error:") and out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["zeta3", "verify", "moments"])
+@pytest.mark.parametrize("grid", [",", ""], ids=["comma", "blank"])
+def test_empty_index_grid_is_usage_error(capsys, command, grid):
+    code, out, err = _main_in_process(capsys, [command, "--model", "unsuccessful-search", "--ns", grid])
+    assert code == 2, err
+    assert err.startswith("usage error:") and out == ""
+
+
+def test_every_export_resolves():
+    import recdist
+
+    assert [name for name in recdist.__all__ if not hasattr(recdist, name)] == []
+    namespace: dict = {}
+    exec("from recdist import *", namespace)
+    assert set(recdist.__all__) <= set(namespace)

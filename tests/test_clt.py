@@ -26,7 +26,7 @@ from recdist import (
     zeta3_standardized,
     zeta3_to_normal,
 )
-from recdist.clt import VERIFICATION_COLUMNS, conservative_delta, verification_row
+from recdist.clt import VERIFICATION_COLUMNS, verification_row
 
 from conftest import shared_solver
 
@@ -79,11 +79,6 @@ def test_clt_params_validated():
         CltParams(alpha=0.5, c=0.0)
 
 
-def test_conservative_delta_formula():
-    # eta = gamma + 1 - beta = 1 here, so delta = eps/6
-    assert conservative_delta(0.9, 1.5, 1.5) == pytest.approx(0.15)
-
-
 # ---------------------------------------------------------------------------
 # standardized and accompanying laws
 # ---------------------------------------------------------------------------
@@ -99,9 +94,9 @@ def test_standardized_law_centered(solver_us):
     for n in (8, 64, 256):
         z, tau = standardized_law(solver_us, n, US.params)
         # centering is exact up to the truncated mass times the mean
-        assert abs(float(z.mean)) < 1e-9
+        assert abs(float(z.moment(1))) < 1e-9
         scale = math.sqrt(US.params.c) * padded_log(n, US.params.delta) ** US.params.alpha
-        assert float(z.variance) * scale**2 == pytest.approx(
+        assert float(z.moment(2, central=True)) * scale**2 == pytest.approx(
             float(solver_us.variance(n)), rel=1e-10
         )
 
@@ -120,8 +115,8 @@ def test_accompanying_matches_standardized_moments(solver_us, solver_nd):
             z, _ = standardized_law(solver, n, entry.params)
             acc = accompanying_law(solver, n, entry.params)
             assert float(np.sum(acc.weights)) == pytest.approx(1.0, abs=1e-12)
-            assert acc.mixture.mean == pytest.approx(float(z.mean), abs=1e-9)
-            assert acc.mixture.variance == pytest.approx(float(z.variance), abs=1e-9)
+            assert acc.mixture.mean == pytest.approx(float(z.moment(1)), abs=1e-9)
+            assert acc.mixture.variance == pytest.approx(float(z.moment(2, central=True)), abs=1e-9)
 
 
 def _mixture_moments(w, m, s):

@@ -21,10 +21,7 @@ from recdist import (
     Solver,
     UnsupportedExactError,
     VectorGroup,
-    exact_distribution,
     make,
-    moment_table,
-    sample,
     sample_many,
     spec_from_json,
 )
@@ -73,15 +70,15 @@ def test_exact_dp_matches_brute_enumeration(name):
 
 
 def test_moment_table_values():
-    rows = moment_table(exact_solver("unsuccessful_search"), [3, 4])
+    rows = exact_solver("unsuccessful_search").moment_rows([3, 4])
     assert (rows[0].mean, rows[0].variance) == (F(3, 2), F(1, 4))
     assert rows[1].mean == F(11, 6)
-    qrows = moment_table(exact_solver("quickselect"), [2])
+    qrows = exact_solver("quickselect").moment_rows([2])
     assert (qrows[0].mean, qrows[0].variance) == (1, 0)
 
 
 def test_third_abs_central_moment_positive():
-    rows = moment_table(exact_solver("unsuccessful_search"), [8])
+    rows = exact_solver("unsuccessful_search").moment_rows([8])
     assert rows[0].third_abs_central > 0
 
 
@@ -141,7 +138,23 @@ def test_exact_cap_enforced():
 def test_sampler_only_spec_rejects_exact():
     spec = make("broadcast_b_time").spec
     with pytest.raises(UnsupportedExactError):
-        exact_distribution(spec, 10)
+        Solver(spec, SolveOptions(mode="exact")).law(10)
+
+
+@pytest.mark.parametrize("doc", [
+    "",
+    "{not json",
+    b"\xff\xfe\x00",
+    "[1, 2]",
+    {"k": 1},
+    {"k": "one", "n0": 1, "base": [], "rows": []},
+    {"k": 1, "n0": 1, "base": [{"atoms": [[0, 0, 1.0]]}], "rows": []},
+    {"k": 1, "n0": 1, "base": [7], "rows": []},
+], ids=["empty", "not-json", "undecodable", "not-an-object", "no-base", "k-not-a-number",
+        "zero-denominator", "base-not-an-object"])
+def test_malformed_spec_document_is_precondition_error(doc):
+    with pytest.raises(PreconditionError):
+        spec_from_json(doc)
 
 
 def test_solve_options_validated():
@@ -187,7 +200,7 @@ def test_concurrent_reads_after_fill():
     out = []
 
     def reader(n):
-        out.append(float(solver.law(n).mean))
+        out.append(float(solver.law(n).moment(1)))
 
     threads = [threading.Thread(target=reader, args=(n,)) for n in (10, 20, 30, 64)]
     for t in threads:
@@ -221,8 +234,8 @@ def test_reader_never_sees_a_half_published_level():
         law = solver.law(k)
         mean, var = solver.mean(k), solver.variance(k)
         assert solver.third_abs_central(k) >= 0
-        assert float(mean) == pytest.approx(float(law.mean), rel=1e-12)
-        assert float(var) == pytest.approx(float(law.variance), rel=1e-9, abs=1e-15)
+        assert float(mean) == pytest.approx(float(law.moment(1)), rel=1e-12)
+        assert float(var) == pytest.approx(float(law.moment(2, central=True)), rel=1e-9, abs=1e-15)
 
     def poll():
         count = 0
@@ -311,7 +324,7 @@ def test_negative_index_rejected():
 def test_sample_deterministic_small_case():
     spec = make("unsuccessful_search").spec
     rng = np.random.default_rng(0)
-    assert all(sample(spec, 2, rng) == 1 for _ in range(20))
+    assert (sample_many(spec, 2, 20, rng) == 1).all()
 
 
 def test_sample_mean_matches_exact(solver_us):

@@ -131,7 +131,7 @@ def test_normal_input_is_fixed():
         atoms[float(v)] = atoms.get(float(v), 0) + 1
     total = sum(atoms.values())
     law = Pmf.from_atoms([(v, c / total) for v, c in atoms.items()])
-    mu, sd = float(law.mean), math.sqrt(float(law.variance))
+    mu, sd = float(law.moment(1)), math.sqrt(float(law.moment(2, central=True)))
     law = law.affine(1 / sd, -mu / sd)
     res = normal_characterization_iterate(law, 16, rng, population=200_000)
     assert kolmogorov(res.pmf, NormalMixture.std_normal()) <= 0.015

@@ -18,6 +18,7 @@ from recdist import (
     NormalMixture,
     Pmf,
     PiecewiseCubic,
+    PreconditionError,
     kolmogorov,
     normal_partial_square_moment,
     random_smooth_member,
@@ -217,8 +218,8 @@ def _discrete_zeta3_reference(mp, x, y) -> float:
 
 def _moment_matched_pair(rng, k, j) -> tuple:
     x, y = (Pmf.from_atoms(zip(rng.normal(size=m).tolist(), rng.dirichlet(np.ones(m)).tolist())) for m in (k, j))
-    scale = math.sqrt(x.variance / y.variance)
-    return x, y.affine(scale, x.mean - scale * y.mean)
+    scale = math.sqrt(x.moment(2, central=True) / y.moment(2, central=True))
+    return x, y.affine(scale, x.moment(1) - scale * y.moment(1))
 
 
 @pytest.mark.parametrize("atoms", [None, (5, 8), (50, 53)], ids=["coin", "5-8", "50-53"])
@@ -388,7 +389,7 @@ def test_probe_finds_no_rounding_noise_roots(request, n):
 
 def test_piecewise_cubic_expectation_matches_quadrature():
     f = PiecewiseCubic((-1.0, 0.5, 2.0), (0.3, -1.0, 0.7, 0.0))
-    mix = NormalMixture.from_components([(0.6, -0.5, 1.2), (0.4, 1.0, 0.3)])
+    mix = NormalMixture((0.6, 0.4), (-0.5, 1.0), (1.2, 0.3))
     oracle = 0.0
     for w, m, s in zip(mix.weights, mix.means, mix.sds):
         val, _ = quad(lambda x: float(f(np.array([x]))[0]) * _phi((x - m) / s) / s,
@@ -473,3 +474,27 @@ def test_wasserstein_zero_iff_equal():
     q = Pmf.from_atoms([(0, 0.26), (1, 0.74)])
     assert wasserstein1(p, p) == 0.0
     assert wasserstein1(p, q) > 0.0
+
+
+def test_wasserstein_matches_the_step_sum_of_cumulated_probabilities():
+    # F as the running sum of each law's atom probabilities, stepped over the
+    # merged atoms: the law view must give the same floats, bit for bit
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        x, y = (
+            Pmf.from_atoms(zip(rng.normal(scale=5.0, size=m).round(1).tolist(), rng.dirichlet(np.ones(m)).tolist()))
+            for m in rng.integers(1, 40, size=2).tolist()
+        )
+        grid = np.unique(np.concatenate([x.values_f, y.values_f]))
+        fx, fy = (
+            np.concatenate([[0.0], np.cumsum(p.probs_f)])[np.searchsorted(p.values_f, grid[:-1], side="right")]
+            for p in (x, y)
+        )
+        assert wasserstein1(x, y) == float(np.sum(np.abs(fx - fy) * np.diff(grid)))
+
+
+def test_wasserstein_refuses_mixtures():
+    with pytest.raises(PreconditionError):
+        wasserstein1(COIN, STD)
+    with pytest.raises(PreconditionError):
+        wasserstein1(NormalMixture.normal(0.0, 0.0), COIN)
