@@ -372,6 +372,4 @@ def test_every_export_resolves():
     import recdist
 
     assert [name for name in recdist.__all__ if not hasattr(recdist, name)] == []
-    namespace: dict = {}
-    exec("from recdist import *", namespace)
-    assert set(recdist.__all__) <= set(namespace)
+    exec("from recdist import *", {})  # raises AttributeError on a stale name
