@@ -364,7 +364,7 @@ def _broadcast_a_comparisons() -> CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# election-toll variant (branching factor 1, sampled toll)
+# election-toll variant (branching factor 1, toll drawn by a leader election)
 # ---------------------------------------------------------------------------
 
 
@@ -396,21 +396,54 @@ def leader_election_rounds(m, rng: np.random.Generator):
     return int(rounds[0]) if scalar else rounds.reshape(counts.shape)
 
 
+def _fair_binomial_pmf(m: int) -> np.ndarray:
+    """Binomial(m, 1/2) probabilities in O(m) and without a cache (the
+    election reads every m once, and caching every row costs O(m^2)): the
+    ratios C(m, h) / C(m, m // 2) by one cumulative product outward from the
+    centre, which cannot overflow, mirrored and normalized."""
+    c = m // 2
+    h = np.arange(c, 0, -1.0)
+    lower = np.cumprod(np.concatenate(([1.0], h / (m - h + 1.0))))[::-1]  # h = 0..c
+    row = np.concatenate((lower, lower[m - c - 1 :: -1]))
+    return row / row.sum()
+
+
+def leader_election_spec() -> RecurrenceSpec:
+    """The law of :func:`leader_election_rounds` as a recurrence: L_1 = 0 and
+    L_m = 1 + L_H, H ~ Binomial(m, 1/2), where a wasted round (H in {0, m})
+    keeps m. That is one row over h = 1..m whose last entry, 2^(1-m), refers
+    back to m; the solver sums its shift series."""
+
+    def groups(m: int, exact: bool) -> list:
+        if exact:
+            w = np.array([math.comb(m, h) for h in range(1, m)] + [2], dtype=object)
+            return [VectorGroup(1, w, Fraction(1, 2**m), (), 1)]
+        w = _fair_binomial_pmf(m)[1:]
+        w[-1] *= 2.0
+        return [VectorGroup(1, w, 1, (), 1)]
+
+    return RecurrenceSpec(
+        name="leader_election", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), groups=groups
+    )
+
+
 def _broadcast_b_time() -> CatalogEntry:
+    elections = [Solver(leader_election_spec(), SolveOptions(mode=mode)) for mode in ("float", "exact")]
+
+    def groups(n: int, exact: bool) -> list:
+        # leading index j = 0..n-1 with weight 1/n; the toll is the law of L_n
+        return [VectorGroup(0, scale=Fraction(1, n), toll=elections[exact].law(n), poly=(1,))]
+
     def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
         return [rng.integers(0, ns)], leader_election_rounds(ns, rng).astype(float)
-
-    def index_law(n: int) -> list:
-        w = 1.0 / n
-        return [((i,), w) for i in range(n)]
 
     spec = RecurrenceSpec(
         name="broadcast_b_time",
         k=1,
         n0=2,
         base_laws=(Pmf.delta(1), Pmf.delta(1)),
+        groups=groups,
         sampler=sampler,
-        index_law=index_law,
     )
     params = CltParams(alpha=1.5, kappa=1.0, lam=2.0, xi=0.0, c=1.0, delta=0.1)
     return CatalogEntry(
@@ -418,9 +451,8 @@ def _broadcast_b_time() -> CatalogEntry:
         spec=spec,
         params=params,
         notes="rounds of the election-based maximum-finding protocol; the toll "
-        "is the simulated election duration, drawn independently of the "
-        "surviving group size (only the recurrence shape and moment orders "
-        "are pinned down here)",
+        "is the election duration, whose law (leader_election_spec) is drawn "
+        "independently of the surviving group size",
         c_is_fitted=False,
     )
 

@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
         "variance": var,
         "third_abs_central": float(np.mean(np.abs(draws - mean) ** 3)),
     }
-    if spec.supports_exact() and (spec.exact_cap is None or args.n <= spec.exact_cap):
+    if spec.exact_cap is None or args.n <= spec.exact_cap:
         payload["tv_to_exact"] = _tv_to_exact(draws, solver.law(args.n), solver.lattice_den)
     _emit(args, payload)
     return EXIT_OK
@@ -267,7 +267,7 @@ def _cmd_verify(args) -> int:
         "gate_applicable": gate.applicable,
         "c_is_fitted": entry.c_is_fitted,
     }
-    cond = clt.check_conditions(solver, params, ns, rng=np.random.default_rng(_seed(args)))
+    cond = clt.check_conditions(solver, params, ns)
     payload["conditions"] = {
         "rows": [
             {"n": c.n, "drift": c.drift, "index_l3": c.index_l3, "toll_l3_ratio": c.toll_l3_ratio}
@@ -279,13 +279,8 @@ def _cmd_verify(args) -> int:
     }
     checks = [(a, len(clt.log_power_ratio_check(a, args.inequality_nmax))) for a in (0.5, 1.0, 1.5, 3.0)]
     payload["log_power_ratio_violations"] = {str(a): v for a, v in checks}
-    rows = []
-    if entry.spec.supports_exact():
-        for n in ns:
-            row = clt.verification_row(solver, n, params)
-            rows.append(row)
-        payload["rows"] = rows
-    _emit(args, payload, rows or None, clt.VERIFICATION_COLUMNS)
+    rows = payload["rows"] = [clt.verification_row(solver, n, params) for n in ns]
+    _emit(args, payload, rows, clt.VERIFICATION_COLUMNS)
     return EXIT_OK
 
 
@@ -328,7 +323,7 @@ def _cmd_catalog(args) -> int:
         rows.append({
             "name": entry.name,
             "k": entry.spec.k,
-            "exact_dp": entry.spec.supports_exact(),
+            "exact_dp": True,
             "exact_cap": entry.spec.exact_cap,
             "degenerate": entry.degenerate,
             "params": None
@@ -411,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_rate)
 
     sp = sub.add_parser("verify", help="condition checks, distance rows, bound terms")
-    _add_common(sp, seeded=True, params=True)
+    _add_common(sp, params=True)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="accepted for scripts that pass it; verify draws nothing")
     sp.add_argument("--ns", default="16:256")
     sp.add_argument("--inequality-nmax", type=int, default=500,
                     help="exhaustive log-power inequality check range")

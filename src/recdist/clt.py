@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import Solver, sample_many
+from .engine import Solver
 from .errors import PreconditionError
 from .metrics import MetricReport, NormalMixture, kolmogorov, zeta3
 from .pmf import Pmf
@@ -135,7 +135,8 @@ class AccompanyingLaw:
 
 def _centered_joint(solver: Solver, n: int) -> tuple:
     """``(indices, weights, tolls - mean at n + children's means)`` of the float
-    rows of the joint law at n; a sampler-only law raises UnsupportedExactError."""
+    rows of the joint law at n, one entry per atom (a toll law expanded atom
+    by atom)."""
     idx, tolls, weights = solver.spec.joint_arrays(n)
     mu = solver.means_upto(n)
     return idx, weights, tolls - mu[n] + mu[idx].sum(axis=1)
@@ -257,7 +258,7 @@ class ConditionRow:
     n: int
     drift: float  # mean of ln((product of child sizes or 1)/n); must stay negative
     index_l3: float  # L3 norm of ln((leading size or 1)/n); must stay bounded
-    toll_l3_ratio: float | None  # L3 toll norm divided by ln^kappa n
+    toll_l3_ratio: float  # L3 toll norm divided by ln^kappa n
 
 
 @dataclass(frozen=True)
@@ -268,34 +269,15 @@ class ConditionReport:
     messages: list
 
 
-def check_conditions(
-    solver: Solver,
-    params: CltParams,
-    ns: Sequence[int],
-    rng: np.random.Generator | None = None,
-    mc_samples: int = 20_000,
-) -> ConditionReport:
-    """Evaluate the index-drift and norm conditions over a probe window.
-
-    Entries with tabulated joint laws are evaluated on its float rows.
-    Sampler-only entries read their tabulated index law, and estimate the toll
-    norm by Monte Carlo when a generator is supplied.
-    """
-    spec = solver.spec
+def check_conditions(solver: Solver, params: CltParams, ns: Sequence[int]) -> ConditionReport:
+    """Evaluate the index-drift and norm conditions over a probe window, on
+    the float rows of the joint law and the solver's means."""
     rows: list = []
     messages: list = []
     for n in ns:
-        toll_ratio = None
-        if spec.supports_exact():
-            idx, w, centered = _centered_joint(solver, n)
-            toll_l3 = float(w @ np.abs(centered) ** 3) ** (1.0 / 3.0)
-            toll_ratio = toll_l3 / math.log(n) ** params.kappa
-        else:
-            idx_atoms = spec.index_atoms(n)
-            w = np.array([float(x[1]) for x in idx_atoms])
-            idx = np.array([x[0] for x in idx_atoms], dtype=np.int64)
-            if rng is not None:
-                toll_ratio = _mc_toll_ratio(spec, params, n, rng, mc_samples)
+        idx, w, centered = _centered_joint(solver, n)
+        toll_l3 = float(w @ np.abs(centered) ** 3) ** (1.0 / 3.0)
+        toll_ratio = toll_l3 / math.log(n) ** params.kappa
         drift = float(w @ (np.log(np.maximum(idx, 1)).sum(axis=1) - math.log(n)))
         lead = np.log(np.maximum(idx[:, 0], 1) / n)
         index_l3 = float(w @ np.abs(lead) ** 3) ** (1.0 / 3.0)
@@ -316,31 +298,6 @@ def check_conditions(
             norms_flagged = True
             messages.append("index L3 norm keeps growing across the window")
     return ConditionReport(rows, drift_ok, norms_flagged, messages)
-
-
-def _mc_toll_ratio(spec, params, n: int, rng: np.random.Generator, samples: int) -> float:
-    """Monte Carlo toll norm for sampler-only entries, using sampled child means.
-
-    The mean at n and every child mean come from one grouped ``sample_many``
-    call: ``samples`` particles at n, then for each recursing child index
-    drawn c times, min(max(2000, 40 c), 20000) particles at it. Only group
-    sums come back, so the call holds one block of particles at a time.
-    """
-    idx_list, tolls = spec.sampler(rng, np.full(samples, n, dtype=np.int64))
-    lead = np.asarray(idx_list[0], dtype=np.int64)
-    child_counts = np.bincount(lead, minlength=n + 1)
-    children = np.flatnonzero(child_counts)
-    rec = children[children >= spec.n0]
-    starts = np.concatenate([[n], rec])
-    reps = np.concatenate([[samples], np.clip(40 * child_counts[rec], 2000, 20_000)])
-    means = sample_many(spec, starts, int(reps.sum()), rng, reps=reps) / reps
-    mu_child = np.zeros(n + 1)
-    for i in children[children < spec.n0]:
-        mu_child[i] = float(spec.base_laws[i].moment(1))
-    mu_child[rec] = means[1:]
-    centered = tolls - means[0] + mu_child[lead]
-    toll_l3 = float(np.mean(np.abs(centered) ** 3)) ** (1.0 / 3.0)
-    return toll_l3 / math.log(n) ** params.kappa
 
 
 # ---------------------------------------------------------------------------

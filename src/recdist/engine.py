@@ -7,14 +7,15 @@ convolutions shifted by the toll, solved bottom-up with memoization.
 
 The solver sees a joint law in one encoding: weight rows (:class:`VectorGroup`)
 of atoms sharing their trailing indices, with a toll affine in the leading
-index, given as weights or, for rows over ``first_start..n-1``, as a
-polynomial in the leading index; or blocks of such rows (:class:`VectorBlock`)
-sharing leading start, toll and slope, one row per trailing index; atoms
-tabulated by hand or in JSON are grouped by trailing indices and toll (never
-into polynomial rows). Atoms referring back to ``n``, in any position, are
-removed algebraically: an unshifted self term divides the rest by one minus
-its weight; an upward-shifted one (next to point masses) adds a shift
-series, summed until its remainder drops below the budget.
+index or a toll law drawn independently of the indices, given as weights or,
+for rows over ``first_start..n-1``, as a polynomial in the leading index; or
+blocks of such rows (:class:`VectorBlock`) sharing leading start, toll and
+slope, one row per trailing index; atoms tabulated by hand or in JSON are
+grouped by trailing indices and toll (never into polynomial rows). Atoms
+referring back to ``n``, in any position, are removed algebraically: an
+unshifted self term divides the rest by one minus its weight; an
+upward-shifted one (next to point masses) adds a shift series, summed until
+its remainder drops below the budget.
 
 Every law is a dense numpy row on the integer lattice of spacing ``1/D``,
 ``D`` the lcm of the denominators of base atoms, tolls and slopes: float64 in
@@ -87,14 +88,19 @@ class VectorGroup:
     whose inner mixtures the engine memoizes (it must identify weights and
     slope). To the float solver a group is a :class:`VectorBlock` of one row.
 
+    ``toll`` may also be a :class:`Pmf`: a toll drawn independently of the
+    indices. The solver convolves the group's mixture with that law once
+    per level, and readers of atoms expand it atom by atom (each atom of the
+    row times every toll atom). Such a group must not refer back to ``n``.
+
     A polynomial row gives ``poly`` instead of ``weights``: at level ``n``
     the weight at ``j = first_start .. n - 1`` is ``scale * sum(poly[p] *
     j**p)``, with rational coefficients in exact mode; its scale may be
     rational in float mode too. The solver mixes it by running sums over the
     stored rows in both modes, one step per level (module docstring); only
     readers of atoms tabulate its weights (:meth:`dense`). The uniform rows
-    of ``unsuccessful_search`` and ``quickselect`` and the rows ``2j/n^2``
-    of ``node_depth`` take this form.
+    of ``unsuccessful_search``, ``quickselect`` and ``broadcast_b_time``
+    and the rows ``2j/n^2`` of ``node_depth`` take this form.
     """
 
     first_start: int
@@ -239,11 +245,12 @@ class RecurrenceSpec:
     :class:`VectorGroup` rows, ``exact`` picking rational or float64 weights,
     or by ``joint_law(n)`` as atoms ``(indices, toll, weight)`` with exact
     rational weights and integer or rational tolls (a float toll is read as
-    its shortest decimal), which :meth:`law_groups` groups for the solver.
-    ``sampler(rng, ns)`` draws one joint atom per entry of the int64 index
-    array ``ns`` and returns ``(children, tolls)``: ``k`` child-index arrays
-    and a toll array, each aligned with ``ns``. It is required when the joint
-    law cannot be tabulated (then only Monte Carlo is available).
+    its shortest decimal), which :meth:`law_groups` groups for the solver;
+    one of the two is required. ``sampler(rng, ns)``, optional, draws one
+    joint atom per entry of the int64 index array ``ns`` and returns
+    ``(children, tolls)``: ``k`` child-index arrays and a toll array, each
+    aligned with ``ns``; without it :func:`sample_many` draws from the
+    tabulated joint law.
     """
 
     name: str
@@ -253,7 +260,6 @@ class RecurrenceSpec:
     joint_law: Callable[[int], Sequence[tuple]] | None = None
     groups: Callable[[int, bool], Sequence[VectorGroup]] | None = None
     sampler: Callable[[np.random.Generator, np.ndarray], tuple] | None = None
-    index_law: Callable[[int], Sequence[tuple]] | None = None
     exact_cap: int | None = None
 
     def __post_init__(self):
@@ -265,11 +271,8 @@ class RecurrenceSpec:
             raise PreconditionError("need one base law per index below n0")
         if self.joint_law is not None and self.groups is not None:
             raise PreconditionError("give the joint law as atoms or as groups, not both")
-        if self.joint_law is None and self.groups is None and self.sampler is None:
-            raise PreconditionError("spec needs a joint law or a sampler")
-
-    def supports_exact(self) -> bool:
-        return self.joint_law is not None or self.groups is not None
+        if self.joint_law is None and self.groups is None:
+            raise PreconditionError("spec needs a joint law, as atoms or as groups")
 
     def _check_index(self, n: int) -> None:
         if n < self.n0:
@@ -302,19 +305,17 @@ class RecurrenceSpec:
         return groups
 
     def joint_atoms(self, n: int) -> list:
-        """The joint law at ``n`` as atoms ``(indices, toll, weight)``, row by row."""
+        """The joint law at ``n`` as atoms ``(indices, toll, weight)``, row by
+        row; a toll law is expanded atom by atom within each index tuple."""
         self._check_index(n)
         if self.groups is not None:
             return [
-                ((j, *g.others), g.toll + g.slope * j, g.scale * w)
+                ((j, *g.others), t + g.slope * j, g.scale * w * p)
                 for g in (g.dense(n, True) for g in self.law_groups(n, True))
                 for j, w in enumerate(g.weights.tolist(), g.first_start)
                 if w
+                for t, p in zip(*_toll_atoms(g.toll))
             ]
-        if self.joint_law is None:
-            raise UnsupportedExactError(
-                f"{self.name}: joint law is sampler-only; exact computation unavailable"
-            )
         atoms = list(self.joint_law(n))
         for idx, _, _ in atoms:
             if len(idx) != self.k or min(idx) < 0 or max(idx) > n:
@@ -323,8 +324,8 @@ class RecurrenceSpec:
 
     def joint_arrays(self, n: int) -> tuple:
         """The float rows at ``n`` as arrays ``(indices, tolls, weights)``: int64
-        of shape (atoms, k), float64 and float64; one atom per nonzero weight,
-        row by row."""
+        of shape (atoms, k), float64 and float64; one atom per nonzero weight
+        and toll atom, row by row."""
         parts = [(np.empty((0, self.k), dtype=np.int64), np.empty(0), np.empty(0))]
         for g in self.law_groups(n, exact=False):
             rows, lens, others, scales, _ = _unit_rows(g if isinstance(g, VectorBlock) else g.dense(n, False))
@@ -338,19 +339,26 @@ class RecurrenceSpec:
             idx = np.empty((keep.size, self.k), dtype=np.int64)
             idx[:, 0] = j
             idx[:, 1:] = np.repeat(others, lens, axis=0)[keep]
-            parts.append((idx, float(g.toll) + float(g.slope) * j, w[keep]))
+            tv, tp = (np.array(x, dtype=float) for x in _toll_atoms(g.toll))
+            tolls = float(g.slope) * j[:, None] + tv
+            parts.append((np.repeat(idx, len(tv), axis=0), tolls.ravel(), (w[keep][:, None] * tp).ravel()))
         idx, tolls, weights = zip(*parts)
         return np.concatenate(idx), np.concatenate(tolls), np.concatenate(weights)
 
     def index_atoms(self, n: int) -> list:
         """Joint law of the index tuple alone (weights collapsed over tolls)."""
-        self._check_index(n)
-        if self.index_law is not None:
-            return list(self.index_law(n))
         acc: dict = {}
         for idx, _, w in self.joint_atoms(n):
             acc[idx] = acc.get(idx, 0) + w
         return list(acc.items())
+
+
+def _toll_atoms(toll) -> tuple:
+    """(values, probabilities) of a group's toll: a toll law's atoms, or the
+    one toll with probability 1."""
+    if isinstance(toll, Pmf):
+        return toll.values, toll.probs
+    return (toll,), (1,)
 
 
 def _atom_groups(atoms: Sequence[tuple], exact: bool) -> list:
@@ -651,23 +659,13 @@ class Solver:
     def _solve(self, m: int) -> None:
         spec, exact = self.spec, self._exact
         if m < spec.n0:
-            base = spec.base_laws[m]
-            ks = [int(_rational(v) * self._den) for v in base.values]
-            row, den = self._zeros(m, ks[-1] - ks[0] + 1), 1
-            if exact:  # float probabilities (e.g. from JSON) promote losslessly
-                qs = [Fraction(p) for p in base.probs]
-                den = math.lcm(*(q.denominator for q in qs))
-                for k, q in zip(ks, qs):
-                    row[k - ks[0]] = q.numerator * (den // q.denominator)
-            else:
-                for k, p in zip(ks, base.probs):
-                    row[k - ks[0]] = float(p)
-            self._publish(m, ks[0], row, den, 0 * self._budget)
+            self._publish(m, *self._law_row(m, spec.base_laws[m]), 0 * self._budget)
             return
         groups = spec.law_groups(m, exact)
         den = self._den
         for g in groups:
-            for t in (g.toll, g.slope):
+            tolls = g.toll.values if isinstance(g.toll, Pmf) else (g.toll,)
+            for t in (*tolls, g.slope):
                 if type(t) is not int:
                     den = math.lcm(den, _rational(t).denominator)
         if den != self._den:
@@ -676,15 +674,46 @@ class Solver:
         self_terms: list = []
         pieces: list = []  # (offset, array, denominator, scale, None) contributions
         for g in groups:
-            if isinstance(g, VectorGroup) and g.poly:
-                pieces += self._mix_poly(m, g)
-            else:
-                pieces += self._mix(m, g, self_terms)
+            pieces += self._pieces(m, g, self_terms)
         if not pieces:
             raise PreconditionError(f"law at n={m} has no mass")
         lo, acc, den = self._add_rows(m, pieces)
         acc, den = self._eliminate_self(m, acc, den, self_terms)
         self._publish(m, lo, acc, den, self._budget)
+
+    def _pieces(self, m: int, g, self_terms: list) -> list:
+        """The pieces ``(offset, array, denominator, scale, None)`` that one
+        group or block adds to level m; its self-referential atoms are
+        appended to ``self_terms``. A toll law is convolved with the group's
+        mixture once; a group with a toll law must not refer back to m."""
+        law = g.toll
+        if not isinstance(law, Pmf):
+            return self._mix_poly(m, g) if isinstance(g, VectorGroup) and g.poly else self._mix(m, g, self_terms)
+        n_self = len(self_terms)
+        mixed = self._pieces(m, replace(g, toll=0), self_terms)
+        if len(self_terms) > n_self:
+            raise UnsupportedExactError(f"{self.spec.name}: joint group at n={m} with a toll law refers back to n")
+        if not mixed:
+            return []
+        off, arr, den = self._add_rows(m, mixed)
+        t_off, t_row, t_den = self._law_row(m, law)
+        return [(off + t_off, self._convolve(m, arr, t_row), den * t_den, 1, None)]
+
+    def _law_row(self, m: int, law: Pmf) -> tuple:
+        """A base or toll law as (lattice offset, dense row, denominator): float
+        probabilities, or in exact mode int numerators (float probabilities,
+        e.g. from JSON, promote losslessly)."""
+        ks = [int(_rational(v) * self._den) for v in law.values]
+        row, den = self._zeros(m, ks[-1] - ks[0] + 1), 1
+        if self._exact:
+            qs = [Fraction(p) for p in law.probs]
+            den = math.lcm(*(q.denominator for q in qs))
+            for k, q in zip(ks, qs):
+                row[k - ks[0]] = q.numerator * (den // q.denominator)
+        else:
+            for k, p in zip(ks, law.probs):
+                row[k - ks[0]] = float(p)
+        return ks[0], row, den
 
     def _refine(self, m: int, den: int) -> None:
         """Spread every stored row onto the finer lattice of spacing 1/den."""
@@ -1137,55 +1166,27 @@ class _TableSampler:
 _BLOCK = 1 << 16
 
 
-def sample_many(
-    spec: RecurrenceSpec, n, size: int, rng: np.random.Generator, *, reps=None
-) -> np.ndarray:
+def sample_many(spec: RecurrenceSpec, n, size: int, rng: np.random.Generator) -> np.ndarray:
     """Independent draws of the recurrence value, fully vectorized.
 
     ``n`` is the start index of every draw, or an integer array of ``size``
-    start indices, one per draw. With ``reps``, ``n`` is instead an array of
-    group start indices, ``reps[g]`` draws start at ``n[g]``, ``size`` is
-    ``sum(reps)``, and the result is the sum of each group's draws; a caller
-    that needs only group means then never holds every draw.
-
-    Particles run in blocks of ``_BLOCK``; in a block each round makes one
-    sampler call over every pending subproblem, so a round costs O(pending)
-    numpy work however many indices are pending.
+    start indices, one per draw. Particles run in blocks of ``_BLOCK``; in a
+    block each round makes one sampler call over every pending subproblem,
+    so a round costs O(pending) numpy work however many indices are pending.
     """
     starts = np.asarray(n)
-    if reps is None:
-        ok = starts.shape in ((), (size,))
-        counts = np.ones(size, dtype=np.int64) if starts.ndim else np.array([size])
-    else:
-        counts = np.asarray(reps)
-        ok = (
-            starts.ndim == 1
-            and counts.shape == starts.shape
-            and np.issubdtype(counts.dtype, np.integer)
-            and (starts.size == 0 or counts.min() >= 0)
-            and int(counts.sum()) == size
-        )
-    if not np.issubdtype(starts.dtype, np.integer) or not ok:
-        raise PreconditionError(
-            f"{spec.name}: start index must be an integer, {size} integers, "
-            f"or group starts with counts summing to {size}"
-        )
+    if not np.issubdtype(starts.dtype, np.integer) or starts.shape not in ((), (size,)):
+        raise PreconditionError(f"{spec.name}: start index must be an integer or {size} integers")
     if starts.size and starts.min() < 0:
         raise PreconditionError(
             f"{spec.name}: index must be nonnegative (got {int(starts.min())})"
         )
-    starts = np.atleast_1d(starts).astype(np.int64)
-    ends = np.cumsum(counts)
+    starts = np.full(size, starts, dtype=np.int64) if starts.ndim == 0 else starts.astype(np.int64)
     draw = spec.sampler or _TableSampler(spec)
     base = [(b.values_f, np.cumsum(b.probs_f) / float(np.sum(b.probs_f))) for b in spec.base_laws]
-    out = np.empty(size) if reps is None else np.zeros(starts.size)
+    out = np.empty(size)
     for lo in range(0, size, _BLOCK):
-        group = np.searchsorted(ends, np.arange(lo, min(lo + _BLOCK, size)), side="right")
-        draws = _sample_block(spec, draw, base, starts[group], rng)
-        if reps is None:
-            out[lo : lo + _BLOCK] = draws
-        else:
-            out += np.bincount(group, weights=draws, minlength=starts.size)
+        out[lo : lo + _BLOCK] = _sample_block(spec, draw, base, starts[lo : lo + _BLOCK], rng)
     return out
 
 
@@ -1239,6 +1240,15 @@ def _parse_number(x):
     return x
 
 
+def _parse_int(x) -> int:
+    """An index, ``k`` or ``n0``: a number or string naming an integer; one
+    with a fractional part is refused, never truncated."""
+    q = _parse_number(x)
+    if not isinstance(q, Rational) or q.denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(q)
+
+
 def spec_from_json(doc: dict | str | bytes) -> RecurrenceSpec:
     """Build a recurrence from a JSON document tabulating joint-law rows.
 
@@ -1248,14 +1258,14 @@ def spec_from_json(doc: dict | str | bytes) -> RecurrenceSpec:
          "base": [<pmf json>, ...],
          "rows": [[n, i1, i2_or_null, toll, prob], ...]}
 
-    Tolls and probabilities may be numbers or fraction strings like "1/3".
-    A document that is not JSON or not of this shape raises
-    :class:`PreconditionError`.
+    Tolls and probabilities may be numbers or fraction strings like "1/3";
+    ``k``, ``n0`` and indices must be integers. A document that is not JSON
+    or not of this shape raises :class:`PreconditionError`.
     """
     try:
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-        k, n0, rows = int(doc["k"]), int(doc["n0"]), list(doc["rows"])
+        k, n0, rows = _parse_int(doc["k"]), _parse_int(doc["n0"]), list(doc["rows"])
         name = str(doc.get("name", "custom"))
         base = tuple(Pmf.from_json_dict(b) for b in doc["base"])
     except PreconditionError:
@@ -1268,8 +1278,8 @@ def spec_from_json(doc: dict | str | bytes) -> RecurrenceSpec:
     for row in rows:
         try:
             n, i1, i2, toll, prob = row
-            idx = (int(i1),) if k == 1 else (int(i1), int(i2))
-            table.setdefault(int(n), []).append((idx, _parse_number(toll), _parse_number(prob)))
+            idx = (_parse_int(i1),) if k == 1 else (_parse_int(i1), _parse_int(i2))
+            table.setdefault(_parse_int(n), []).append((idx, _parse_number(toll), _parse_number(prob)))
         except (TypeError, ValueError, ZeroDivisionError, PreconditionError) as exc:
             raise PreconditionError(f"bad joint-law row {row!r}: {exc}") from None
 

@@ -34,7 +34,9 @@ class CapacityError(RecdistError, RuntimeError):
 
 
 class UnsupportedExactError(PreconditionError):
-    """Exact computation requested for a recurrence that only supports sampling."""
+    """A joint law whose self reference the solver cannot remove: the unknown
+    law times itself or a non-degenerate factor, a downward shift, or a toll
+    law on an atom that refers back."""
 
 
 class DivergenceError(RecdistError, RuntimeError):

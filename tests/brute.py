@@ -5,9 +5,10 @@ fractions: no memoization, no truncation, no shared code with the solver
 beyond the joint-law tables themselves (``spec.joint_atoms``). ``broadcast_means`` runs the mean
 recurrence of the broadcast models from the index law written out in its
 docstring, without touching the catalog's tables. ``election_rounds_law`` is
-the exact law of a leader election's length, from its transition matrix, and
-``sampled_tv`` measures a sample against a reference law with the bound it
-may reach by chance."""
+the exact law of a leader election's length, from its transition matrix;
+``broadcast_b_means`` runs the mean recurrence of the election-toll model on
+the election's own mean recurrence. ``sampled_tv`` measures a sample against
+a reference law with the bound it may reach by chance."""
 
 import math
 from fractions import Fraction
@@ -108,3 +109,22 @@ def election_rounds_law(m: int, eps: float = 1e-13) -> dict:
         law[rounds] = float(state[1])
         state[1] = 0.0
     return law
+
+
+def broadcast_b_means(n_max: int) -> list:
+    """Float means E Y_0..E Y_{n_max} of Y_n = Y_J + L_n, J uniform on
+    0..n-1 and Y_0 = Y_1 = 1: E Y_n = E L_n + mean(E Y_0..E Y_{n-1}). The
+    election means come from one step of its chain: E L_1 = 0 and
+    E L_m = (1 + sum_{h=1}^{m-1} C(m,h) 2^-m E L_h) / (1 - 2^(1-m)), each
+    binomial weight a correctly rounded ratio of ints."""
+    rounds = [0.0, 0.0]
+    for m in range(2, n_max + 1):
+        terms, c = [], 1
+        for h in range(1, m):
+            c = c * (m - h + 1) // h  # C(m, h)
+            terms.append(c / 2**m * rounds[h])
+        rounds.append((1.0 + math.fsum(terms)) / (1.0 - 2.0 ** (1 - m)))
+    means = [1.0, 1.0]
+    for n in range(2, n_max + 1):
+        means.append(rounds[n] + math.fsum(means) / n)
+    return means

@@ -12,6 +12,7 @@ import pytest
 
 from recdist import (
     CapacityError,
+    Pmf,
     PreconditionError,
     SolveOptions,
     Solver,
@@ -21,10 +22,10 @@ from recdist import (
     rate_exponent,
 )
 from recdist import catalog, engine
-from recdist.catalog import NAMES, _fair_binomial, _popcount, fit_variance_constant
+from recdist.catalog import NAMES, _fair_binomial, _popcount, fit_variance_constant, leader_election_spec
 from recdist.engine import VectorBlock
 
-from brute import broadcast_means, election_rounds_law, sampled_tv
+from brute import broadcast_b_means, broadcast_means, election_rounds_law, sampled_tv
 from conftest import shared_solver
 
 
@@ -46,10 +47,6 @@ def test_unknown_name_rejected():
 def test_quickselect_is_nondegenerate():
     assert make("quickselect").params is None
     assert not make("quickselect").degenerate
-
-
-def test_broadcast_b_is_sampler_only():
-    assert not make("broadcast_b_time").spec.supports_exact()
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +106,37 @@ def _reference_table(name: str, n: int) -> dict:
         return {((0,), 1): F(1, n), **{((k,), 1): F(2 * k, n * n) for k in range(1, n)}}
     if name == "quickselect":
         return {((i,), n - 1): F(1, n) for i in range(n)}
+    if name == "broadcast_b_time":  # float weights: the oracle's election law is float
+        return {((i,), t): p / n for i in range(n) for t, p in election_rounds_law(n).items()}
     comparisons = name == "broadcast_a_comparisons"
     return {((j, k), n - j if comparisons else 1): w for (j, k), w in broadcast_index_pmf(n).items()}
 
 
-@pytest.mark.parametrize("name", [n for n in NAMES if n != "broadcast_b_time"])
+@pytest.mark.parametrize("name", NAMES)
 def test_groups_expand_to_reference_tables(name):
     spec = make(name).spec
     for n in (2, 3, 7, 12, 33):
         expanded: dict = {}
         for g in (g.dense(n, True) for g in spec.law_groups(n, True)):
+            tolls = list(zip(g.toll.values, g.toll.probs)) if isinstance(g.toll, Pmf) else [(g.toll, 1)]
             for j, w in enumerate(g.weights.tolist(), g.first_start):
                 if w:
-                    key = ((j, *g.others), g.toll + g.slope * j)
-                    expanded[key] = expanded.get(key, 0) + g.scale * w
+                    for t, p in tolls:
+                        key = ((j, *g.others), t + g.slope * j)
+                        expanded[key] = expanded.get(key, 0) + g.scale * w * p
         assert all(isinstance(w, F) for w in expanded.values())
-        assert expanded == _reference_table(name, n)
+        ref = _reference_table(name, n)
+        if name == "broadcast_b_time":
+            # the solved election law is trimmed within tail_eps (1e-12) of
+            # mass, the oracle's is not: the kept atoms are the oracle's
+            # first ones, and every weight is within tail_eps of the oracle
+            assert set(expanded) <= set(ref)
+            assert max(abs(float(expanded.get(key, 0)) - w) for key, w in ref.items()) <= 1e-12
+            ref = {key: w for key, w in ref.items() if key in expanded}
+        else:
+            assert expanded == ref
         # the derived atom list keeps the reference table's order
-        assert [(idx, t) for idx, t, _ in spec.joint_atoms(n)] == list(_reference_table(name, n))
+        assert [(idx, t) for idx, t, _ in spec.joint_atoms(n)] == list(ref)
 
 
 def test_binomial_rows_grow_safely_from_threads(monkeypatch):
@@ -395,7 +405,7 @@ def _mixed_call(spec, per_n: int, seed: int) -> tuple:
     return ns, np.stack([np.asarray(c) for c in children], axis=1), np.asarray(tolls, dtype=float)
 
 
-@pytest.mark.parametrize("name", [n for n in NAMES if n != "broadcast_b_time"])
+@pytest.mark.parametrize("name", NAMES)
 def test_sampler_joint_law_over_mixed_indices(name):
     spec = make(name).spec
     ns, children, tolls = _mixed_call(spec, 20_000, seed=2024)
@@ -452,6 +462,24 @@ def test_popcount_counts_set_bits():
 # ---------------------------------------------------------------------------
 # leader election
 # ---------------------------------------------------------------------------
+
+
+def test_election_law_matches_the_transition_matrix():
+    # the oracle stops once under 1e-13 of mass is left; under a budget of
+    # 1e-15 every atom the solver drops is far below the tolerance
+    solver = Solver(leader_election_spec(), SolveOptions(mode="exact", tail_eps=1e-15))
+    for m in range(1, 65):
+        law = solver.law(m)
+        got = dict(zip(law.values, law.probs))
+        assert all(isinstance(p, F) for p in law.probs)
+        ref = election_rounds_law(m)
+        assert max(abs(float(got.get(r, 0)) - ref.get(r, 0.0)) for r in set(got) | set(ref)) <= 1e-13, m
+
+
+def test_broadcast_b_float_means_match_the_mean_recurrence():
+    means = np.array(broadcast_b_means(1024))
+    got = shared_solver("broadcast_b_time").means_upto(1024)
+    assert np.max(np.abs(got - means) / means) <= 1e-9
 
 
 def test_single_contender_elects_immediately():

@@ -98,6 +98,16 @@ def test_verify_rows_csv_schema():
     assert len(lines) == 4
 
 
+def test_verify_election_model_is_exact_and_seed_free():
+    # every term of verify is computed from exact laws: the seed changes nothing
+    runs = [run_cli("verify", "--model", "broadcast-b-time", "--ns", "16:32", "--seed", s) for s in "12"]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    doc = json.loads(runs[0].stdout)
+    assert [row["n"] for row in doc["rows"]] == [16, 32]
+    assert [row["n"] for row in doc["conditions"]["rows"]] == [16, 32]
+
+
 def test_fixed_point_moments_json():
     res = run_cli("fixed-point", "--equation", "dickman", "--population", "50000",
                   "--iterations", "40", "--seed", "3")
@@ -113,6 +123,7 @@ def test_catalog_lists_all_models():
         "unsuccessful_search", "node_depth", "quickselect",
         "broadcast_a_time", "broadcast_a_comparisons", "broadcast_b_time",
     ]
+    assert all(m["exact_dp"] for m in doc["models"])
 
 
 def test_unknown_model_is_usage_error():

@@ -28,6 +28,7 @@ from recdist import (
 )
 from recdist.clt import VERIFICATION_COLUMNS, verification_row
 
+from brute import broadcast_b_means, election_rounds_law
 from conftest import shared_solver
 
 
@@ -242,13 +243,6 @@ def test_surrogate_weights_sum_to_one(solver_bt, n, old_bound):
     assert zeta3_accompanying(solver_bt, n, entry.params).abs_error_bound < old_bound
 
 
-def test_sampler_only_accompanying_rejected():
-    entry = make("broadcast_b_time")
-    solver = entry.solver()
-    with pytest.raises(Exception, match="sampler-only"):
-        accompanying_law(solver, 8, entry.params)
-
-
 # ---------------------------------------------------------------------------
 # gap terms and distances
 # ---------------------------------------------------------------------------
@@ -332,37 +326,21 @@ def test_conditions_bounded_norms(solver_us):
     assert all(r.toll_l3_ratio is not None and r.toll_l3_ratio < 10 for r in rep.rows)
 
 
-def test_conditions_sampler_only_with_monte_carlo():
+def test_election_conditions_match_the_oracles():
+    # Y_n = Y_J + L_n, J uniform on 0..n-1: the toll norm from the brute
+    # election law and the mean recurrence, the index terms from J alone
     entry = make("broadcast_b_time")
-    solver = entry.solver()
-    rng = np.random.default_rng(17)
-    rep = check_conditions(solver, entry.params, [16, 64], rng=rng, mc_samples=4000)
+    rep = check_conditions(shared_solver("broadcast_b_time"), entry.params, [16, 32])
+    mu = broadcast_b_means(32)
+    for row in rep.rows:
+        n = row.n
+        law = election_rounds_law(n)
+        cube = sum(p * abs(t - mu[n] + mu[j]) ** 3 for j in range(n) for t, p in law.items()) / n
+        assert row.toll_l3_ratio == pytest.approx(cube ** (1 / 3) / math.log(n), rel=1e-9)
+        lead = [math.log(max(j, 1) / n) for j in range(n)]
+        assert row.drift == pytest.approx(sum(lead) / n, rel=1e-9)
+        assert row.index_l3 == pytest.approx((sum(abs(x) ** 3 for x in lead) / n) ** (1 / 3), rel=1e-9)
     assert rep.drift_ok
-    assert all(r.toll_l3_ratio is not None for r in rep.rows)
-
-
-def test_mc_toll_norm_sampling_calls_do_not_grow_with_children(monkeypatch):
-    import recdist.clt as clt_module
-
-    calls = []
-    plain = clt_module.sample_many
-
-    def counted(spec, n, size, rng, **kw):
-        calls.append(np.size(n))
-        return plain(spec, n, size, rng, **kw)
-
-    monkeypatch.setattr(clt_module, "sample_many", counted)
-    entry = make("broadcast_b_time")
-    ns = [16, 32, 64]
-    rep = check_conditions(entry.solver(), entry.params, ns, rng=np.random.default_rng(5))
-    assert len(calls) <= 2 * len(ns)
-    # start indices are passed per group, not per particle
-    assert max(calls) <= max(ns) + 1
-    # the estimator that made one sample_many call per child index gave, over
-    # seeds 0..7 at 20000 samples, means 1.497 / 1.494 / 1.528 and standard
-    # deviations 0.005 / 0.008 / 0.005; 0.05 is over six of them
-    for row, before in zip(rep.rows, (1.497, 1.494, 1.528)):
-        assert abs(row.toll_l3_ratio - before) <= 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,12 @@ def test_exact_cap_enforced():
 
 
 def test_sampler_only_spec_rejects_exact():
-    spec = make("broadcast_b_time").spec
-    with pytest.raises(UnsupportedExactError):
-        Solver(spec, SolveOptions(mode="exact")).law(10)
+    # every spec has a joint law to solve: a sampler alone is refused
+    def sampler(rng, ns):
+        return [rng.integers(0, ns)], np.ones(ns.size)
+
+    with pytest.raises(PreconditionError, match="joint law"):
+        RecurrenceSpec(name="draws", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), sampler=sampler)
 
 
 @pytest.mark.parametrize("doc", [
@@ -150,8 +153,12 @@ def test_sampler_only_spec_rejects_exact():
     {"k": "one", "n0": 1, "base": [], "rows": []},
     {"k": 1, "n0": 1, "base": [{"atoms": [[0, 0, 1.0]]}], "rows": []},
     {"k": 1, "n0": 1, "base": [7], "rows": []},
+    # integers are never truncated: these once solved as k = 1, n0 = 1 and index 1
+    {"k": 1.7, "n0": 1.9, "base": [{"atoms": [[0, 1, 1.0]]}], "rows": [[1, 0, None, 1, 1.0]]},
+    {"k": 1, "n0": 1, "base": [{"atoms": [[0, 1, 1.0]]}],
+     "rows": [[1, 0, None, 1, 1.0], [2, 1.5, None, 1, 1.0]]},
 ], ids=["empty", "not-json", "undecodable", "not-an-object", "no-base", "k-not-a-number",
-        "zero-denominator", "base-not-an-object"])
+        "zero-denominator", "base-not-an-object", "k-not-an-integer", "index-not-an-integer"])
 def test_malformed_spec_document_is_precondition_error(doc):
     with pytest.raises(PreconditionError):
         spec_from_json(doc)
@@ -189,8 +196,14 @@ def test_joint_arrays_match_the_atom_table():
     idx, tolls, weights = spec.joint_arrays(3)
     got = sorted(zip(map(tuple, idx.tolist()), tolls.tolist(), weights.tolist()))
     assert got == sorted((tuple(a), float(t), float(w)) for a, t, w in spec.joint_atoms(3))
-    with pytest.raises(UnsupportedExactError, match="sampler-only"):
-        make("broadcast_b_time").spec.joint_arrays(8)
+    # a toll law is expanded atom by atom within each index
+    spec = make("broadcast_b_time").spec
+    (g,) = spec.law_groups(8, False)
+    idx, tolls, weights = spec.joint_arrays(8)
+    size = len(g.toll.values)
+    assert idx[:, 0].tolist() == np.repeat(np.arange(8), size).tolist()
+    assert tolls.tolist() == [float(v) for v in g.toll.values] * 8
+    assert weights == pytest.approx(np.tile(g.toll.probs_f, 8) / 8, rel=1e-15, abs=0)
 
 
 def test_concurrent_reads_after_fill():
@@ -400,33 +413,6 @@ def test_sample_many_rejects_misshaped_starts():
         sample_many(spec, 5.0, 3, rng)
     with pytest.raises(PreconditionError):
         sample_many(spec, np.array([5, -1, 6]), 3, rng)
-    for starts, reps in (([5, 6], [1, 1]), ([5, 6], [1, 1, 1]), ([5, 6], [4, -1])):
-        with pytest.raises(PreconditionError):
-            sample_many(spec, np.array(starts), 3, rng, reps=np.array(reps))
-
-
-def test_sample_many_group_sums_match_per_particle_draws(monkeypatch):
-    import recdist.engine as engine_module
-
-    spec = make("unsuccessful_search").spec
-    starts = np.array([2, 50, 7, 300], dtype=np.int64)
-    reps = np.array([3, _BLOCK + 11, 0, 500], dtype=np.int64)
-    size = int(reps.sum())
-    flat = sample_many(spec, np.repeat(starts, reps), size, np.random.default_rng(8))
-    blocks = []
-    plain = engine_module._sample_block
-
-    def recorded(spec, draw, base, ns, rng):
-        blocks.append(ns.size)
-        return plain(spec, draw, base, ns, rng)
-
-    monkeypatch.setattr(engine_module, "_sample_block", recorded)
-    sums = sample_many(spec, starts, size, np.random.default_rng(8), reps=reps)
-    # the same particles in the same blocks: the same draws, summed per group
-    offsets = np.cumsum(reps) - reps
-    want = [flat[o : o + r].sum() for o, r in zip(offsets, reps)]
-    assert sums == pytest.approx(want, rel=1e-12)
-    assert max(blocks) <= _BLOCK and len(blocks) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +732,50 @@ def test_self_reference_in_trailing_position(mode):
     got = dict(zip((int(v) for v in law.values), law.probs))
     for k in range(10):
         assert float(got[k]) == pytest.approx(0.5 ** (k + 1), rel=1e-12)
+
+
+#: a toll law off the integer lattice: 0, 1/2 or 2
+_HALF_TOLL = Pmf((0, F(1, 2), 2), (F(1, 4), F(1, 4), F(1, 2)))
+
+
+def _toll_law_spec(first_start: int = 0) -> RecurrenceSpec:
+    """Y_n = Y_J + T with T ~ _HALF_TOLL drawn independently of J: J uniform
+    on 1..n-1 with mass 1/2 (a polynomial row), or J = j in {s, s + 1} with
+    mass 1/4 each and the toll T + j (a weight row with a slope), s the
+    given first start."""
+
+    def groups(n, exact):
+        two = np.ones(2, dtype=object if exact else float)
+        return [
+            VectorGroup(1, scale=F(1, 2 * (n - 1)), toll=_HALF_TOLL, poly=(1,)),
+            VectorGroup(first_start, two, F(1, 4) if exact else 0.25, (), _HALF_TOLL, 1),
+        ]
+
+    return RecurrenceSpec(name="toll_law", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(1)), groups=groups)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_toll_law_solves_as_its_atom_table(mode):
+    spec = _toll_law_spec()
+    solver = Solver(spec, SolveOptions(mode=mode, tail_eps=0.0))
+    for n in (2, 3, 6):
+        want = brute_law(spec, n)
+        law = solver.law(n)
+        if mode == "exact":
+            assert dict(zip(law.values, law.probs)) == want
+        else:
+            assert law.values == tuple(sorted(want))
+            assert law.probs == pytest.approx([float(want[v]) for v in law.values], rel=1e-12)
+        idx, tolls, weights = spec.joint_arrays(n)
+        atoms = spec.joint_atoms(n)
+        assert list(zip(idx[:, 0].tolist(), tolls.tolist())) == [(a[0][0], float(a[1])) for a in atoms]
+        assert weights == pytest.approx([float(a[2]) for a in atoms], rel=1e-15, abs=0)
+
+
+def test_self_referential_row_with_a_toll_law_rejected():
+    # at n = 2 the weight row over 1..2 refers back to n
+    with pytest.raises(UnsupportedExactError, match="toll law"):
+        Solver(_toll_law_spec(first_start=1)).law(2)
 
 
 def test_quadratic_self_reference_rejected():
