@@ -332,23 +332,51 @@ def fit_rate(series: Sequence[tuple], model: str = "c/ln^e n") -> RateFit:
     return RateFit(exponent, constant, residual)
 
 
+#: most (n, i) pairs log_power_ratio_check evaluates at once
+_PAIR_BLOCK = 1 << 13
+
+
+def _pair_blocks(n_max: int):
+    """Yield (n, i) integer arrays covering 3 <= n <= n_max, 1 <= i <= n in
+    row order, at most _PAIR_BLOCK pairs at a time: whole rows grouped while
+    they fit, and a longer row in pieces."""
+    n = 3
+    while n <= n_max:
+        if n > _PAIR_BLOCK:
+            for lo in range(1, n + 1, _PAIR_BLOCK):
+                i = np.arange(lo, min(lo + _PAIR_BLOCK, n + 1))
+                yield np.full(i.size, n), i
+            n += 1
+            continue
+        stop, size = n, 0
+        while stop <= n_max and size + stop <= _PAIR_BLOCK:
+            size += stop
+            stop += 1
+        lengths = np.arange(n, stop)
+        row_starts = np.cumsum(lengths) - lengths
+        yield np.repeat(lengths, lengths), np.arange(1, size + 1) - np.repeat(row_starts, lengths)
+        n = stop
+
+
 def log_power_ratio_check(alpha: float, n_max: int) -> list:
     """Exhaustively verify |(ln i / ln n)^alpha - 1| <= (2 or alpha)/ln n * |ln(i/n)|
-    for all 3 <= n <= n_max, 1 <= i <= n; returns the violations (expected none)."""
+    for all 3 <= n <= n_max, 1 <= i <= n; returns the violations (expected none),
+    ordered by n, then i. The pairs are evaluated in blocks of at most
+    ``_PAIR_BLOCK``, so memory grows with n_max, not with the number of pairs."""
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
     if n_max < 3:
         raise PreconditionError("n_max must be at least 3")
     fac = max(2.0, alpha)
+    ln_ns = np.array([math.log(n) for n in range(3, n_max + 1)])
+    ln_is = np.log(np.arange(1, n_max + 1, dtype=float))
     violations = []
-    for n in range(3, n_max + 1):
-        ln_n = math.log(n)
-        i = np.arange(1, n + 1, dtype=float)
-        lhs = np.abs((np.log(np.maximum(i, 1)) / ln_n) ** alpha - 1.0)
+    for n, i in _pair_blocks(n_max):
+        ln_n = ln_ns[n - 3]
+        lhs = np.abs((ln_is[i - 1] / ln_n) ** alpha - 1.0)
         rhs = fac / ln_n * np.abs(np.log(i / n))
-        bad = np.nonzero(lhs > rhs + 1e-12)[0]
-        for b in bad:
-            violations.append((n, int(i[b]), float(lhs[b]), float(rhs[b])))
+        for b in np.nonzero(lhs > rhs + 1e-12)[0]:
+            violations.append((int(n[b]), int(i[b]), float(lhs[b]), float(rhs[b])))
     return violations
 
 

@@ -20,14 +20,21 @@ from .errors import DivergenceError, PreconditionError
 from .pmf import Pmf
 
 _MAGNITUDE_CAP = 1e12
+#: particles per block of a population step; a block's arrays stay in cache
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
 class LimitEquation:
     """A limit equation described by its coefficient sampler.
 
-    ``coeff_sampler(rng, size)`` draws (A, b) arrays; A must contract in third
-    mean (checked by a large-sample probe before iterating).
+    ``coeff_sampler(rng, size)`` draws (A, b) arrays for ``size`` particles;
+    A must contract in third mean (checked by a large-sample probe before
+    iterating). The population is updated in blocks, and the sampler is
+    called once per block with that block's size. It must draw each
+    particle's coefficients independently and in stream order, so that the
+    results do not depend on the block size; it may return the same array
+    for A and b, since neither is written to.
     """
 
     name: str
@@ -57,7 +64,7 @@ def dickman_equation(population: int = 200_000, iterations: int = 60) -> LimitEq
 
     def sampler(rng: np.random.Generator, size: int) -> tuple:
         u = rng.random(size)
-        return u, u.copy()
+        return u, u
 
     return LimitEquation("dickman", sampler, population, iterations)
 
@@ -69,10 +76,22 @@ class PopulationResult(NamedTuple):
     third_moment: float
 
 
+def _blocks(size: int):
+    """Yield (start, stop) bounds of consecutive blocks of at most _BLOCK items."""
+    for start in range(0, size, _BLOCK):
+        yield start, min(start + _BLOCK, size)
+
+
 def contraction_probe(eq: LimitEquation, rng: np.random.Generator, samples: int = 1_000_000) -> float:
     """Sample estimate of E|A|^3; must be below one for the iteration to settle."""
-    a, _ = eq.coeff_sampler(rng, samples)
-    return float(np.mean(np.abs(a) ** 3))
+    total = 0.0
+    for start, stop in _blocks(samples):
+        a, _ = eq.coeff_sampler(rng, stop - start)
+        total += float(np.sum(np.abs(a) ** 3))
+    probe = total / samples
+    if not math.isfinite(probe):
+        raise PreconditionError(f"{eq.name}: contraction probe is not finite ({probe})")
+    return probe
 
 
 def _check_bins(bins: int) -> None:
@@ -80,29 +99,66 @@ def _check_bins(bins: int) -> None:
         raise PreconditionError(f"bins must be at least 1 (got {bins})")
 
 
+def _sorted_quantile(s: np.ndarray, q: float) -> float:
+    """np.quantile's default (linear) method read off an already sorted array.
+
+    Same operands and operation order as numpy's ``_lerp``, so the value is
+    bit-identical to ``np.quantile(s, q)`` for 0 <= q < 1 and s.size >= 2.
+    """
+    v = (s.size - 1) * q
+    i = math.floor(v)
+    t = v - i
+    a, b = s[i], s[i + 1]
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def _bin_population(x: np.ndarray, bins: int = 400) -> Pmf:
+    """Binned empirical law of a finite population; sorts ``x`` in place.
+
+    Few distinct values are reported exactly. Otherwise the values between
+    the 0.1% and 99.9% quantiles fall into ``bins`` equal-width bins, each
+    half-open except the last (``np.histogram``'s rule), and the rest of the
+    mass goes to ``lost_mass``.
+    """
     total = x.size
-    uniq, counts = np.unique(x, return_counts=True)
-    if uniq.size <= bins:
+    x.sort()
+    change = x[1:] != x[:-1]
+    if np.count_nonzero(change) < bins:
         # few distinct values: report them exactly instead of binning
+        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+        counts = np.diff(np.append(starts, total))
         return Pmf.from_atoms(
-            [(float(v), c / total) for v, c in zip(uniq, counts)]
+            [(float(x[s]), c / total) for s, c in zip(starts, counts)]
         )
-    lo, hi = np.quantile(x, [0.001, 0.999])
+    lo, hi = _sorted_quantile(x, 0.001), _sorted_quantile(x, 0.999)
     if hi <= lo:
         return Pmf.delta(float(np.round(lo, 12)))
-    inside = (x >= lo) & (x <= hi)
-    counts, edges = np.histogram(x[inside], bins=bins, range=(float(lo), float(hi)))
+    edges = np.histogram_bin_edges(x, bins=bins, range=(float(lo), float(hi)))
+    bounds = np.searchsorted(x, edges)  # edges[0] is lo itself
+    bounds[-1] = np.searchsorted(x, hi, side="right")  # the last bin is closed
+    counts = np.diff(bounds)
     centers = 0.5 * (edges[:-1] + edges[1:])
     atoms = [(float(c), cnt / total) for c, cnt in zip(centers, counts) if cnt > 0]
-    lost = float((total - int(inside.sum())) / total)
+    lost = float((total - (bounds[-1] - bounds[0])) / total)
     return Pmf.from_atoms(atoms, lost)
+
+
+def _binned_result(x: np.ndarray, bins: int) -> PopulationResult:
+    # the moments read x in its own order, before binning sorts it
+    mean, second, third = float(np.mean(x)), float(np.mean(x**2)), float(np.mean(x**3))
+    return PopulationResult(_bin_population(x, bins), mean, second, third)
 
 
 def iterate_population(
     eq: LimitEquation, rng: np.random.Generator, bins: int = 400
 ) -> PopulationResult:
-    """Push a particle population through the equation and bin the result."""
+    """Push a particle population through the equation and bin the result.
+
+    Each step updates the population in place, block by block, so the
+    working memory is the population plus one transient population-sized
+    array (for the moments).
+    """
     _check_bins(bins)
     probe = contraction_probe(eq, rng)
     if probe >= 1.0:
@@ -110,17 +166,18 @@ def iterate_population(
             f"{eq.name}: coefficient fails the third-mean contraction probe ({probe:.3f})"
         )
     x = np.zeros(eq.population)
-    for _ in range(eq.iterations):
-        a, b = eq.coeff_sampler(rng, eq.population)
-        x = a * x + b
-        if float(np.max(np.abs(x))) > _MAGNITUDE_CAP:
-            raise DivergenceError(f"{eq.name}: population left the magnitude envelope")
-    return PopulationResult(
-        _bin_population(x, bins),
-        float(np.mean(x)),
-        float(np.mean(x**2)),
-        float(np.mean(x**3)),
-    )
+    for step in range(1, eq.iterations + 1):
+        for start, stop in _blocks(eq.population):
+            a, b = eq.coeff_sampler(rng, stop - start)
+            block = x[start:stop]
+            block *= a
+            block += b
+            big = float(np.max(np.abs(block)))
+            if not big <= _MAGNITUDE_CAP:  # also catches NaN
+                raise DivergenceError(
+                    f"{eq.name}: population left the magnitude envelope at step {step} ({big})"
+                )
+    return _binned_result(x, bins)
 
 
 def dickman_reference_moments(k: int) -> Fraction:
@@ -163,18 +220,24 @@ def normal_characterization_iterate(
         )
     if steps < 0:
         raise PreconditionError("step count must be nonnegative")
+    if population < 1:
+        raise PreconditionError("population must be at least 1")
     _check_bins(bins)
     cums = np.cumsum(w_law.probs_f)
     cums /= cums[-1]
     picks = np.searchsorted(cums, rng.random(population))
-    x = w_law.values_f[np.minimum(picks, len(cums) - 1)].copy()
+    np.minimum(picks, len(cums) - 1, out=picks)
+    x = w_law.values_f[picks]
+    del picks
+    companion = np.empty_like(x)
     for k in range(1, steps + 1):
         q = math.sqrt(k / (k + 1.0))
-        companion = -x[rng.permutation(population)]
-        x = q * x + math.sqrt(1.0 - q * q) * companion
-    return PopulationResult(
-        _bin_population(x, bins),
-        float(np.mean(x)),
-        float(np.mean(x**2)),
-        float(np.mean(x**3)),
-    )
+        # shuffling a copy draws the same swaps as rng.permutation(population),
+        # so companion equals x[rng.permutation(population)]
+        np.copyto(companion, x)
+        rng.shuffle(companion)
+        companion *= -math.sqrt(1.0 - q * q)
+        x *= q
+        x += companion
+    del companion
+    return _binned_result(x, bins)

@@ -26,6 +26,7 @@ from recdist import (
     zeta3_standardized,
     zeta3_to_normal,
 )
+from recdist import clt
 from recdist.clt import VERIFICATION_COLUMNS, verification_row
 
 from brute import broadcast_b_means, election_rounds_law
@@ -373,6 +374,37 @@ def test_fit_rate_input_validation():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
 def test_log_power_ratio_no_violations(alpha):
     assert log_power_ratio_check(alpha, 500) == []
+
+
+def _log_power_ratio_by_rows(alpha, n_max):
+    # the one-row-per-n loop that the blocked check replaced
+    fac = max(2.0, alpha)
+    violations = []
+    for n in range(3, n_max + 1):
+        ln_n = math.log(n)
+        i = np.arange(1, n + 1, dtype=float)
+        lhs = np.abs((np.log(np.maximum(i, 1)) / ln_n) ** alpha - 1.0)
+        rhs = fac / ln_n * np.abs(np.log(i / n))
+        bad = np.nonzero(lhs > rhs + 1e-12)[0]
+        for b in bad:
+            violations.append((n, int(i[b]), float(lhs[b]), float(rhs[b])))
+    return violations
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("n_max", [3, 4, 50, 500])
+def test_log_power_ratio_blocks_match_the_row_loop(alpha, n_max):
+    assert log_power_ratio_check(alpha, n_max) == _log_power_ratio_by_rows(alpha, n_max)
+
+
+def test_log_power_ratio_pair_blocks_cover_the_triangle(monkeypatch):
+    # a tiny block splits long rows into pieces and groups short ones
+    monkeypatch.setattr(clt, "_PAIR_BLOCK", 7)
+    blocks = list(clt._pair_blocks(30))
+    assert all(len(n) == len(i) <= 7 for n, i in blocks)
+    pairs = [(int(a), int(b)) for n, i in blocks for a, b in zip(n, i)]
+    assert pairs == [(n, i) for n in range(3, 31) for i in range(1, n + 1)]
+    assert log_power_ratio_check(1.5, 60) == _log_power_ratio_by_rows(1.5, 60)
 
 
 def test_log_power_ratio_validates_input():
