@@ -22,24 +22,29 @@ Every law is a dense numpy row on the integer lattice of spacing ``1/D``,
 float mode; in exact mode Python-int numerators (object dtype) over one int
 denominator per row, reduced by one gcd per level, so no ``Fraction`` is made
 while solving. A row first mixes the child laws over its leading index (its
-inner mixture), by one of three kernels. A polynomial row takes running
+inner mixture), by one of four kernels. A polynomial row takes running
 sums, in both modes: the sum over ``first_start <= j < n`` of ``j**p`` times
 child row ``j`` is kept for each power ``p`` across levels, each new row is
 added once (compensated in float mode, over the lcm of the denominators in
 exact mode), and the mixture is the sums times the coefficients, so a level
-costs O(width) instead of O(n * width). Any other row mixes by a
-matrix-vector product over the stacked child rows (float mode, constant
-toll; the stack is built when a row first reads it, so models written in
-polynomial rows never hold one) or by shifted adds of the child rows (exact
-mode or sloped toll). Inner mixtures are memoized by cache key, in float
-mode as rows of one stacked matrix in the child rows' column frame.
-Float mode then takes a whole block at once: its scaled trailing child rows,
-transposed, times its inner mixtures, summed along the anti-diagonals, is
-the sum of every row's convolution; a :class:`VectorGroup` is a block of one
-row. Exact mode expands blocks into rows and convolves row by row with the
-integer kernels. Both modes truncate by one rule: a solved level's row is
-trimmed at both ends within ``tail_eps`` of mass, and the level stores only
-that row; its law and moments are built from it on first read.
+costs O(width) instead of O(n * width). A float row of one entry with no
+trailing index and no cache key (``node_depth``'s index 0) is its child's
+stored row times its weight. Any other row mixes by a matrix-vector product
+over the stacked child rows (float mode, constant toll; the stack is built
+when a row first reads it, so models written in polynomial rows never hold
+one) or by shifted adds of the child rows (exact mode or sloped toll).
+Inner mixtures are memoized by cache key, in float mode as rows of one
+stacked matrix in the child rows' column frame. Float mode then takes a
+whole block at once: its scaled trailing child rows, transposed, times its
+inner mixtures, summed along the anti-diagonals, is the sum of every row's
+convolution; the scaled trailing child rows are kept from one level to the
+next while the block's trailing indices and scales repeat (the broadcast
+blocks from n = 66 on), and a :class:`VectorGroup` is a block of one row.
+Exact mode expands blocks into rows and convolves row by row with the
+integer kernels. A toll law is convolved once with its row's mixture. Both
+modes truncate by one rule: a solved level's row is trimmed at both ends
+within ``tail_eps`` of mass, and the level stores only that row; its law and
+moments are built from it on first read.
 """
 
 from __future__ import annotations
@@ -157,6 +162,16 @@ class VectorBlock:
         """The length of every row."""
         return np.fromiter(map(len, self.rows), np.int64, len(self.rows))
 
+    @cached_property
+    def reach(self) -> tuple:
+        """(longest row, smallest and largest trailing index) as ints; the
+        trailing ones are 0 and -1 when there are none."""
+        o = self.others
+        longest = int(np.maximum.reduce(self.lengths, initial=0))
+        if not o.size:
+            return longest, 0, -1
+        return longest, int(np.minimum.reduce(o, axis=None)), int(np.maximum.reduce(o, axis=None))
+
     def expand(self) -> list:
         """The rows as :class:`VectorGroup` s, in order."""
         keys = [None] * len(self.rows) if self.cache_keys is None else self.cache_keys.tolist()
@@ -199,7 +214,7 @@ def _unit_malformed(g, k: int, n: int) -> bool:
             or (t and (min(t) < 0 or max(t) > n))
             or (key is not None and not (isinstance(key, Integral) and key >= 0))
         )
-    rows, lens, others, scales, keys = g.rows, g.lengths, g.others, g.scales, g.cache_keys
+    rows, others, scales, keys = g.rows, g.others, g.scales, g.cache_keys
     if (
         not isinstance(others, np.ndarray)
         or others.ndim != 2
@@ -207,12 +222,14 @@ def _unit_malformed(g, k: int, n: int) -> bool:
         or (keys is not None and (len(keys) != len(rows) or keys.dtype.kind not in "iu"))
     ):
         return True
+    longest, low, top = g.reach
     return bool(
         others.shape[1] != k - 1
         or g.first_start < 0
-        or g.first_start + int(lens.max(initial=0)) > n + 1
-        or (others.size and (others.min() < 0 or others.max() > n))
-        or (keys is not None and keys.size and keys.min() < 0)
+        or g.first_start + longest > n + 1
+        or low < 0
+        or top > n
+        or (keys is not None and keys.size and np.minimum.reduce(keys) < 0)
     )
 
 
@@ -288,11 +305,12 @@ class RecurrenceSpec:
             return _atom_groups(self.joint_atoms(n), exact)
         self._check_index(n)
         groups = list(self.groups(n, exact))
-        if any(_unit_malformed(g, self.k, n) for g in groups):
-            raise PreconditionError(
-                f"joint group at n={n}: arity differs from k, index outside {{0,...,n}}, "
-                "or polynomial row with no coefficients, an empty range or a trailing index n"
-            )
+        for g in groups:
+            if _unit_malformed(g, self.k, n):
+                raise PreconditionError(
+                    f"joint group at n={n}: arity differs from k, index outside {{0,...,n}}, "
+                    "or polynomial row with no coefficients, an empty range or a trailing index n"
+                )
         if exact:
             groups = [r for g in groups for r in (g.expand() if isinstance(g, VectorBlock) else (g,))]
             # one pass per property over all rows; the weights themselves are
@@ -412,29 +430,28 @@ def _exact_weight(q):
 
 class _Stack:
     """Float rows stored densely in the solver's column frame, with the first
-    and last lattice position of each row (``lo > hi``: nothing stored)."""
+    and last lattice position of each row (``lo > hi``: nothing stored; one
+    such slot follows the last row)."""
 
     __slots__ = ("vals", "lo", "hi")
 
     def __init__(self, height: int, width: int):
         self.vals = np.zeros((height, width))
-        self.lo = np.full(height, 2**62, dtype=np.int64)
-        self.hi = np.full(height, -(2**62), dtype=np.int64)
+        self.lo = np.full(height + 1, 2**62, dtype=np.int64)
+        self.hi = np.full(height + 1, -(2**62), dtype=np.int64)
 
     def resized(self, height: int, width: int, shift: int) -> "_Stack":
         """A copy of the given shape, its columns moved ``shift`` to the right."""
         new = _Stack(height, width)
         h, w = self.vals.shape
         new.vals[:h, shift : shift + w] = self.vals
-        new.lo[:h], new.hi[:h] = self.lo, self.hi
+        new.lo[:h], new.hi[:h] = self.lo[:h], self.hi[:h]
         return new
 
     def stored(self, keys: np.ndarray) -> np.ndarray:
-        """Which of the rows ``keys`` hold a stored row."""
-        inside = keys < len(self.lo)
-        out = np.zeros(len(keys), dtype=bool)
-        out[inside] = self.lo[keys[inside]] <= self.hi[keys[inside]]
-        return out
+        """Which of the rows ``keys`` hold a stored row (a key past the last
+        row reads the empty slot after it)."""
+        return self.lo.take(keys, mode="clip") <= self.hi.take(keys, mode="clip")
 
     def cells(self) -> int:
         span = self.hi - self.lo + 1
@@ -545,6 +562,8 @@ class Solver:
         self._col_lo = 0  # lattice position of the stacks' first column
         self._inner_cache: dict = {}  # inner mixtures by cache key when not stacked
         self._sums: dict = {}  # running sums of polynomial rows, by (first_start, power, slope)
+        self._trail_mix: tuple | None = None  # the last block's scaled trailing children, by key
+        self._skew = np.zeros((0, 0))  # the buffer of _contract
         self._atom_pos: dict = {}
 
     # ---- public surface ----
@@ -630,13 +649,17 @@ class Solver:
         in term order with denominator 1; exact mode brings the terms onto
         the lcm of their denominators, in ints."""
         if lo is None:
-            lo = min(t[0] for t in terms)
+            lo = min([t[0] for t in terms])
         if size is None:
-            size = max(t[0] + len(t[1]) for t in terms) - lo
+            size = max([t[0] + len(t[1]) for t in terms]) - lo
         acc = self._zeros(m, size)
         if not self._exact:
-            for off, arr, _, c, _ in terms:
-                acc[off - lo : off - lo + len(arr)] += arr if c == 1 else c * arr
+            for i, (off, arr, _, c, _) in enumerate(terms):
+                cut = acc[off - lo : off - lo + len(arr)]
+                if i == 0 and isinstance(c, float):  # onto zeros: the product itself
+                    np.multiply(arr, c, out=cut)
+                else:
+                    cut += arr if c == 1 else c * arr
             return lo, acc, 1
         qs = [_exact_weight(t[3]) for t in terms]
         den = math.lcm(*(t[2] * q.denominator for t, q in zip(terms, qs)))
@@ -664,8 +687,10 @@ class Solver:
         groups = spec.law_groups(m, exact)
         den = self._den
         for g in groups:
-            tolls = g.toll.values if isinstance(g.toll, Pmf) else (g.toll,)
-            for t in (*tolls, g.slope):
+            toll, slope = g.toll, g.slope
+            if type(toll) is int and type(slope) is int:
+                continue
+            for t in (*(toll.values if isinstance(toll, Pmf) else (toll,)), slope):
                 if type(t) is not int:
                     den = math.lcm(den, _rational(t).denominator)
         if den != self._den:
@@ -678,7 +703,8 @@ class Solver:
         if not pieces:
             raise PreconditionError(f"law at n={m} has no mass")
         lo, acc, den = self._add_rows(m, pieces)
-        acc, den = self._eliminate_self(m, acc, den, self_terms)
+        if self_terms:
+            acc, den = self._eliminate_self(m, acc, den, self_terms)
         self._publish(m, lo, acc, den, self._budget)
 
     def _pieces(self, m: int, g, self_terms: list) -> list:
@@ -686,11 +712,15 @@ class Solver:
         group or block adds to level m; its self-referential atoms are
         appended to ``self_terms``. A toll law is convolved with the group's
         mixture once; a group with a toll law must not refer back to m."""
-        law = g.toll
-        if not isinstance(law, Pmf):
-            return self._mix_poly(m, g) if isinstance(g, VectorGroup) and g.poly else self._mix(m, g, self_terms)
+        law = g.toll if isinstance(g.toll, Pmf) else None
+        toll = g.toll if law is None else 0
         n_self = len(self_terms)
-        mixed = self._pieces(m, replace(g, toll=0), self_terms)
+        if isinstance(g, VectorGroup) and g.poly:
+            mixed = self._mix_poly(m, g, toll)
+        else:
+            mixed = self._mix(m, g, self_terms, toll)
+        if law is None:
+            return mixed
         if len(self_terms) > n_self:
             raise UnsupportedExactError(f"{self.spec.name}: joint group at n={m} with a toll law refers back to n")
         if not mixed:
@@ -703,7 +733,11 @@ class Solver:
         """A base or toll law as (lattice offset, dense row, denominator): float
         probabilities, or in exact mode int numerators (float probabilities,
         e.g. from JSON, promote losslessly)."""
-        ks = [int(_rational(v) * self._den) for v in law.values]
+        vals, d = law.values, self._den
+        if all(type(v) is int for v in vals):
+            ks = [v * d for v in vals]
+        else:
+            ks = [int(_rational(v) * d) for v in vals]
         row, den = self._zeros(m, ks[-1] - ks[0] + 1), 1
         if self._exact:
             qs = [Fraction(p) for p in law.probs]
@@ -711,8 +745,7 @@ class Solver:
             for k, q in zip(ks, qs):
                 row[k - ks[0]] = q.numerator * (den // q.denominator)
         else:
-            for k, p in zip(ks, law.probs):
-                row[k - ks[0]] = float(p)
+            row[[k - ks[0] for k in ks]] = np.array(law.probs, dtype=float)  # no cached view on the law
         return ks[0], row, den
 
     def _refine(self, m: int, den: int) -> None:
@@ -727,6 +760,7 @@ class Solver:
         self._atom_pos.clear()
         self._inner_cache.clear()
         self._sums.clear()
+        self._trail_mix = None
         self._mat = self._imat = None  # rebuilt on first use
 
     def _self_atom_term(self, m: int, idx: tuple, toll, w) -> tuple:
@@ -756,13 +790,17 @@ class Solver:
         add a geometric series, summed until its remainder drops below the
         truncation budget; the remainder stays missing and lands in lost_mass.
         """
-        if not self_terms:
-            return acc, den
-        c0 = sum(c for c, s in self_terms if s == 0)
-        shifted = [(c, s) for c, s in self_terms if s != 0]
+        c0 = c_shifted = smax = 0  # unshifted and shifted weight, largest shift
+        shifted = []
+        for c, s in self_terms:
+            if s == 0:
+                c0 += c
+            else:
+                shifted.append((c, s))
+                c_shifted, smax = c_shifted + c, max(smax, s)
         if any(s < 0 for _, s in shifted):
             raise UnsupportedExactError("self-referential shifts must be nonnegative")
-        if c0 + sum(c for c, _ in shifted) >= 1:
+        if c0 + c_shifted >= 1:
             raise PreconditionError(
                 f"{self.spec.name}: joint law at n={m} recurses on n with probability 1"
             )
@@ -771,17 +809,16 @@ class Solver:
             denom = Fraction(denom)
             if denom != 1:
                 acc, den = acc * denom.denominator, den * denom.numerator
-        else:
+        elif denom != 1:
             acc = acc / denom
         if not shifted:
             return acc, den
-        ratio = float(sum(c for c, _ in shifted) / denom)
+        ratio = float(c_shifted / denom)
         eps = max(self.opts.tail_eps / 4.0, _GEO_EPS_FLOOR)
-        smax = max(s for _, s in shifted)
         out = term = acc
         out_den = term_den = den
         for _ in range(10_000):
-            mass = int(term.sum()) / term_den if self._exact else float(term.sum())
+            mass = int(term.sum()) / term_den if self._exact else float(np.add.reduce(term))
             if mass * ratio / max(1.0 - ratio, 1e-15) <= eps:
                 return out, out_den
             size = len(term) + smax
@@ -800,23 +837,28 @@ class Solver:
         nz = acc.nonzero()[0]
         if nz.size == 0:
             raise PreconditionError(f"law at n={m} has no mass")
-        atoms = acc[nz]
-        positive = atoms > 0  # False for NaN too
-        if not positive.all():
-            p = atoms[int(np.argmin(positive))]
+        i0, i1 = int(nz[0]), int(nz[-1])
+        side_by_side = i1 - i0 < len(nz)  # then the atoms are a view
+        atoms = acc[i0 : i1 + 1] if side_by_side else acc[nz]
+        if not np.minimum.reduce(atoms) > 0:  # False for NaN too
+            p = atoms[int(np.argmin(atoms > 0))]
             p = Fraction(p, den) if self._exact else p
             raise PreconditionError(f"law at n={m}: atom probability {p} is not positive")
         first, last, _ = outer_trim(atoms, budget * den if self._exact else budget)
-        row = acc[nz[first] : nz[last] + 1]
-        nums = row.tolist() if self._exact else None
-        mass = sum(nums) / den if self._exact else float(row.sum())
+        a, b = (i0 + first, i0 + last) if side_by_side else (int(nz[first]), int(nz[last]))
+        row = acc[a : b + 1]
+        if self._exact:
+            nums = row.tolist()
+            mass = sum(nums) / den
+        else:
+            mass = float(np.add.reduce(row))
         if mass > 1.0 + MASS_TOL * 8:
             raise PreconditionError(f"law at n={m}: mass {mass} deviates from 1 beyond tolerance")
         if self._exact:
             g = math.gcd(den, *nums)
             if g > 1:
                 row, den = row // g, den // g
-        off = lo + int(nz[first])
+        off = lo + a
         self._rows.append((off, row, den))
         if self._mat is not None:
             self._stack_write(False, m, off, row)
@@ -824,26 +866,42 @@ class Solver:
 
     # ---- one group or block: inner mixtures, then the trailing children ----
 
-    def _mix(self, m: int, g, self_terms: list) -> list:
+    def _mix(self, m: int, g, self_terms: list, toll) -> list:
         """The pieces ``(offset, array, denominator, scale, None)`` that one
-        group or block adds to level m; its self-referential atoms are
-        appended to ``self_terms``.
+        group or block adds to level m under the toll ``toll``; its
+        self-referential atoms are appended to ``self_terms``.
 
         Each row mixes the child rows over its leading index (its inner
         mixture), memoized by cache key, and is convolved with its trailing
         children. Exact mode does so row by row with the integer kernels;
         float mode takes every row at once in :meth:`_contract`.
         """
-        fs, toll, slope = g.first_start, g.toll, g.slope
+        fs, slope = g.first_start, g.slope
+        if (
+            not self._exact
+            and isinstance(g, VectorGroup)
+            and len(g.weights) == 1
+            and not g.others
+            and g.cache_key is None
+            and fs < m
+        ):  # a k = 1 row of one entry: its child row times its weight
+            w = g.weights[0]
+            if not w:
+                return []
+            off, arr, _ = self._rows[fs]
+            off += self._units(slope * fs) + self._units(toll)
+            return [(off, arr if w == 1 else w * arr, 1, g.scale, None)]
         rows, lens, trail, scales, keys = _unit_rows(g)
         # self-referential atoms: n in a trailing position makes the whole
         # row refer back, n as the leading index one entry of it; such rows
         # are mixed from what is left of them, and never memoized
         fresh: dict = {}
-        for r in _self_rows(m, fs, lens, trail):
+        back = []  # the rows with a trailing index n: no inner mixture
+        for r in _self_rows(m, g, lens, trail):
             w, others = rows[r], trail[r].tolist()
             if m in others:
                 js, fresh[r] = (fs + np.flatnonzero(w)).tolist(), w[:0]
+                back.append(r)
             else:
                 js, fresh[r] = ([m] if w[m - fs] else []), w[: m - fs]
             self_terms += [
@@ -868,16 +926,22 @@ class Solver:
             if R == 1:
                 return [(lo + tu, I[0], 1, scales[0], None)]
             return [(lo + tu, np.asarray(scales, dtype=float) @ I, 1, 1, None)]
-        kids = np.flatnonzero(~(trail == m).any(axis=1))  # rows whose inner mixture may have mass
-        if trail.shape[1] == 1 and self._child_rows() is not None:
-            lo_t, T = self._dense(m, R, self._mat, trail[kids, 0], kids, {})
+        sf = np.asarray(scales, dtype=float)
+        key = (tuple(back), trail.tobytes(), sf.tobytes())
+        if R > 1 and self._trail_mix is not None and self._trail_mix[0] == key:
+            _, lo_t, T = self._trail_mix  # the same scaled trailing children as a level before
         else:
-            parts = {r: self._convolved(m, trail[r], 0, np.ones(1), 1) for r in kids.tolist()}
-            lo_t, T = self._dense(m, R, None, (), (), parts)
-        if R == 1:
-            self._span(m, I.shape[1] + T.shape[1] - 1)
-            return [(lo + lo_t + tu, np.convolve(I[0], T[0]), 1, scales[0], None)]
-        T *= np.asarray(scales, dtype=float)[:, None]
+            kids = np.delete(np.arange(R), back)  # rows whose inner mixture may have mass
+            if trail.shape[1] == 1 and self._child_rows() is not None:
+                lo_t, T = self._dense(m, R, self._mat, trail[kids, 0], kids, {})
+            else:
+                parts = {r: self._convolved(m, trail[r], 0, np.ones(1), 1) for r in kids.tolist()}
+                lo_t, T = self._dense(m, R, None, (), (), parts)
+            if R == 1:
+                self._span(m, I.shape[1] + T.shape[1] - 1)
+                return [(lo + lo_t + tu, np.convolve(I[0], T[0]), 1, scales[0], None)]
+            T *= sf[:, None]
+            self._trail_mix = (key, lo_t, T)
         return [(lo + lo_t + tu, self._contract(m, T, I), 1, 1, None)]
 
     def _convolved(self, m: int, idx: np.ndarray, off: int, vec: np.ndarray, den: int) -> tuple:
@@ -898,13 +962,15 @@ class Solver:
             return None if p is None else (p[0], p[1].reshape(1, -1))
         spans = [(p[0], p[0] + len(p[1]) - 1) for p in parts.values() if p is not None]
         if len(src):
-            a, b = int(stack.lo[src].min()), int(stack.hi[src].max())
+            a, b = int(np.minimum.reduce(stack.lo[src])), int(np.maximum.reduce(stack.hi[src]))
             spans.append((a, b))
         if not spans:
             return None
-        lo = min(x for x, _ in spans)
-        out = np.zeros((R, self._span(m, max(y for _, y in spans) - lo + 1)))
+        lo = min([x for x, _ in spans])
+        out = np.zeros((R, self._span(m, max([y for _, y in spans]) - lo + 1)))
         if len(src):
+            if dst[-1] - dst[0] == len(dst) - 1:  # rows side by side: a slice
+                dst = slice(int(dst[0]), int(dst[-1]) + 1)
             out[dst, a - lo : b + 1 - lo] = stack.vals[src, a - self._col_lo : b + 1 - self._col_lo]
         for r, p in parts.items():
             if p is not None:
@@ -921,26 +987,30 @@ class Solver:
         for a0 in range(0, A, step):
             P = I[:, a0 : a0 + step].T @ T
             a, L = len(P), len(P) + B - 1
-            # row i of P written i places further on in rows of length L
-            skew = np.zeros(a * (L + 1))
-            skew.reshape(a, L + 1)[:, :B] = P
-            out[a0 : a0 + L] += skew[: a * L].reshape(a, L).sum(axis=0)
+            # row i of P written i places further on in rows of length L; the
+            # buffer is kept while its shape repeats, its columns past B stay 0
+            if self._skew.shape != (a, L + 1):
+                self._skew = np.zeros((a, L + 1))
+            self._skew[:, :B] = P
+            out[a0 : a0 + L] += self._skew.reshape(-1)[: a * L].reshape(a, L).sum(axis=0)
         return out
 
     # ---- polynomial rows: running sums over the stored rows ----
 
-    def _mix_poly(self, m: int, g: VectorGroup) -> list:
+    def _mix_poly(self, m: int, g: VectorGroup, toll) -> list:
         """The pieces ``(offset, array, denominator, scale, None)`` that a
-        polynomial row adds to level m: for each coefficient ``c_p`` the
-        running sum over ``j`` of ``j**p`` times child row ``j``, convolved
-        with the trailing children, under the scale ``scale * c_p``."""
-        tu = self._units(g.toll)
-        trail = np.array(g.others, dtype=np.int64)
+        polynomial row adds to level m under the toll ``toll``: for each
+        coefficient ``c_p`` the running sum over ``j`` of ``j**p`` times child
+        row ``j``, convolved with the trailing children, under the scale
+        ``scale * c_p``."""
+        tu = self._units(toll)
         pieces = []
         for p, c in enumerate(g.poly):
             if c:
-                off, arr, den = self._convolved(m, trail, *self._running_sum(m, g.first_start, p, g.slope))
-                scale = g.scale * c if self._exact else float(g.scale) * c
+                off, arr, den = self._running_sum(m, g.first_start, p, g.slope)
+                if g.others:
+                    off, arr, den = self._convolved(m, np.array(g.others, dtype=np.int64), off, arr, den)
+                scale = g.scale * c if self._exact else _float(g.scale) * c
                 pieces.append((off + tu, arr, den, scale, None))
         return pieces
 
@@ -955,7 +1025,8 @@ class Solver:
             s = self._sums[(fs, p, slope)] = _RunningSum(fs)
         for j in range(s.upto, m):
             off, arr, den = self._rows[j]
-            off += self._units(slope * j)
+            if slope:
+                off += self._units(slope * j)
             if s.vals is None or off < s.lo or off + len(arr) > s.lo + len(s.vals):
                 self._widen(m, s, off, off + len(arr) - 1)
             at = off - s.lo
@@ -967,11 +1038,16 @@ class Solver:
                 pos = self._atoms_of(j)
                 s.vals[at + pos] += arr[pos] * (j**p * (lcm // den))
             else:  # compensated (Kahan) adds: the sum stays within a few ulps over 2^20 rows
-                cut = slice(at, at + len(arr))
-                y = (arr if p == 0 else float(j) ** p * arr) - s.comp[cut]
-                t = s.vals[cut] + y
-                s.comp[cut] = (t - s.vals[cut]) - y
-                s.vals[cut] = t
+                vals, comp = s.vals[at : at + len(arr)], s.comp[at : at + len(arr)]
+                if p == 0:
+                    y = arr - comp
+                else:
+                    y = float(j) ** p * arr
+                    y -= comp
+                t = vals + y
+                np.subtract(t, vals, out=comp)
+                comp -= y
+                vals[:] = t
             s.a, s.b = min(s.a, off), max(s.b, off + len(arr) - 1)
         s.upto = m
         return s.a, s.vals[s.a - s.lo : s.b - s.lo + 1], s.den
@@ -1012,7 +1088,7 @@ class Solver:
         lo, hi = off, off + len(arr) - 1
         st = self._imat if inner else self._mat
         c = lo - self._col_lo
-        if st is None or i >= len(st.lo) or c < 0 or c + len(arr) > st.vals.shape[1]:
+        if st is None or i >= len(st.vals) or c < 0 or c + len(arr) > st.vals.shape[1]:
             if not self._grow_stacks(inner, i, lo, hi):
                 return
             st, c = self._imat if inner else self._mat, lo - self._col_lo
@@ -1030,7 +1106,7 @@ class Solver:
             col_lo, width = self._col_lo, (imat if mat is None else mat).vals.shape[1]
             if lo < col_lo or hi >= col_lo + width:
                 col_lo, width = min(col_lo, lo - 16), max(col_lo + width, hi + 17) - min(col_lo, lo - 16)
-        heights = [0 if st is None else len(st.lo) for st in (mat, imat)]
+        heights = [0 if st is None else len(st.vals) for st in (mat, imat)]
         h = heights[inner]
         if i >= h:
             heights[inner] = max(2 * h, i + 1) if h else max(256, i + 1)
@@ -1063,10 +1139,10 @@ class Solver:
             cached = self._imat.stored(keys) if self._imat is not None else np.zeros(R, dtype=bool)
         else:
             cached = np.fromiter((k in self._inner_cache for k in keys.tolist()), bool, R)
-        if fresh:
-            cached[list(fresh)] = False
+        for r in fresh:
+            cached[r] = False
         parts = {r: self._inner_mix(m, fs, w, slope) for r, w in fresh.items()}
-        for r in np.flatnonzero(~cached).tolist():
+        for r in (~cached).nonzero()[0].tolist():
             if r in parts:
                 continue
             parts[r] = mix = self._inner_mix(m, fs, rows[r], slope)
@@ -1077,8 +1153,8 @@ class Solver:
             else:
                 self._inner_cache[int(keys[r])] = mix
         if self._stackable:
-            return np.flatnonzero(cached), parts
-        for r in np.flatnonzero(cached).tolist():  # memoized in the dict, or stacked until given up
+            return cached.nonzero()[0], parts
+        for r in cached.nonzero()[0].tolist():  # memoized in the dict, or stacked until given up
             key = int(keys[r])
             if key not in self._inner_cache:
                 self._inner_cache[key] = self._inner_mix(m, fs, rows[r], slope)
@@ -1089,7 +1165,7 @@ class Solver:
         """Mixture of the child rows ``fs, fs + 1, ...`` by ``weights``, each
         child shifted by its ``slope * j``, as (offset, dense array,
         denominator); None if it has no mass."""
-        if not weights.any():
+        if not np.logical_or.reduce(weights):
             return None
         if len(weights) == 1 and not self._exact:  # one child: its stored row, scaled
             off, arr, _ = self._rows[fs]
@@ -1109,15 +1185,24 @@ class Solver:
         return lo + int(nz[0]), vec[nz[0] : nz[-1] + 1], den
 
 
-def _self_rows(m: int, fs: int, lens, trail: np.ndarray) -> list:
-    """The rows holding a self-referential atom at level m: a trailing index
-    m, or leading indices ``fs, fs + 1, ...`` that reach m."""
+def _self_rows(m: int, g, lens, trail: np.ndarray) -> list:
+    """The rows of a group or block holding a self-referential atom at level
+    m: a trailing index m, or leading indices ``fs, fs + 1, ...`` that reach
+    m; a block's :attr:`VectorBlock.reach` rules most levels out at once."""
+    fs = g.first_start
     if len(lens) == 1:  # one row
         return [0] if fs <= m < fs + lens[0] or (trail.size and m in trail) else []
-    hit = lens > m - fs if fs <= m else np.zeros(len(lens), dtype=bool)
-    if trail.size:
-        hit |= (trail == m).any(axis=1)
-    return hit.nonzero()[0].tolist()
+    longest, _, top = g.reach
+    hit = lens > m - fs if fs <= m < fs + longest else None
+    if top >= m:
+        back = (trail == m).any(axis=1)
+        hit = back if hit is None else hit | back
+    return [] if hit is None else hit.nonzero()[0].tolist()
+
+
+def _float(q) -> float:
+    """float(q); a Fraction divides its ints directly, as float() would."""
+    return q.numerator / q.denominator if type(q) is Fraction else float(q)
 
 
 def _lattice_value(k: int, den: int):

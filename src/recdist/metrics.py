@@ -728,20 +728,23 @@ def random_smooth_member(rng: np.random.Generator, lo: float, hi: float, max_kno
 
 #: bisection stops once a bracket is this narrow (plus 4 ulps of the root)
 _ROOT_XTOL = 1e-13
+#: points per skeleton segment at which the probe looks for sign changes of H
+_PROBE_POINTS = 9
 
 
 def _sign_change_points(x: _Law, y: _Law, lo: float, hi: float) -> tuple:
     """Roots of H and the sign of H on each resulting piece.
 
-    H is the quadrature's integrand (:func:`_excess_gap`), evaluated on 33
-    points per segment of the quadrature's skeleton in one batched call; every
-    bracketed sign change is then bisected at once, one batched call of the
-    same evaluator per step, so a bracket never loses its sign change.
+    H is the quadrature's integrand (:func:`_excess_gap`), evaluated on
+    ``_PROBE_POINTS`` points per segment of the quadrature's skeleton in one
+    batched call; every bracketed sign change is then bisected at once, one
+    batched call of the same evaluator per step, so a bracket never loses its
+    sign change.
     """
     fn, center = _excess_gap(x, y)
     seeds = _breakpoints((x, y), lo, hi, center)
     segs = np.diff(seeds) > 0
-    grid = np.linspace(seeds[:-1][segs], seeds[1:][segs], 33, axis=1)
+    grid = np.linspace(seeds[:-1][segs], seeds[1:][segs], _PROBE_POINTS, axis=1)
     sign = np.sign(fn(grid.ravel())).reshape(grid.shape)
     left, right = grid[:, :-1], grid[:, 1:]
     roots = [left[sign[:, :-1] == 0]]

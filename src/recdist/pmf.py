@@ -17,6 +17,7 @@ All operations are pure functions on immutable values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +31,8 @@ from .errors import CapacityError, PreconditionError
 MASS_TOL = 1e-12
 #: floating-mode atoms merge when |x - y| <= VALUE_MERGE_REL * max(1, |x|)
 VALUE_MERGE_REL = 1e-12
+#: float rows longer than this are trimmed from bounded ends (:func:`outer_trim`)
+_TRIM_SCAN = 256
 
 
 def _is_exact_number(x) -> bool:
@@ -67,21 +70,38 @@ def _strictly_above(a, b) -> bool:
 
 def outer_trim(probs: Sequence, eps) -> tuple:
     """The outer-truncation rule: repeatedly drop the smaller of the two
-    outermost positive probabilities while the total dropped stays within
-    ``eps``. Returns (first kept index, last kept index, mass dropped)."""
-    lo, hi = 0, len(probs) - 1
+    outermost positive probabilities (the lower one on a tie) while the total
+    dropped stays within ``eps``. Returns (first kept index, last kept index,
+    mass dropped).
+
+    Only atoms whose running sum from their own end fits in ``eps`` can be
+    dropped, so a long float array is read from each end only that far, plus
+    the atom that stops the scan; the greedy order and its sums are those of
+    the scan over every atom."""
+    n = len(probs)
+    a = b = n
+    if n > _TRIM_SCAN and isinstance(probs, np.ndarray) and probs.dtype.kind == "f":
+        # the slack covers running sums that round above the greedy's own
+        reach = eps * (1.0 + 2.0**-20)
+        a = int(probs.cumsum().searchsorted(reach, "right")) + 1
+        b = int(probs[::-1].cumsum().searchsorted(reach, "right")) + 1
+    if a + b < n:
+        low, high = probs[:a].tolist(), probs[n - b :].tolist()
+    else:
+        low = high = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
+    i = j = 0  # atoms dropped from the low and the high end
     removed = 0
-    while lo < hi:
-        side_lo = probs[lo] <= probs[hi]
-        cand = probs[lo] if side_lo else probs[hi]
-        if removed + cand > eps:
-            break
-        removed = removed + cand
-        if side_lo:
-            lo += 1
+    while i + j < n - 1:
+        x, y = low[i], high[-1 - j]
+        if x <= y:
+            if removed + x > eps:
+                break
+            removed, i = removed + x, i + 1
         else:
-            hi -= 1
-    return lo, hi, removed
+            if removed + y > eps:
+                break
+            removed, j = removed + y, j + 1
+    return i, n - 1 - j, removed
 
 
 @dataclass(frozen=True)
@@ -97,18 +117,20 @@ class Pmf:
             raise PreconditionError("values and probs length mismatch")
         if not self.values:
             raise PreconditionError("pmf needs at least one atom")
-        prev = None
-        for v in self.values:
-            if prev is not None and not _strictly_above(v, prev):
-                raise PreconditionError(f"atom values not strictly increasing near {v}")
-            prev = v
+        vals = self.values
+        kinds = set(map(type, vals))
+        # all ints or all floats compare as they are; anything else pair by pair
+        above = operator.gt if kinds == {int} or kinds == {float} else _strictly_above
+        if not all(map(above, vals[1:], vals)):
+            v = next(v for v, u in zip(vals[1:], vals) if not _strictly_above(v, u))
+            raise PreconditionError(f"atom values not strictly increasing near {v}")
         for p in self.probs:
             if not p > 0:
                 raise PreconditionError(f"atom probability {p} is not positive")
         lost = self.lost_mass
         if lost < 0:
             raise PreconditionError("lost_mass must be nonnegative")
-        total = math.fsum(float(p) for p in self.probs) + float(lost)
+        total = math.fsum(self.probs) + float(lost)
         if abs(total - 1.0) > MASS_TOL * 8:
             raise PreconditionError(f"mass {total} deviates from 1 beyond tolerance")
 

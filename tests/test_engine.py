@@ -835,3 +835,111 @@ def test_single_path_matches_brute_force(case):
     assert sum(truncated.probs) + truncated.lost_mass == 1
     for law in (exact, approx, Solver(spec, SolveOptions(tail_eps=0.01)).law(n)):
         assert abs(sum(law.probs) + law.lost_mass - 1) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the k = 1 kernels against plain loops, and one-entry rows
+# ---------------------------------------------------------------------------
+
+
+def _reference_rows(model: str, n_max: int, eps: float = 1e-12) -> list:
+    """The float rows (offset, row) of ``node_depth`` or ``unsuccessful_search``
+    up to n_max by a plain loop in the solver's float order: a compensated
+    (Kahan) running sum of j**p times row j, the pieces added onto zeros in
+    row order, then the outer trim, atom by atom."""
+    rows = [(-1, np.ones(1)), (0, np.ones(1))] if model == "node_depth" else [(0, np.ones(1))] * 2
+    p = 1 if model == "node_depth" else 0  # the power of j the polynomial row carries
+    pad = 8  # lattice position x sits at index x + pad
+    vals, comp = np.zeros(n_max + 2 * pad), np.zeros(n_max + 2 * pad)
+    a, b = n_max, -n_max  # lattice span of the running sum
+    for m in range(2, n_max + 1):
+        off, arr = rows[m - 1]  # the running sum takes row m - 1
+        cut = slice(off + pad, off + pad + len(arr))
+        y = float(m - 1) ** p * arr - comp[cut]
+        t = vals[cut] + y
+        comp[cut] = (t - vals[cut]) - y
+        vals[cut] = t
+        a, b = min(a, off), max(b, off + len(arr) - 1)
+        total = (a + 1, vals[a + pad : b + pad + 1])  # toll 1
+        if model == "node_depth":  # index 0 with weight 1/n, then j with weight 2j/n^2
+            pieces = [(rows[0][0] + 1, rows[0][1], 1.0 / m), (*total, 1.0 / (m * m) * 2)]
+        else:  # j = 1..n-1 with weight 1/(n-1)
+            pieces = [(*total, 1.0 / (m - 1))]
+        lo = min(q[0] for q in pieces)
+        acc = np.zeros(max(q[0] + len(q[1]) for q in pieces) - lo)
+        for q_off, q_arr, c in pieces:
+            acc[q_off - lo : q_off - lo + len(q_arr)] += c * q_arr
+        nz = np.flatnonzero(acc)
+        atoms = acc[nz]
+        first, last, removed = 0, len(atoms) - 1, 0.0
+        while first < last:
+            low_end = atoms[first] <= atoms[last]
+            cand = atoms[first] if low_end else atoms[last]
+            if removed + cand > eps:
+                break
+            removed += cand
+            first, last = (first + 1, last) if low_end else (first, last - 1)
+        rows.append((lo + int(nz[first]), acc[nz[first] : nz[last] + 1]))
+    return rows
+
+
+@pytest.mark.parametrize("model", ["node_depth", "unsuccessful_search"])
+def test_float_rows_equal_a_plain_reference_loop(model):
+    solver = make(model).solver()
+    solver.law(2048)
+    for m, (off, row) in enumerate(_reference_rows(model, 2048)):
+        got_off, got_row, den = solver._rows[m]
+        assert (got_off, den) == (off, 1), m
+        assert np.array_equal(got_row, row), m
+
+
+def _one_entry_spec(self_toll: int) -> RecurrenceSpec:
+    """Y_n = Y_{n-1} + 1 with probability 1/2, else Y_n + self_toll: two rows
+    of one entry each, the second of them n itself."""
+
+    def groups(n, exact):
+        one = np.ones(1, dtype=object if exact else float)
+        half = F(1, 2) if exact else 0.5
+        return [VectorGroup(n - 1, one, half, (), 1), VectorGroup(n, one, half, (), self_toll)]
+
+    return RecurrenceSpec(name="one_entry", k=1, n0=1, base_laws=(Pmf.delta(0),), groups=groups)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_one_entry_row_that_is_n_itself(mode):
+    # unshifted, the self entry divides the rest by 1/2: Y_n = n
+    law = Solver(_one_entry_spec(0), SolveOptions(mode=mode)).law(5)
+    assert law.values == (5,) and law.probs == (1,) and law.lost_mass == 0
+    # shifted by 1, each level adds a Geometric(1/2) on {0, 1, ...}: Y_n - n is
+    # negative binomial, P(k) = C(k + n - 1, k) / 2^(n + k)
+    n = 5
+    law = Solver(_one_entry_spec(1), SolveOptions(mode=mode, tail_eps=1e-13)).law(n)
+    got = dict(zip(law.values, law.probs))
+    for k in range(30):
+        want = F(math.comb(k + n - 1, k), 2 ** (n + k))
+        assert float(got[n + k]) == pytest.approx(float(want), rel=1e-12, abs=1e-16)
+    assert 0 < law.lost_mass <= 1e-13 * n
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_one_entry_rows_next_to_a_toll_law(mode):
+    # a one-entry row (index 0), one of weight zero, and a toll-law row
+    def groups(n, exact):
+        one, zero = (np.array([x], dtype=object if exact else float) for x in (1, 0))
+        half = F(1, 2) if exact else 0.5
+        return [
+            VectorGroup(0, one, half, (), 1),
+            VectorGroup(n - 1, zero, 1, (), 3),
+            VectorGroup(1, scale=F(1, 2 * (n - 1)), toll=_HALF_TOLL, poly=(1,)),
+        ]
+
+    spec = RecurrenceSpec(name="one_entry_toll_law", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(1)), groups=groups)
+    solver = Solver(spec, SolveOptions(mode=mode, tail_eps=0.0))
+    for n in (2, 3, 7):
+        want = brute_law(spec, n)
+        law = solver.law(n)
+        assert law.values == tuple(sorted(want))
+        if mode == "exact":
+            assert law.probs == tuple(want[v] for v in law.values)
+        else:
+            assert law.probs == pytest.approx([float(want[v]) for v in law.values], rel=1e-12)

@@ -27,7 +27,7 @@ from recdist import (
     zeta3_lower_probe,
 )
 from recdist import metrics as metrics_module
-from recdist.clt import accompanying_law
+from recdist.clt import accompanying_law, standardized_law
 from recdist.metrics import _excess_squares, _law, _zeta3_quad
 
 COIN = Pmf.from_atoms([(-1, 0.5), (1, 0.5)])
@@ -380,6 +380,27 @@ def test_probe_finds_no_rounding_noise_roots(request, n):
     lo, hi = metrics_module._window((x, y), metrics_module._WINDOW_SDS)
     roots, _ = metrics_module._sign_change_points(x, y, lo, hi)
     assert len(roots) <= 2
+
+
+@pytest.mark.parametrize("name", ["unsuccessful_search", "node_depth", "broadcast_a_time",
+                                  "broadcast_a_comparisons", "broadcast_b_time"])
+def test_probe_grid_finds_the_roots_of_a_fine_grid(monkeypatch, name):
+    # the coarse grid brackets every sign change the 129-point grid does, and
+    # bisection ends on the same roots, on the laws the benchmark probes
+    entry = make(name)
+    solver = entry.solver()
+    for n in (64, 256):
+        law, tau = standardized_law(solver, n, entry.params)
+        acc = accompanying_law(solver, n, entry.params)
+        for x, y in ((law, NormalMixture.normal(0.0, tau)), (acc.mixture, NormalMixture.normal(0.0, acc.sd))):
+            x, y = _law(x), _law(y)
+            y, _ = metrics_module._match_moments(x, y)
+            lo, hi = metrics_module._window((x, y), metrics_module._WINDOW_SDS)
+            found = []
+            for points in (metrics_module._PROBE_POINTS, 129):
+                monkeypatch.setattr(metrics_module, "_PROBE_POINTS", points)
+                found.append(metrics_module._sign_change_points(x, y, lo, hi))
+            assert found[0] == found[1], (n, found)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,29 @@ def test_mass_deviation_rejected():
 def test_duplicate_values_rejected():
     with pytest.raises(PreconditionError):
         Pmf((1, 1), (HALF, HALF))
+
+
+@pytest.mark.parametrize(
+    "values, near",
+    [
+        ((0, 2, 1, 0), 1),  # ints
+        ((0.0, 2.0, 2.0), 2.0),  # floats
+        ((0, 1.5, 1), 1),  # an int after a float
+        ((F(1, 3), F(1, 3)), F(1, 3)),  # Fractions
+        ((4, 4 + F(1, 2**51), 4 + F(1, 2**52)), 4 + F(1, 2**52)),  # rationals one float apart
+        ((True, 2, 1), 1),  # a bool is compared pair by pair
+    ],
+)
+def test_values_not_increasing_rejected_at_the_first_offender(values, near):
+    probs = (F(1, len(values)),) * len(values)
+    with pytest.raises(PreconditionError, match=f"near {re.escape(str(near))}$"):
+        Pmf(values, probs)
+
+
+def test_increasing_values_of_mixed_types_accepted():
+    # distinct rationals one float apart, and an int next to a float
+    assert Pmf((4, 4 + F(1, 2**51), 5.5), (F(1, 4), F(1, 4), F(1, 2))).values[1] > 4
+    assert Pmf((0, 0.5, 1), (0.25, 0.25, 0.5)).values == (0, 0.5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +149,62 @@ def test_truncate_outer_atom():
     lo, hi, removed = outer_trim((1e-15, 1 - 1e-15), 1e-12)
     assert (lo, hi) == (1, 1)
     assert removed == pytest.approx(1e-15)
+
+
+def _greedy_trim(probs, eps) -> tuple:
+    """The outer-truncation loop as first written: every atom read in turn."""
+    lo, hi = 0, len(probs) - 1
+    removed = 0
+    while lo < hi:
+        side_lo = probs[lo] <= probs[hi]
+        cand = probs[lo] if side_lo else probs[hi]
+        if removed + cand > eps:
+            break
+        removed = removed + cand
+        if side_lo:
+            lo += 1
+        else:
+            hi -= 1
+    return lo, hi, removed
+
+
+def _check_trim(probs, eps):
+    got, want = outer_trim(probs, eps), _greedy_trim(probs, eps)
+    assert got[:2] == want[:2]
+    assert got[2] == want[2] and type(got[2]) in (type(want[2]), float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([1e-16, 2e-16, 3e-14, 1e-13, 5e-13, 1e-12, 0.25, 0.5]), min_size=1, max_size=40),
+    st.lists(st.sampled_from([1e-16, 1e-15, 4e-14, 3e-13, 1e-12, 0.5]), max_size=400),
+    st.integers(0, 600),
+    st.sampled_from([0.0, 1e-15, 1e-13, 1e-12, 1e-10, 1.0]),
+)
+def test_trim_equals_the_atom_by_atom_loop_on_float_rows(body, tail, split, eps):
+    # long rows (past pmf._TRIM_SCAN) are read only near their ends; ties
+    # between the two ends pick the low one
+    probs = np.array(tail[: split % (len(tail) + 1)] + body + tail[::-1])
+    _check_trim(probs, eps)
+    _check_trim(tuple(probs.tolist()), eps)
+
+
+def test_trim_equals_the_atom_by_atom_loop_on_ties():
+    for n in (1, 2, 3, 300, 301):
+        probs = np.full(n, 1e-14)
+        for eps in (0.0, 1e-14, 5e-13, 1e-12, 1.0):
+            _check_trim(probs, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=30), st.integers(0, 40))
+def test_trim_equals_the_atom_by_atom_loop_on_exact_numerators(nums, eps):
+    # exact rows: int numerators in an object array against an int budget,
+    # and Fraction probabilities against a Fraction budget
+    _check_trim(np.array(nums, dtype=object), eps)
+    total = sum(nums)
+    _check_trim(tuple(F(a, total) for a in nums), F(eps, 4 * total))
+    _check_trim(np.array(nums, dtype=object), 0)
 
 
 def test_truncate_keeps_mass_invariant():
