@@ -164,13 +164,13 @@ class VectorBlock:
 
     @cached_property
     def reach(self) -> tuple:
-        """(longest row, smallest and largest trailing index) as ints; the
-        trailing ones are 0 and -1 when there are none."""
+        """(longest row, smallest and largest trailing index); the trailing
+        ones are 0 and -1 when there are none."""
         o = self.others
-        longest = int(np.maximum.reduce(self.lengths, initial=0))
+        longest = int(self.lengths.max(initial=0))
         if not o.size:
             return longest, 0, -1
-        return longest, int(np.minimum.reduce(o, axis=None)), int(np.maximum.reduce(o, axis=None))
+        return longest, o.min(), o.max()
 
     def expand(self) -> list:
         """The rows as :class:`VectorGroup` s, in order."""
@@ -218,6 +218,7 @@ def _unit_malformed(g, k: int, n: int) -> bool:
     if (
         not isinstance(others, np.ndarray)
         or others.ndim != 2
+        or others.dtype.kind not in "iu"
         or not len(rows) == len(others) == len(scales)
         or (keys is not None and (len(keys) != len(rows) or keys.dtype.kind not in "iu"))
     ):
@@ -229,7 +230,7 @@ def _unit_malformed(g, k: int, n: int) -> bool:
         or g.first_start + longest > n + 1
         or low < 0
         or top > n
-        or (keys is not None and keys.size and np.minimum.reduce(keys) < 0)
+        or (keys is not None and keys.size and keys.min() < 0)
     )
 
 
@@ -430,28 +431,29 @@ def _exact_weight(q):
 
 class _Stack:
     """Float rows stored densely in the solver's column frame, with the first
-    and last lattice position of each row (``lo > hi``: nothing stored; one
-    such slot follows the last row)."""
+    and last lattice position of each row (``lo > hi``: nothing stored)."""
 
     __slots__ = ("vals", "lo", "hi")
 
     def __init__(self, height: int, width: int):
         self.vals = np.zeros((height, width))
-        self.lo = np.full(height + 1, 2**62, dtype=np.int64)
-        self.hi = np.full(height + 1, -(2**62), dtype=np.int64)
+        self.lo = np.full(height, 2**62, dtype=np.int64)
+        self.hi = np.full(height, -(2**62), dtype=np.int64)
 
     def resized(self, height: int, width: int, shift: int) -> "_Stack":
         """A copy of the given shape, its columns moved ``shift`` to the right."""
         new = _Stack(height, width)
         h, w = self.vals.shape
         new.vals[:h, shift : shift + w] = self.vals
-        new.lo[:h], new.hi[:h] = self.lo[:h], self.hi[:h]
+        new.lo[:h], new.hi[:h] = self.lo, self.hi
         return new
 
     def stored(self, keys: np.ndarray) -> np.ndarray:
-        """Which of the rows ``keys`` hold a stored row (a key past the last
-        row reads the empty slot after it)."""
-        return self.lo.take(keys, mode="clip") <= self.hi.take(keys, mode="clip")
+        """Which of the rows ``keys`` hold a stored row."""
+        inside = keys < len(self.lo)
+        out = np.zeros(len(keys), dtype=bool)
+        out[inside] = self.lo[keys[inside]] <= self.hi[keys[inside]]
+        return out
 
     def cells(self) -> int:
         span = self.hi - self.lo + 1
@@ -649,9 +651,9 @@ class Solver:
         in term order with denominator 1; exact mode brings the terms onto
         the lcm of their denominators, in ints."""
         if lo is None:
-            lo = min([t[0] for t in terms])
+            lo = min(t[0] for t in terms)
         if size is None:
-            size = max([t[0] + len(t[1]) for t in terms]) - lo
+            size = max(t[0] + len(t[1]) for t in terms) - lo
         acc = self._zeros(m, size)
         if not self._exact:
             for i, (off, arr, _, c, _) in enumerate(terms):
@@ -818,7 +820,7 @@ class Solver:
         out = term = acc
         out_den = term_den = den
         for _ in range(10_000):
-            mass = int(term.sum()) / term_den if self._exact else float(np.add.reduce(term))
+            mass = int(term.sum()) / term_den if self._exact else float(term.sum())
             if mass * ratio / max(1.0 - ratio, 1e-15) <= eps:
                 return out, out_den
             size = len(term) + smax
@@ -840,7 +842,7 @@ class Solver:
         i0, i1 = int(nz[0]), int(nz[-1])
         side_by_side = i1 - i0 < len(nz)  # then the atoms are a view
         atoms = acc[i0 : i1 + 1] if side_by_side else acc[nz]
-        if not np.minimum.reduce(atoms) > 0:  # False for NaN too
+        if not atoms.min() > 0:  # False for NaN too
             p = atoms[int(np.argmin(atoms > 0))]
             p = Fraction(p, den) if self._exact else p
             raise PreconditionError(f"law at n={m}: atom probability {p} is not positive")
@@ -851,7 +853,7 @@ class Solver:
             nums = row.tolist()
             mass = sum(nums) / den
         else:
-            mass = float(np.add.reduce(row))
+            mass = float(row.sum())
         if mass > 1.0 + MASS_TOL * 8:
             raise PreconditionError(f"law at n={m}: mass {mass} deviates from 1 beyond tolerance")
         if self._exact:
@@ -885,12 +887,11 @@ class Solver:
             and g.cache_key is None
             and fs < m
         ):  # a k = 1 row of one entry: its child row times its weight
-            w = g.weights[0]
-            if not w:
+            mix = self._inner_mix(m, fs, g.weights, slope)
+            if mix is None:
                 return []
-            off, arr, _ = self._rows[fs]
-            off += self._units(slope * fs) + self._units(toll)
-            return [(off, arr if w == 1 else w * arr, 1, g.scale, None)]
+            off, arr, _ = mix
+            return [(off + self._units(toll), arr, 1, g.scale, None)]
         rows, lens, trail, scales, keys = _unit_rows(g)
         # self-referential atoms: n in a trailing position makes the whole
         # row refer back, n as the leading index one entry of it; such rows
@@ -962,15 +963,13 @@ class Solver:
             return None if p is None else (p[0], p[1].reshape(1, -1))
         spans = [(p[0], p[0] + len(p[1]) - 1) for p in parts.values() if p is not None]
         if len(src):
-            a, b = int(np.minimum.reduce(stack.lo[src])), int(np.maximum.reduce(stack.hi[src]))
+            a, b = int(stack.lo[src].min()), int(stack.hi[src].max())
             spans.append((a, b))
         if not spans:
             return None
-        lo = min([x for x, _ in spans])
-        out = np.zeros((R, self._span(m, max([y for _, y in spans]) - lo + 1)))
+        lo = min(x for x, _ in spans)
+        out = np.zeros((R, self._span(m, max(y for _, y in spans) - lo + 1)))
         if len(src):
-            if dst[-1] - dst[0] == len(dst) - 1:  # rows side by side: a slice
-                dst = slice(int(dst[0]), int(dst[-1]) + 1)
             out[dst, a - lo : b + 1 - lo] = stack.vals[src, a - self._col_lo : b + 1 - self._col_lo]
         for r, p in parts.items():
             if p is not None:
@@ -1010,7 +1009,7 @@ class Solver:
                 off, arr, den = self._running_sum(m, g.first_start, p, g.slope)
                 if g.others:
                     off, arr, den = self._convolved(m, np.array(g.others, dtype=np.int64), off, arr, den)
-                scale = g.scale * c if self._exact else _float(g.scale) * c
+                scale = g.scale * c if self._exact else float(g.scale) * c
                 pieces.append((off + tu, arr, den, scale, None))
         return pieces
 
@@ -1025,8 +1024,7 @@ class Solver:
             s = self._sums[(fs, p, slope)] = _RunningSum(fs)
         for j in range(s.upto, m):
             off, arr, den = self._rows[j]
-            if slope:
-                off += self._units(slope * j)
+            off += self._units(slope * j)
             if s.vals is None or off < s.lo or off + len(arr) > s.lo + len(s.vals):
                 self._widen(m, s, off, off + len(arr) - 1)
             at = off - s.lo
@@ -1088,7 +1086,7 @@ class Solver:
         lo, hi = off, off + len(arr) - 1
         st = self._imat if inner else self._mat
         c = lo - self._col_lo
-        if st is None or i >= len(st.vals) or c < 0 or c + len(arr) > st.vals.shape[1]:
+        if st is None or i >= len(st.lo) or c < 0 or c + len(arr) > st.vals.shape[1]:
             if not self._grow_stacks(inner, i, lo, hi):
                 return
             st, c = self._imat if inner else self._mat, lo - self._col_lo
@@ -1106,7 +1104,7 @@ class Solver:
             col_lo, width = self._col_lo, (imat if mat is None else mat).vals.shape[1]
             if lo < col_lo or hi >= col_lo + width:
                 col_lo, width = min(col_lo, lo - 16), max(col_lo + width, hi + 17) - min(col_lo, lo - 16)
-        heights = [0 if st is None else len(st.vals) for st in (mat, imat)]
+        heights = [0 if st is None else len(st.lo) for st in (mat, imat)]
         h = heights[inner]
         if i >= h:
             heights[inner] = max(2 * h, i + 1) if h else max(256, i + 1)
@@ -1139,8 +1137,8 @@ class Solver:
             cached = self._imat.stored(keys) if self._imat is not None else np.zeros(R, dtype=bool)
         else:
             cached = np.fromiter((k in self._inner_cache for k in keys.tolist()), bool, R)
-        for r in fresh:
-            cached[r] = False
+        if fresh:
+            cached[list(fresh)] = False
         parts = {r: self._inner_mix(m, fs, w, slope) for r, w in fresh.items()}
         for r in (~cached).nonzero()[0].tolist():
             if r in parts:
@@ -1165,11 +1163,14 @@ class Solver:
         """Mixture of the child rows ``fs, fs + 1, ...`` by ``weights``, each
         child shifted by its ``slope * j``, as (offset, dense array,
         denominator); None if it has no mass."""
-        if not np.logical_or.reduce(weights):
-            return None
         if len(weights) == 1 and not self._exact:  # one child: its stored row, scaled
+            w = weights[0]
+            if not w:
+                return None
             off, arr, _ = self._rows[fs]
-            return off + self._units(slope * fs), (arr if weights[0] == 1 else weights[0] * arr), 1
+            return off + self._units(slope * fs), (arr if w == 1 else w * arr), 1
+        if not weights.any():
+            return None
         if slope == 0 and self._child_rows() is not None:
             lo, vec, den = self._col_lo, weights @ self._mat.vals[fs : fs + len(weights)], 1
         else:
@@ -1198,11 +1199,6 @@ def _self_rows(m: int, g, lens, trail: np.ndarray) -> list:
         back = (trail == m).any(axis=1)
         hit = back if hit is None else hit | back
     return [] if hit is None else hit.nonzero()[0].tolist()
-
-
-def _float(q) -> float:
-    """float(q); a Fraction divides its ints directly, as float() would."""
-    return q.numerator / q.denominator if type(q) is Fraction else float(q)
 
 
 def _lattice_value(k: int, den: int):

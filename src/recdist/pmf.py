@@ -31,8 +31,6 @@ from .errors import CapacityError, PreconditionError
 MASS_TOL = 1e-12
 #: floating-mode atoms merge when |x - y| <= VALUE_MERGE_REL * max(1, |x|)
 VALUE_MERGE_REL = 1e-12
-#: float rows longer than this are trimmed from bounded ends (:func:`outer_trim`)
-_TRIM_SCAN = 256
 
 
 def _is_exact_number(x) -> bool:
@@ -72,36 +70,22 @@ def outer_trim(probs: Sequence, eps) -> tuple:
     """The outer-truncation rule: repeatedly drop the smaller of the two
     outermost positive probabilities (the lower one on a tie) while the total
     dropped stays within ``eps``. Returns (first kept index, last kept index,
-    mass dropped).
-
-    Only atoms whose running sum from their own end fits in ``eps`` can be
-    dropped, so a long float array is read from each end only that far, plus
-    the atom that stops the scan; the greedy order and its sums are those of
-    the scan over every atom."""
-    n = len(probs)
-    a = b = n
-    if n > _TRIM_SCAN and isinstance(probs, np.ndarray) and probs.dtype.kind == "f":
-        # the slack covers running sums that round above the greedy's own
-        reach = eps * (1.0 + 2.0**-20)
-        a = int(probs.cumsum().searchsorted(reach, "right")) + 1
-        b = int(probs[::-1].cumsum().searchsorted(reach, "right")) + 1
-    if a + b < n:
-        low, high = probs[:a].tolist(), probs[n - b :].tolist()
-    else:
-        low = high = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
-    i = j = 0  # atoms dropped from the low and the high end
+    mass dropped). The atoms are read as one Python list, not as numpy
+    scalars one by one."""
+    atoms = probs.tolist() if isinstance(probs, np.ndarray) else probs
+    lo, hi = 0, len(atoms) - 1
     removed = 0
-    while i + j < n - 1:
-        x, y = low[i], high[-1 - j]
-        if x <= y:
-            if removed + x > eps:
-                break
-            removed, i = removed + x, i + 1
+    while lo < hi:
+        side_lo = atoms[lo] <= atoms[hi]
+        cand = atoms[lo] if side_lo else atoms[hi]
+        if removed + cand > eps:
+            break
+        removed = removed + cand
+        if side_lo:
+            lo += 1
         else:
-            if removed + y > eps:
-                break
-            removed, j = removed + y, j + 1
-    return i, n - 1 - j, removed
+            hi -= 1
+    return lo, hi, removed
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from recdist import (
     SolveOptions,
     Solver,
     UnsupportedExactError,
+    VectorBlock,
     VectorGroup,
     make,
     sample_many,
@@ -585,6 +586,27 @@ def test_malformed_weight_rows_rejected(k, groups, modes):
     for mode in modes:
         with pytest.raises(PreconditionError):
             Solver(spec, SolveOptions(mode=mode)).law(3)
+
+
+@pytest.mark.parametrize(
+    "trail, ok",
+    [([[1]], True), ([[-0.5]], False), ([[3.5]], False), ([[0.5]], False), ([[1.0]], False)],
+    ids=["int", "negative", "past_n", "fractional", "integral_float"],
+)
+def test_block_trailing_indices_must_be_ints_in_range(trail, ok):
+    # a block's trailing indices are an int array with entries in 0..n; a
+    # float array is refused before its values are read as indices
+    def groups(n, exact):
+        return [VectorBlock(0, (_third(n, exact),), np.array(trail), np.ones(1, dtype=object if exact else float))]
+
+    spec = RecurrenceSpec(name="block", k=2, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), groups=groups)
+    for mode in ("float", "exact"):
+        solver = Solver(spec, SolveOptions(mode=mode))
+        if ok:
+            assert solver.law(3).values == (0,)
+        else:
+            with pytest.raises(PreconditionError):
+                solver.law(3)
 
 
 def _poly_spec(first: int, poly=(1,), toll=1, slope=0, others=()):

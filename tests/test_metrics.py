@@ -382,25 +382,63 @@ def test_probe_finds_no_rounding_noise_roots(request, n):
     assert len(roots) <= 2
 
 
-@pytest.mark.parametrize("name", ["unsuccessful_search", "node_depth", "broadcast_a_time",
-                                  "broadcast_a_comparisons", "broadcast_b_time"])
-def test_probe_grid_finds_the_roots_of_a_fine_grid(monkeypatch, name):
-    # the coarse grid brackets every sign change the 129-point grid does, and
-    # bisection ends on the same roots, on the laws the benchmark probes
+def test_probe_grid_brackets_two_close_sign_changes(monkeypatch):
+    # H changes sign at 0.3 and 0.4, inside one skeleton segment [0, 1]: on 3
+    # or 5 points per segment H is positive at every point and both roots are
+    # missed; the probe's grid brackets both, as a 129-point grid does
+    monkeypatch.setattr(metrics_module, "_excess_gap", lambda x, y: (lambda t: (t - 0.3) * (t - 0.4), 0.5))
+    monkeypatch.setattr(metrics_module, "_breakpoints", lambda ds, lo, hi, center: np.array([0.0, 1.0]))
+    probe, found = metrics_module._PROBE_POINTS, {}
+    for points in (3, 5, probe, 129):
+        monkeypatch.setattr(metrics_module, "_PROBE_POINTS", points)
+        found[points] = metrics_module._sign_change_points(None, None, 0.0, 1.0)
+    assert found[3] == found[5] == ([], [1.0])
+    for points in (probe, 129):
+        roots, signs = found[points]
+        assert roots == pytest.approx([0.3, 0.4], abs=1e-12) and signs == [1.0, -1.0, 1.0]
+
+
+def test_probe_on_identical_laws_takes_every_grid_point_for_a_root():
+    # H is 0 everywhere, so every grid point strictly inside the window is a
+    # root: the coin's window has 2 skeleton segments, whose 9 points each
+    # share the middle one, so 2 * 9 - 1 points, 15 inside the window ends
+    x = _law(COIN)
+    lo, hi = metrics_module._window((x, x), metrics_module._WINDOW_SDS)
+    roots, signs = metrics_module._sign_change_points(x, x, lo, hi)
+    assert len(roots) == 15
+    assert signs == [0.0] * 16
+
+
+_DEGENERATE = ["unsuccessful_search", "node_depth", "broadcast_a_time", "broadcast_a_comparisons", "broadcast_b_time"]
+
+
+@pytest.mark.parametrize(
+    "name, n, surrogate",
+    [(name, 64, True) for name in _DEGENERATE]
+    + [(name, 256, name in _DEGENERATE[:3]) for name in _DEGENERATE],
+)
+def test_probe_grid_finds_the_roots_of_a_fine_grid(monkeypatch, name, n, surrogate):
+    # the probe's grid brackets every sign change the 129-point grid does,
+    # and bisection ends on the same roots, on the standardized laws and the
+    # surrogates the benchmark probes; the surrogates of the two other
+    # broadcast models at n = 256 (10^4 components, no sign change) are left
+    # out, as the 129-point grid takes 5 s on them
     entry = make(name)
     solver = entry.solver()
-    for n in (64, 256):
-        law, tau = standardized_law(solver, n, entry.params)
+    law, tau = standardized_law(solver, n, entry.params)
+    pairs = [(law, NormalMixture.normal(0.0, tau))]
+    if surrogate:
         acc = accompanying_law(solver, n, entry.params)
-        for x, y in ((law, NormalMixture.normal(0.0, tau)), (acc.mixture, NormalMixture.normal(0.0, acc.sd))):
-            x, y = _law(x), _law(y)
-            y, _ = metrics_module._match_moments(x, y)
-            lo, hi = metrics_module._window((x, y), metrics_module._WINDOW_SDS)
-            found = []
-            for points in (metrics_module._PROBE_POINTS, 129):
-                monkeypatch.setattr(metrics_module, "_PROBE_POINTS", points)
-                found.append(metrics_module._sign_change_points(x, y, lo, hi))
-            assert found[0] == found[1], (n, found)
+        pairs.append((acc.mixture, NormalMixture.normal(0.0, acc.sd)))
+    for x, y in pairs:
+        x, y = _law(x), _law(y)
+        y, _ = metrics_module._match_moments(x, y)
+        lo, hi = metrics_module._window((x, y), metrics_module._WINDOW_SDS)
+        found = []
+        for points in (metrics_module._PROBE_POINTS, 129):
+            monkeypatch.setattr(metrics_module, "_PROBE_POINTS", points)
+            found.append(metrics_module._sign_change_points(x, y, lo, hi))
+        assert found[0] == found[1], found
 
 
 # ---------------------------------------------------------------------------
