@@ -229,8 +229,8 @@ def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
     are the memoized Binomial(n-k-1, 1/2) rows themselves (cache key
     n-k-1) under 2^-(k+1), down to ``_FLOAT_CUT``.
     """
-    keys = np.arange(n - 1, -1, -1)
     if exact:
+        keys = np.arange(n - 1, -1, -1)
         s = Fraction(1, 2**n)
         rows = tuple(
             np.array([math.comb(m, i) for i in range(m + 1)], dtype=object) for m in keys.tolist()
@@ -242,8 +242,8 @@ def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
         K = min(n, len(_FLOAT_SCALES))
         _binom_row(n - 1)
         rows = tuple(_BINOM_ROWS[n - K : n][::-1])
-        scales = _FLOAT_SCALES[:K]
-        block = VectorBlock(1, rows, _FLOAT_TRAILING[:K], scales, toll, slope, keys[:K])
+        keys = np.arange(n - 1, n - 1 - K, -1)
+        block = VectorBlock(1, rows, _FLOAT_TRAILING[:K], _FLOAT_SCALES[:K], toll, slope, keys)
     if exact or s >= _FLOAT_CUT:  # the atom (0, 0)
         return [VectorGroup(0, np.ones(1, dtype=object if exact else float), s, (0,), toll, slope), block]
     return [block]
