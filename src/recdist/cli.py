@@ -346,10 +346,14 @@ def _cmd_catalog(args) -> int:
 
 def _add_common(sp, model=True, seeded=False, params=False) -> None:
     """Flags shared by the subcommands; ``model`` also adds the recurrence
-    choice and the solver's ``--exact`` and ``--tail-eps``."""
+    choice and the solver's ``--exact`` and ``--tail-eps``. ``params`` (the
+    exponent overrides of a catalog model) leaves out ``--spec-json``; else
+    it excludes ``--model``."""
     if model:
-        sp.add_argument("--model", help="catalog model name (see `recdist catalog`)")
-        sp.add_argument("--spec-json", help="path to a custom recurrence JSON document")
+        source = sp if params else sp.add_mutually_exclusive_group()
+        source.add_argument("--model", help="catalog model name (see `recdist catalog`)")
+        if not params:
+            source.add_argument("--spec-json", help="path to a custom recurrence JSON document")
         sp.add_argument("--exact", action="store_true", help="exact rational arithmetic")
         sp.add_argument("--tail-eps", type=float, default=1e-12,
                         help="per-step truncation budget (default 1e-12)")

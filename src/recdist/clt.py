@@ -104,13 +104,6 @@ def standardized_law(solver: Solver, n: int, params: CltParams) -> StandardizedL
     return StandardizedLaw(law, float(solver.sd(n)) * scale)
 
 
-def standardized_scale(solver: Solver, n: int, params: CltParams) -> float:
-    """sd of the standardized law: sigma_n / (sqrt(c) * padded log power)."""
-    return float(solver.sd(n)) / (
-        math.sqrt(params.c) * padded_log(n, params.delta) ** params.alpha
-    )
-
-
 @dataclass(frozen=True)
 class AccompanyingLaw:
     """The normal surrogate at n plus its per-atom ingredients.
@@ -446,7 +439,8 @@ def verification_row(solver: Solver, n: int, params: CltParams) -> dict:
     terms = _gap_terms(acc)
     row = {
         "n": n,
-        "sd_ratio": standardized_scale(solver, n, params),
+        # the sd of the standardized law
+        "sd_ratio": float(solver.sd(n)) / (math.sqrt(params.c) * padded_log(n, params.delta) ** params.alpha),
         "toll_norm3": terms.toll_term ** (1.0 / 3.0),
         "gain_norm3": terms.gain_term ** (1.0 / 3.0),
         "gap_norm3": terms.gap_term ** (1.0 / 3.0),

@@ -10,12 +10,12 @@ of atoms sharing their trailing indices, with a toll affine in the leading
 index or a toll law drawn independently of the indices, given as weights or,
 for rows over ``first_start..n-1``, as a polynomial in the leading index; or
 blocks of such rows (:class:`VectorBlock`) sharing leading start, toll and
-slope, one row per trailing index; atoms tabulated by hand or in JSON are
-grouped by trailing indices and toll (never into polynomial rows). Atoms
-referring back to ``n``, in any position, are removed algebraically: an
-unshifted self term divides the rest by one minus its weight; an
-upward-shifted one (next to point masses) adds a shift series, summed until
-its remainder drops below the budget.
+slope, one row per trailing index. A spec gives nothing else; JSON documents
+tabulate atoms, which their parser alone groups, level by level, by trailing
+indices and toll (never into polynomial rows). Atoms referring back to ``n``, in any position, are removed
+algebraically: an unshifted self term divides the rest by one minus its
+weight; an upward-shifted one (next to point masses) adds a shift series,
+summed until its remainder drops below the budget.
 
 Every law is a dense numpy row on the integer lattice of spacing ``1/D``,
 ``D`` the lcm of the denominators of base atoms, tolls and slopes: float64 in
@@ -259,23 +259,20 @@ class SolveOptions:
 class RecurrenceSpec:
     """Full description of a divide-and-conquer distributional recurrence.
 
-    The joint law at ``n >= n0`` is given either by ``groups(n, exact)`` as
-    :class:`VectorGroup` rows, ``exact`` picking rational or float64 weights,
-    or by ``joint_law(n)`` as atoms ``(indices, toll, weight)`` with exact
-    rational weights and integer or rational tolls (a float toll is read as
-    its shortest decimal), which :meth:`law_groups` groups for the solver;
-    one of the two is required. ``sampler(rng, ns)``, optional, draws one
-    joint atom per entry of the int64 index array ``ns`` and returns
-    ``(children, tolls)``: ``k`` child-index arrays and a toll array, each
-    aligned with ``ns``; without it :func:`sample_many` draws from the
-    tabulated joint law.
+    The joint law at ``n >= n0`` is given, required, by ``groups(n, exact)``
+    as :class:`VectorGroup` rows or :class:`VectorBlock` s, ``exact`` picking
+    rational or float64 weights; a JSON document's atoms are grouped into
+    such rows by :func:`spec_from_json`. ``sampler(rng, ns)``, optional,
+    draws one joint atom per entry of the int64 index array ``ns`` and
+    returns ``(children, tolls)``: ``k`` child-index arrays and a toll array,
+    each aligned with ``ns``; without it :func:`sample_many` draws from the
+    rows of :meth:`joint_arrays`, in row order.
     """
 
     name: str
     k: int
     n0: int
     base_laws: tuple
-    joint_law: Callable[[int], Sequence[tuple]] | None = None
     groups: Callable[[int, bool], Sequence[VectorGroup]] | None = None
     sampler: Callable[[np.random.Generator, np.ndarray], tuple] | None = None
     exact_cap: int | None = None
@@ -287,10 +284,8 @@ class RecurrenceSpec:
             raise PreconditionError("recursion must start at n0 >= 1")
         if len(self.base_laws) != self.n0:
             raise PreconditionError("need one base law per index below n0")
-        if self.joint_law is not None and self.groups is not None:
-            raise PreconditionError("give the joint law as atoms or as groups, not both")
-        if self.joint_law is None and self.groups is None:
-            raise PreconditionError("spec needs a joint law, as atoms or as groups")
+        if self.groups is None:
+            raise PreconditionError("spec needs a joint law, as weight rows (groups)")
 
     def _check_index(self, n: int) -> None:
         if n < self.n0:
@@ -302,8 +297,6 @@ class RecurrenceSpec:
         """The joint law at ``n`` as weight rows, exact or float64; exact mode
         expands blocks into their rows. Polynomial rows are handed over as
         they are (:meth:`VectorGroup.dense` tabulates them)."""
-        if self.groups is None:
-            return _atom_groups(self.joint_atoms(n), exact)
         self._check_index(n)
         groups = list(self.groups(n, exact))
         for g in groups:
@@ -326,20 +319,13 @@ class RecurrenceSpec:
     def joint_atoms(self, n: int) -> list:
         """The joint law at ``n`` as atoms ``(indices, toll, weight)``, row by
         row; a toll law is expanded atom by atom within each index tuple."""
-        self._check_index(n)
-        if self.groups is not None:
-            return [
-                ((j, *g.others), t + g.slope * j, g.scale * w * p)
-                for g in (g.dense(n, True) for g in self.law_groups(n, True))
-                for j, w in enumerate(g.weights.tolist(), g.first_start)
-                if w
-                for t, p in zip(*_toll_atoms(g.toll))
-            ]
-        atoms = list(self.joint_law(n))
-        for idx, _, _ in atoms:
-            if len(idx) != self.k or min(idx) < 0 or max(idx) > n:
-                raise PreconditionError("joint atom arity differs from k or index outside {0,...,n}")
-        return atoms
+        return [
+            ((j, *g.others), t + g.slope * j, g.scale * w * p)
+            for g in (g.dense(n, True) for g in self.law_groups(n, True))
+            for j, w in enumerate(g.weights.tolist(), g.first_start)
+            if w
+            for t, p in zip(*_toll_atoms(g.toll))
+        ]
 
     def joint_arrays(self, n: int) -> tuple:
         """The float rows at ``n`` as arrays ``(indices, tolls, weights)``: int64
@@ -381,13 +367,11 @@ def _toll_atoms(toll) -> tuple:
 
 
 def _atom_groups(atoms: Sequence[tuple], exact: bool) -> list:
-    """Joint-law atoms as slope-0 weight rows, one per (trailing indices, toll)."""
+    """Joint-law atoms ``(index tuple, toll, weight)``, toll and weight ints or
+    Fractions, as slope-0 weight rows, one per (trailing indices, toll)."""
     rows: dict = {}
     for idx, toll, w in atoms:
-        if exact and not isinstance(w, Rational):
-            raise PreconditionError("exact mode requires rational joint weights")
-        key = (tuple(idx[1:]), toll if type(toll) is int else _rational(toll))
-        rows.setdefault(key, []).append((idx[0], w if exact else float(w)))
+        rows.setdefault((idx[1:], toll), []).append((idx[0], w if exact else float(w)))
     groups = []
     for (others, toll), row in rows.items():
         lo = min(j for j, _ in row)
@@ -1212,7 +1196,8 @@ def _lattice_value(k: int, den: int):
 
 
 class _TableSampler:
-    """Inverse-CDF sampler over a tabulated joint law, cached per index."""
+    """Inverse-CDF sampler over the rows of :meth:`RecurrenceSpec.joint_arrays`,
+    in row order, cached per index."""
 
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
@@ -1221,10 +1206,10 @@ class _TableSampler:
     def _table(self, n: int) -> tuple:
         tab = self._tables.get(n)
         if tab is None:
-            atoms = self.spec.joint_atoms(n)
-            idx = np.array([a[0] for a in atoms], dtype=np.int64)
-            tolls = np.array([float(a[1]) for a in atoms])
-            cum = np.cumsum([float(a[2]) for a in atoms])
+            idx, tolls, weights = self.spec.joint_arrays(n)
+            cum = np.cumsum(weights)
+            if not (cum.size and cum[-1] > 0):
+                raise PreconditionError(f"{self.spec.name}: joint law at n={n} has no mass")
             tab = self._tables[n] = (idx, tolls, cum / cum[-1])
         return tab
 
@@ -1312,20 +1297,23 @@ def _sample_block(spec: RecurrenceSpec, draw, base: list, ns: np.ndarray, rng) -
 
 def _parse_number(x):
     """Fraction strings and JSON numbers as exact rationals; a non-integer
-    JSON number is the decimal it spells (0.1 is 1/10)."""
+    JSON number is the decimal it spells (0.1 is 1/10). Booleans, null,
+    lists and objects are refused."""
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
         q = _rational(x)
         return q.numerator if q.denominator == 1 else q
-    return x
+    if type(x) is int:
+        return x
+    raise TypeError(f"{x!r} is not a number or a fraction string")
 
 
 def _parse_int(x) -> int:
     """An index, ``k`` or ``n0``: a number or string naming an integer; one
     with a fractional part is refused, never truncated."""
     q = _parse_number(x)
-    if not isinstance(q, Rational) or q.denominator != 1:
+    if q.denominator != 1:
         raise ValueError(f"{x!r} is not an integer")
     return int(q)
 
@@ -1339,9 +1327,12 @@ def spec_from_json(doc: dict | str | bytes) -> RecurrenceSpec:
          "base": [<pmf json>, ...],
          "rows": [[n, i1, i2_or_null, toll, prob], ...]}
 
-    Tolls and probabilities may be numbers or fraction strings like "1/3";
-    ``k``, ``n0`` and indices must be integers. A document that is not JSON
-    or not of this shape raises :class:`PreconditionError`.
+    Tolls and probabilities may be numbers or fraction strings like "1/3",
+    each distinct one parsed once; ``k``, ``n0`` and indices must be
+    integers. The spec hands each level's atoms to the solver as weight rows,
+    one per (trailing index, toll), so an index outside {0,...,n} is refused
+    by the check every row passes. A document that is not JSON or not of
+    this shape raises :class:`PreconditionError`.
     """
     try:
         if isinstance(doc, (str, bytes)):
@@ -1356,23 +1347,25 @@ def spec_from_json(doc: dict | str | bytes) -> RecurrenceSpec:
     if k not in (1, 2):
         raise PreconditionError("custom recurrences support k in {1, 2}")
     table: dict = {}
+    parsed: dict = {}  # each distinct toll or probability, parsed once
+
+    def number(x):
+        q = parsed.get(x) if type(x) in (str, int, float) else None
+        if q is None:
+            q = parsed[x] = _parse_number(x)
+        return q
+
     for row in rows:
         try:
             n, i1, i2, toll, prob = row
             idx = (_parse_int(i1),) if k == 1 else (_parse_int(i1), _parse_int(i2))
-            table.setdefault(_parse_int(n), []).append((idx, _parse_number(toll), _parse_number(prob)))
+            table.setdefault(_parse_int(n), []).append((idx, number(toll), number(prob)))
         except (TypeError, ValueError, ZeroDivisionError, PreconditionError) as exc:
             raise PreconditionError(f"bad joint-law row {row!r}: {exc}") from None
 
-    def joint_law(n: int) -> list:
+    def groups(n: int, exact: bool) -> list:
         if n not in table:
             raise PreconditionError(f"custom recurrence has no joint law at n={n}")
-        return table[n]
+        return _atom_groups(table[n], exact)
 
-    return RecurrenceSpec(
-        name=name,
-        k=k,
-        n0=n0,
-        base_laws=base,
-        joint_law=joint_law,
-    )
+    return RecurrenceSpec(name=name, k=k, n0=n0, base_laws=base, groups=groups)

@@ -23,7 +23,7 @@ from recdist import (
 )
 from recdist import catalog, engine
 from recdist.catalog import NAMES, _fair_binomial, _popcount, fit_variance_constant, leader_election_spec
-from recdist.engine import VectorBlock
+from recdist.engine import VectorBlock, _atom_groups
 
 from brute import broadcast_b_means, broadcast_means, election_rounds_law, sampled_tv
 from conftest import shared_solver
@@ -199,7 +199,7 @@ def test_broadcast_blocks_match_their_rows(name):
     solver = Solver(spec)
     ns = [*range(71), 256]
     _assert_same_float_laws(solver, Solver(_per_row(spec)), ns)
-    atoms = dataclasses.replace(spec, groups=None, joint_law=spec.joint_atoms)
+    atoms = dataclasses.replace(spec, groups=lambda n, exact: _atom_groups(spec.joint_atoms(n), exact))
     _assert_same_float_laws(solver, Solver(atoms), range(71))
 
 

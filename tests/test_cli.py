@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from recdist.cli import main as cli_main
+
 BASE = [sys.executable, "-m", "recdist"]
 
 
@@ -330,6 +332,19 @@ def test_verify_json_has_no_nan():
     assert csv.stdout.split("\n")[1].endswith(",2.0,")
 
 
+#: rows at n = 3 of a k = 2 document, each with one index outside {0,...,3}
+BAD_INDEX_ROWS = {
+    "leading-past-n": [3, 4, 1, 1, 1.0],
+    "leading-negative": [3, -1, 1, 1, 1.0],
+    "trailing-past-n": [3, 1, 4, 1, 1.0],
+    "trailing-negative": [3, 1, -1, 1, 1.0],
+}
+
+
+def _bad_index_doc(row: list) -> dict:
+    return {"k": 2, "n0": 2, "base": [{"atoms": [[0, 1, 1.0]]}] * 2, "rows": [[2, 1, 1, 1, 1.0], row]}
+
+
 def _main_in_process(capsys, argv) -> tuple:
     """(exit code, stdout, stderr) of one in-process CLI run; an uncaught
     exception fails the test instead of printing a traceback."""
@@ -348,7 +363,13 @@ def _main_in_process(capsys, argv) -> tuple:
     ('{"k": 1}', 4),
     ("[1, 2]", 4),
     ('{"k": 1, "n0": 1, "base": [{"atoms": [[0, 1, 1.0]]}], "rows": 5}', 4),
-], ids=["missing", "empty", "not-json", "no-base", "not-an-object", "rows-not-a-list"])
+    ('{"k": 1, "n0": 2, "base": [{"atoms": [[0, 1, 1.0]]}, {"atoms": [[0, 1, 1.0]]}], '
+     '"rows": [[2, 1, null, 1, null]]}', 4),
+    ('{"k": 1, "n0": 2, "base": [{"atoms": [[0, 1, 1.0]]}, {"atoms": [[0, 1, 1.0]]}], '
+     '"rows": [[2, 1, null, null, 1]]}', 4),
+    *((json.dumps(_bad_index_doc(row)), 4) for row in BAD_INDEX_ROWS.values()),
+], ids=["missing", "empty", "not-json", "no-base", "not-an-object", "rows-not-a-list",
+        "null-prob", "null-toll", *BAD_INDEX_ROWS])
 def test_bad_spec_json_is_a_typed_error(tmp_path, capsys, content, code):
     path = tmp_path / "spec.json"
     if content is not None:
@@ -377,6 +398,32 @@ def test_empty_index_grid_is_usage_error(capsys, command, grid):
     code, out, err = _main_in_process(capsys, [command, "--model", "unsuccessful-search", "--ns", grid])
     assert code == 2, err
     assert err.startswith("usage error:") and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--n", "3"],
+    ["simulate", "--n", "3", "--runs", "10"],
+    ["moments", "--ns", "2,3"],
+], ids=["dist", "simulate", "moments"])
+def test_model_and_spec_json_exclude_each_other(tmp_path, capsys, argv):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_bad_index_doc([3, 1, 1, 1, 1.0])))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--model", "node-depth", "--spec-json", str(path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    # either one alone is accepted
+    for source in (["--model", "node-depth"], ["--spec-json", str(path)]):
+        assert cli_main(argv + source + ["--output", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["zeta3", "rate", "verify"])
+def test_catalog_only_commands_refuse_spec_json(capsys, command):
+    # the path is never opened: the flag is not one of these commands'
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--model", "unsuccessful-search", "--spec-json", "x", "--ns", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --spec-json" in capsys.readouterr().err
 
 
 def test_every_export_resolves():

@@ -27,13 +27,23 @@ from recdist import (
     spec_from_json,
 )
 from recdist import catalog
-from recdist.engine import _BLOCK, _TableSampler
+from recdist.engine import _BLOCK, _TableSampler, _atom_groups
 
 from brute import brute_law, sampled_tv
 
 
 def exact_solver(name: str) -> Solver:
     return Solver(make(name).spec, SolveOptions(mode="exact", tail_eps=0.0))
+
+
+def _atom_spec(name: str, k: int, atoms) -> RecurrenceSpec:
+    """A spec with base laws 0 at n = 0, 1 whose joint law at n is the list
+    ``atoms(n)`` of ``(indices, toll, weight)``, grouped into weight rows as
+    the JSON parser groups a document's atoms."""
+    return RecurrenceSpec(
+        name=name, k=k, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)),
+        groups=lambda n, exact: _atom_groups(atoms(n), exact),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +168,13 @@ def test_sampler_only_spec_rejects_exact():
     {"k": 1.7, "n0": 1.9, "base": [{"atoms": [[0, 1, 1.0]]}], "rows": [[1, 0, None, 1, 1.0]]},
     {"k": 1, "n0": 1, "base": [{"atoms": [[0, 1, 1.0]]}],
      "rows": [[1, 0, None, 1, 1.0], [2, 1.5, None, 1, 1.0]]},
+    # a toll or probability is a JSON number or a fraction string, nothing else
+    *({"k": 1, "n0": 1, "base": [{"atoms": [[0, 1, 1.0]]}], "rows": [row]}
+      for row in ([1, 0, None, 1, None], [1, 0, None, None, 1.0], [1, 0, None, True, 1.0],
+                  [1, 0, None, 1, False], [1, 0, None, 1, [1]], [1, 0, None, {"t": 1}, 1.0])),
 ], ids=["empty", "not-json", "undecodable", "not-an-object", "no-base", "k-not-a-number",
-        "zero-denominator", "base-not-an-object", "k-not-an-integer", "index-not-an-integer"])
+        "zero-denominator", "base-not-an-object", "k-not-an-integer", "index-not-an-integer",
+        "null-prob", "null-toll", "bool-toll", "bool-prob", "list-prob", "object-toll"])
 def test_malformed_spec_document_is_precondition_error(doc):
     with pytest.raises(PreconditionError):
         spec_from_json(doc)
@@ -462,6 +477,49 @@ def test_spec_from_json_missing_row_errors():
         Solver(spec).law(6)
 
 
+#: rows at n = 3 of a k = 2 document, one index of each outside {0,...,3}
+BAD_INDEX_ROWS = {
+    "leading-past-n": [[3, 1, 1, 1, "1/2"], [3, 4, 1, 1, "1/2"]],
+    "leading-negative": [[3, 1, 1, 1, "1/2"], [3, -1, 1, 1, "1/2"]],
+    "trailing-past-n": [[3, 1, 1, 1, "1/2"], [3, 1, 4, 1, "1/2"]],
+    "trailing-negative": [[3, 1, 1, 1, "1/2"], [3, 1, -1, 1, "1/2"]],
+}
+
+
+def _pairs_doc(rows: list) -> dict:
+    """A k = 2 document: Y_2 = Y_1 + Y_1 + 1, then the given rows."""
+    return {"name": "pairs", "k": 2, "n0": 2, "base": [Pmf.delta(0).to_json_dict()] * 2,
+            "rows": [[2, 1, 1, 1, 1.0], *rows]}
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("rows", BAD_INDEX_ROWS.values(), ids=BAD_INDEX_ROWS.keys())
+def test_json_index_outside_the_range_is_refused(mode, rows):
+    solver = Solver(spec_from_json(_pairs_doc(rows)), SolveOptions(mode=mode))
+    assert solver.law(2).values == (1,)
+    with pytest.raises(PreconditionError, match="outside"):
+        solver.law(3)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_json_atom_listed_twice_is_one_atom_of_the_summed_weight(mode):
+    once, twice = _uniform_search_doc(6), _uniform_search_doc(6)
+    twice["rows"] = [[n, i, None, 1, f"1/{2 * (n - 1)}"] for n, i, *_ in once["rows"] for _ in (0, 1)]
+    opts = SolveOptions(mode=mode, tail_eps=0.0)
+    want, got = Solver(spec_from_json(once), opts), Solver(spec_from_json(twice), opts)
+    for n in range(7):  # in float64 too: two halves of 1/(n-1) add up to it exactly
+        assert got.law(n) == want.law(n), n
+    assert [a[2] for a in spec_from_json(twice).joint_atoms(6)] == [F(1, 5)] * 5
+
+
+def test_table_sampler_refuses_a_law_without_mass():
+    doc = _uniform_search_doc(3)
+    for row in doc["rows"]:
+        row[4] = 0
+    with pytest.raises(PreconditionError, match="no mass"):
+        sample_many(spec_from_json(doc), 3, 10, np.random.default_rng(1))
+
+
 def _malformed_search_doc(weights: tuple) -> dict:
     """The uniform search recurrence at n = 2, then n = 3 rows with the
     given weights (summing to 1.2, or holding a negative weight)."""
@@ -498,10 +556,7 @@ def test_json_decimal_toll_is_the_decimal_it_spells():
 def test_rational_toll_float_mode_matches_exact():
     """A Python spec with toll 1/2 is solved on the half-integer lattice in
     float mode too, not rounded onto the integers."""
-    spec = RecurrenceSpec(
-        name="half_toll", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)),
-        joint_law=lambda n: [((i,), F(1, 2), F(1, n - 1)) for i in range(1, n)],
-    )
+    spec = _atom_spec("half_toll", 1, lambda n: [((i,), F(1, 2), F(1, n - 1)) for i in range(1, n)])
     exact = Solver(spec, SolveOptions(mode="exact", tail_eps=0.0)).law(4)
     assert dict(zip(exact.values, exact.probs)) == {F(1, 2): F(1, 3), 1: F(1, 2), F(3, 2): F(1, 6)}
     approx = Solver(spec).law(4)
@@ -715,26 +770,14 @@ def test_json_string_accepted():
 
 def test_unshifted_self_reference_divides():
     # law at 2: with prob 1/2 recurse on itself (toll 0), else land on base+1
-    def joint_law(n):
-        return [((n,), 0, F(1, 2)), ((0,), 1, F(1, 2))]
-
-    spec = RecurrenceSpec(
-        name="selfy", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)),
-        joint_law=joint_law,
-    )
+    spec = _atom_spec("selfy", 1, lambda n: [((n,), 0, F(1, 2)), ((0,), 1, F(1, 2))])
     law = Solver(spec, SolveOptions(mode="exact", tail_eps=0.0)).law(2)
     assert dict(zip(law.values, law.probs)) == {1: F(1)}
 
 
 def test_shifted_self_reference_geometric():
     # Y_2 = Y_2' + 1 with prob 1/2, else 0: geometric support
-    def joint_law(n):
-        return [((n,), 1, F(1, 2)), ((0,), 0, F(1, 2))]
-
-    spec = RecurrenceSpec(
-        name="geo", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)),
-        joint_law=joint_law,
-    )
+    spec = _atom_spec("geo", 1, lambda n: [((n,), 1, F(1, 2)), ((0,), 0, F(1, 2))])
     law = Solver(spec, SolveOptions(tail_eps=1e-14)).law(2)
     got = dict(zip((int(v) for v in law.values), law.probs))
     for k in range(10):
@@ -744,12 +787,7 @@ def test_shifted_self_reference_geometric():
 @pytest.mark.parametrize("mode", ["float", "exact"])
 def test_self_reference_in_trailing_position(mode):
     # Y_2 = Y_0 + Y_2' + 1 with prob 1/2, else Y_0 + Y_0: n as the trailing index
-    def joint_law(n):
-        return [((0, n), 1, F(1, 2)), ((0, 0), 0, F(1, 2))]
-
-    spec = RecurrenceSpec(
-        name="geo2", k=2, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), joint_law=joint_law,
-    )
+    spec = _atom_spec("geo2", 2, lambda n: [((0, n), 1, F(1, 2)), ((0, 0), 0, F(1, 2))])
     law = Solver(spec, SolveOptions(mode=mode, tail_eps=1e-14)).law(2)
     got = dict(zip((int(v) for v in law.values), law.probs))
     for k in range(10):
@@ -801,13 +839,7 @@ def test_self_referential_row_with_a_toll_law_rejected():
 
 
 def test_quadratic_self_reference_rejected():
-    def joint_law(n):
-        return [((n, n), 0, F(1, 4)), ((0, 0), 1, F(3, 4))]
-
-    spec = RecurrenceSpec(
-        name="quad", k=2, n0=2,
-        base_laws=(Pmf.delta(0), Pmf.delta(0)), joint_law=joint_law,
-    )
+    spec = _atom_spec("quad", 2, lambda n: [((n, n), 0, F(1, 4)), ((0, 0), 1, F(3, 4))])
     with pytest.raises(UnsupportedExactError):
         Solver(spec).law(2)
 
