@@ -75,16 +75,12 @@ def _unsuccessful_search() -> CatalogEntry:
         # leading index j = 1..n-1 with weight 1/(n-1)
         return [VectorGroup(1, scale=Fraction(1, n - 1), toll=1, poly=(1,))]
 
-    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
-        return [rng.integers(1, ns)], np.ones(ns.size)
-
     spec = RecurrenceSpec(
         name="unsuccessful_search",
         k=1,
         n0=2,
         base_laws=(Pmf.delta(0), Pmf.delta(0)),
         groups=groups,
-        sampler=sampler,
     )
     # With the uniform index law the exact mean is the harmonic number
     # H_{n-1} = ln n + O(1) and the variance is ln n + O(1), so the leading
@@ -113,24 +109,12 @@ def _node_depth() -> CatalogEntry:
             VectorGroup(1, scale=Fraction(1, n * n), toll=1, poly=(0, 2)),
         ]
 
-    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
-        n = ns.astype(float)
-        u = rng.random(ns.size)
-        zero = u < 1.0 / n
-        # conditional CDF on {1,...,n-1} is k(k+1)/(n(n-1)); invert exactly
-        t = np.maximum((u - 1.0 / n) / (1.0 - 1.0 / n), 0.0) * n * (n - 1)
-        k = np.ceil(0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * t))).astype(np.int64)
-        k = np.clip(k, 1, ns - 1)
-        k[zero] = 0
-        return [k], np.ones(ns.size)
-
     spec = RecurrenceSpec(
         name="node_depth",
         k=1,
         n0=2,
         base_laws=(Pmf.delta(-1), Pmf.delta(0)),
         groups=groups,
-        sampler=sampler,
     )
     params = CltParams(alpha=0.5, kappa=0.0, lam=0.0, xi=0.0, c=2.0, delta=0.1)
     return CatalogEntry(
@@ -147,16 +131,12 @@ def _quickselect() -> CatalogEntry:
         # leading index j = 0..n-1 with weight 1/n
         return [VectorGroup(0, scale=Fraction(1, n), toll=n - 1, poly=(1,))]
 
-    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
-        return [rng.integers(0, ns)], (ns - 1).astype(float)
-
     spec = RecurrenceSpec(
         name="quickselect",
         k=1,
         n0=2,
         base_laws=(Pmf.delta(0), Pmf.delta(0)),
         groups=groups,
-        sampler=sampler,
         exact_cap=256,
     )
     return CatalogEntry(
@@ -194,23 +174,6 @@ def _binom_row(m: int) -> np.ndarray:
     return _BINOM_ROWS[m]
 
 
-def broadcast_index_pmf(n: int) -> dict:
-    """Exact joint law of the two subgroup sizes after one broadcast round.
-
-    Returns a dict mapping (j, k) to an exact rational weight. The leading
-    size is Binomial(n, 1/2); the trailing size is 0 with probability
-    1/2 + 2^-n and k with probability 2^-(k+1) for 1 <= k <= n-1.
-    """
-    if n < 1:
-        raise PreconditionError("need at least one contender")
-    half_pow = Fraction(1, 2**n)
-    out = {(0, 0): half_pow}
-    for k in range(0, n):
-        for j in range(1, n - k + 1):
-            out[(j, k)] = math.comb(n - k - 1, j - 1) * half_pow
-    return out
-
-
 #: float rows of the broadcast models stop below this weight; the dropped
 #: mass (under 2^-65) lands in lost_mass
 _FLOAT_CUT = 2.0**-66
@@ -222,9 +185,11 @@ _FLOAT_TRAILING.flags.writeable = _FLOAT_SCALES.flags.writeable = False
 
 
 def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
-    """The law of :func:`broadcast_index_pmf` as the atom (0, 0) and one
-    block, in its atom order: per trailing size k the leading sizes
-    j = 1..n-k with weights C(n-k-1, j-1) 2^-n; the toll is toll + slope*j.
+    """The joint law of the two subgroup sizes after one broadcast round among
+    n contenders, as the atom (0, 0) of weight 2^-n and one block: per
+    trailing size k = 0..n-1 the leading sizes j = 1..n-k with weights
+    C(n-k-1, j-1) 2^-n. The leading size is then Binomial(n, 1/2) and the
+    trailing one k >= 1 with probability 2^-(k+1); the toll is toll + slope*j.
     Exact rows hold binomial coefficients under the scale 2^-n. Float rows
     are the memoized Binomial(n-k-1, 1/2) rows themselves (cache key
     n-k-1) under 2^-(k+1), down to ``_FLOAT_CUT``.
@@ -249,74 +214,9 @@ def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
     return [block]
 
 
-_SWAR_MASKS = tuple(
-    np.uint64(c)
-    for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of the uint64 array ``x``, which is overwritten.
-
-    Bit-parallel (SWAR) sums, which work on every supported numpy;
-    ``np.bitwise_count`` needs numpy 2.
-    """
-    m1, m2, m4, h01 = _SWAR_MASKS
-    x -= (x >> np.uint64(1)) & m1
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x += x >> np.uint64(4)
-    x &= m4
-    x *= h01  # wraps: the top byte collects the sum of the eight byte counts
-    x >>= np.uint64(56)
-    return x.view(np.int64)
-
-
-def _fair_binomial(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Binomial(m, 1/2) draw per entry of ``m``.
-
-    Counts up to 64 take the popcount of m uniform random bits, which is
-    exact in law and several times faster than ``rng.binomial``; larger
-    counts use ``rng.binomial``.
-    """
-    out = np.empty(m.size, dtype=np.int64)
-    few = m <= 64
-    bits = rng.integers(0, 2**64, size=int(few.sum()), dtype=np.uint64)
-    # keep the top m bits; numpy shifts a count of 0 by 64 to 0
-    bits >>= (64 - m[few]).astype(np.uint64)
-    out[few] = _popcount(bits)
-    out[~few] = rng.binomial(m[~few], 0.5)
-    return out
-
-
-def _broadcast_sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
-    """Draw (j, k) jointly per particle: k from its marginal, then j - 1
-    binomial, for the contender counts ``ns``."""
-    u = rng.random(ns.size)
-    # P(k >= 1) tail is geometric: k = ceil(-log2(2u)) clipped into range
-    k = np.zeros(ns.size, dtype=np.int64)
-    tail = np.flatnonzero(u < 0.5)  # mass 1/2 spread over k >= 1 plus the residual at k = 0
-    u_t, n_t = u[tail], ns[tail]
-    with np.errstate(divide="ignore"):
-        kk = np.floor(-np.log2(np.maximum(u_t, 1e-300))).astype(np.int64)
-    kk = np.clip(kk, 1, n_t - 1)
-    # overflow of the truncated geometric (u < 2^-n) belongs to k = 0
-    kk[u_t < np.ldexp(1.0, -n_t)] = 0
-    k[tail] = kk
-    j = 1 + _fair_binomial(ns - k - 1, rng)
-    # the (0, 0) atom carries weight 2^-n inside the k = 0 slice (dropped for n > 60)
-    slot = np.flatnonzero((k == 0) & (ns <= 60))
-    p00 = np.ldexp(1.0, -ns[slot])
-    j[slot[rng.random(slot.size) < p00 / (0.5 + p00)]] = 0
-    return [j, k], None
-
-
 def _broadcast_a_time() -> CatalogEntry:
     def groups(n: int, exact: bool) -> list:
         return _broadcast_groups(n, exact, 1, 0)
-
-    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
-        idx, _ = _broadcast_sampler(rng, ns)
-        return idx, np.ones(ns.size)
 
     spec = RecurrenceSpec(
         name="broadcast_a_time",
@@ -324,7 +224,6 @@ def _broadcast_a_time() -> CatalogEntry:
         n0=2,
         base_laws=(Pmf.delta(1), Pmf.delta(1)),
         groups=groups,
-        sampler=sampler,
         exact_cap=2048,
     )
     params = CltParams(alpha=0.5, kappa=0.0, lam=0.0, xi=0.0, c=1.0, delta=0.1)
@@ -343,17 +242,12 @@ def _broadcast_a_comparisons() -> CatalogEntry:
     def groups(n: int, exact: bool) -> list:
         return _broadcast_groups(n, exact, n, -1)  # toll n - j
 
-    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
-        idx, _ = _broadcast_sampler(rng, ns)
-        return idx, (ns - idx[0]).astype(float)
-
     spec = RecurrenceSpec(
         name="broadcast_a_comparisons",
         k=2,
         n0=2,
         base_laws=(Pmf.delta(0), Pmf.delta(0)),
         groups=groups,
-        sampler=sampler,
         exact_cap=256,
     )
     params = CltParams(alpha=0.5, kappa=0.0, lam=0.0, xi=0.0, c=1.0, delta=0.1)
@@ -372,34 +266,6 @@ def _broadcast_a_comparisons() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-def leader_election_rounds(m, rng: np.random.Generator):
-    """Rounds needed to thin ``m`` contenders to one by fair coin flipping.
-
-    Every contender flips each round; the heads-flippers survive whenever that
-    leaves at least one and fewer than all contenders, otherwise the round is
-    wasted. Accepts a scalar or an array of contender counts.
-    """
-    scalar = np.isscalar(m)
-    counts = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    if (counts < 1).any():
-        raise PreconditionError("contender counts must be at least 1")
-    rounds = np.zeros(counts.size, dtype=np.int64)
-    # only running elections are carried: their output positions and counts
-    pos = np.flatnonzero(counts.ravel() > 1)
-    cur = counts.ravel()[pos]
-    r = 0
-    while pos.size:
-        r += 1
-        if r > 100_000:
-            raise PreconditionError("election failed to terminate")
-        heads = _fair_binomial(cur, rng)
-        cur = np.where((heads >= 1) & (heads < cur), heads, cur)
-        done = cur == 1
-        rounds[pos[done]] = r
-        pos, cur = pos[~done], cur[~done]
-    return int(rounds[0]) if scalar else rounds.reshape(counts.shape)
-
-
 def _fair_binomial_pmf(m: int) -> np.ndarray:
     """Binomial(m, 1/2) probabilities in O(m) and without a cache (the
     election reads every m once, and caching every row costs O(m^2)): the
@@ -413,10 +279,13 @@ def _fair_binomial_pmf(m: int) -> np.ndarray:
 
 
 def leader_election_spec() -> RecurrenceSpec:
-    """The law of :func:`leader_election_rounds` as a recurrence: L_1 = 0 and
-    L_m = 1 + L_H, H ~ Binomial(m, 1/2), where a wasted round (H in {0, m})
-    keeps m. That is one row over h = 1..m whose last entry, 2^(1-m), refers
-    back to m; the solver sums its shift series."""
+    """The rounds needed to thin m contenders to one by fair coin flipping,
+    as a recurrence. Every contender flips each round; the heads-flippers
+    survive when that leaves at least one and fewer than all contenders,
+    otherwise the round is wasted. So L_1 = 0 and L_m = 1 + L_H, H ~
+    Binomial(m, 1/2), where a wasted round (H in {0, m}) keeps m. That is
+    one row over h = 1..m whose last entry, 2^(1-m), refers back to m; the
+    solver sums its shift series."""
 
     def groups(m: int, exact: bool) -> list:
         if exact:
@@ -438,16 +307,12 @@ def _broadcast_b_time() -> CatalogEntry:
         # leading index j = 0..n-1 with weight 1/n; the toll is the law of L_n
         return [VectorGroup(0, scale=Fraction(1, n), toll=elections[exact].law(n), poly=(1,))]
 
-    def sampler(rng: np.random.Generator, ns: np.ndarray) -> tuple:
-        return [rng.integers(0, ns)], leader_election_rounds(ns, rng).astype(float)
-
     spec = RecurrenceSpec(
         name="broadcast_b_time",
         k=1,
         n0=2,
         base_laws=(Pmf.delta(1), Pmf.delta(1)),
         groups=groups,
-        sampler=sampler,
     )
     params = CltParams(alpha=1.5, kappa=1.0, lam=2.0, xi=0.0, c=1.0, delta=0.1)
     return CatalogEntry(

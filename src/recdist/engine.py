@@ -40,11 +40,13 @@ inner mixtures, summed along the anti-diagonals, is the sum of every row's
 convolution; the scaled trailing child rows are kept from one level to the
 next while the block's trailing indices and scales repeat (the broadcast
 blocks from n = 66 on), and a :class:`VectorGroup` is a block of one row.
-Exact mode expands blocks into rows and convolves row by row with the
-integer kernels. A toll law is convolved once with its row's mixture. Both
+Exact mode reads a block's rows as they are and convolves row by row with
+the integer kernels. A toll law is convolved once with its row's mixture. Both
 modes truncate by one rule: a solved level's row is trimmed at both ends
 within ``tail_eps`` of mass, and the level stores only that row; its law and
-moments are built from it on first read.
+moments are built from it on first read. Monte Carlo draws from the same float
+rows: :func:`sample_many` compiles each level it meets once per call, then
+draws a joint atom per pending subproblem and round with numpy alone.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class VectorBlock:
     rows may be shared references to memoized arrays (the engine never writes
     them). Float mode mixes every row at once: one product of the scaled
     trailing child rows with the rows' inner mixtures (module docstring);
-    exact mode expands the block row by row.
+    exact mode convolves its rows one by one.
     """
 
     first_start: int
@@ -171,14 +173,6 @@ class VectorBlock:
         if not o.size:
             return longest, 0, -1
         return longest, o.min(), o.max()
-
-    def expand(self) -> list:
-        """The rows as :class:`VectorGroup` s, in order."""
-        keys = [None] * len(self.rows) if self.cache_keys is None else self.cache_keys.tolist()
-        return [
-            VectorGroup(self.first_start, w, s, tuple(o), self.toll, self.slope, key)
-            for w, s, o, key in zip(self.rows, self.scales, self.others.tolist(), keys)
-        ]
 
 
 def _unit_rows(g) -> tuple:
@@ -262,11 +256,9 @@ class RecurrenceSpec:
     The joint law at ``n >= n0`` is given, required, by ``groups(n, exact)``
     as :class:`VectorGroup` rows or :class:`VectorBlock` s, ``exact`` picking
     rational or float64 weights; a JSON document's atoms are grouped into
-    such rows by :func:`spec_from_json`. ``sampler(rng, ns)``, optional,
-    draws one joint atom per entry of the int64 index array ``ns`` and
-    returns ``(children, tolls)``: ``k`` child-index arrays and a toll array,
-    each aligned with ``ns``; without it :func:`sample_many` draws from the
-    rows of :meth:`joint_arrays`, in row order.
+    such rows by :func:`spec_from_json`. These rows are the spec's one
+    description of its law: the solver mixes them, readers of atoms tabulate
+    them, and :func:`sample_many` draws from the float ones.
     """
 
     name: str
@@ -274,7 +266,6 @@ class RecurrenceSpec:
     n0: int
     base_laws: tuple
     groups: Callable[[int, bool], Sequence[VectorGroup]] | None = None
-    sampler: Callable[[np.random.Generator, np.ndarray], tuple] | None = None
     exact_cap: int | None = None
 
     def __post_init__(self):
@@ -294,9 +285,9 @@ class RecurrenceSpec:
             )
 
     def law_groups(self, n: int, exact: bool) -> list:
-        """The joint law at ``n`` as weight rows, exact or float64; exact mode
-        expands blocks into their rows. Polynomial rows are handed over as
-        they are (:meth:`VectorGroup.dense` tabulates them)."""
+        """The joint law at ``n`` as weight rows and blocks, exact or float64,
+        as the spec gives them. Polynomial rows are handed over as they are
+        (:meth:`VectorGroup.dense` tabulates them)."""
         self._check_index(n)
         groups = list(self.groups(n, exact))
         for g in groups:
@@ -305,27 +296,21 @@ class RecurrenceSpec:
                     f"joint group at n={n}: arity differs from k, index outside {{0,...,n}}, "
                     "or polynomial row with no coefficients, an empty range or a trailing index n"
                 )
-        if exact:
-            groups = [r for g in groups for r in (g.expand() if isinstance(g, VectorBlock) else (g,))]
-            # one pass per property over all rows; the weights themselves are
-            # checked for being rational where the exact kernels read them
-            if any(g.weights is not None and g.weights.dtype != object for g in groups) or not all(
-                isinstance(g.scale, Rational) and all(isinstance(c, Rational) for c in g.poly)
-                for g in groups
-            ):
-                raise PreconditionError("exact mode requires rational joint weights")
+        # one pass per property over all rows; the weights themselves are
+        # checked for being rational where the exact kernels read them
+        if exact and not all(_rational_unit(g) for g in groups):
+            raise PreconditionError("exact mode requires rational joint weights")
         return groups
 
     def joint_atoms(self, n: int) -> list:
         """The joint law at ``n`` as atoms ``(indices, toll, weight)``, row by
         row; a toll law is expanded atom by atom within each index tuple."""
-        return [
-            ((j, *g.others), t + g.slope * j, g.scale * w * p)
-            for g in (g.dense(n, True) for g in self.law_groups(n, True))
-            for j, w in enumerate(g.weights.tolist(), g.first_start)
-            if w
-            for t, p in zip(*_toll_atoms(g.toll))
-        ]
+        atoms = []
+        for g in self.law_groups(n, True):
+            rows, _, others, scales, _ = _unit_rows(g.dense(n, True) if isinstance(g, VectorGroup) else g)
+            atoms += [((j, *o), t + g.slope * j, s * x * p) for w, o, s in zip(rows, others.tolist(), scales)
+                      for j, x in enumerate(w.tolist(), g.first_start) if x for t, p in zip(*_toll_atoms(g.toll))]
+        return atoms
 
     def joint_arrays(self, n: int) -> tuple:
         """The float rows at ``n`` as arrays ``(indices, tolls, weights)``: int64
@@ -350,12 +335,14 @@ class RecurrenceSpec:
         idx, tolls, weights = zip(*parts)
         return np.concatenate(idx), np.concatenate(tolls), np.concatenate(weights)
 
-    def index_atoms(self, n: int) -> list:
-        """Joint law of the index tuple alone (weights collapsed over tolls)."""
-        acc: dict = {}
-        for idx, _, w in self.joint_atoms(n):
-            acc[idx] = acc.get(idx, 0) + w
-        return list(acc.items())
+
+def _rational_unit(g) -> bool:
+    """True when a group's or block's rows are object arrays (ints or
+    Fractions) and its scales and polynomial coefficients are rational."""
+    block = isinstance(g, VectorBlock)
+    rows = g.rows if block else [w for w in (g.weights,) if w is not None]
+    numbers = g.scales.tolist() if block else (g.scale, *g.poly)
+    return all(r.dtype == object for r in rows) and all(isinstance(x, Rational) for x in numbers)
 
 
 def _toll_atoms(toll) -> tuple:
@@ -894,7 +881,7 @@ class Solver:
             ]
         stacked, inner = self._inner_rows(m, fs, rows, keys, slope, fresh)
         tu = self._units(toll)
-        if self._exact:  # law_groups hands exact mode single rows
+        if self._exact:  # a group or a block, one row at a time
             pieces = []
             for r, mix in sorted(inner.items()):
                 if mix is not None:
@@ -1195,37 +1182,208 @@ def _lattice_value(k: int, den: int):
 # ---------------------------------------------------------------------------
 
 
-class _TableSampler:
-    """Inverse-CDF sampler over the rows of :meth:`RecurrenceSpec.joint_arrays`,
-    in row order, cached per index."""
+def _alias(p: np.ndarray) -> tuple:
+    """Walker's alias table of the nonnegative weights ``p`` (positive sum):
+    cell i gives i with probability ``prob[i]``, else ``alias[i]``. Vose's
+    construction as one numpy sweep: scaled to mean 1, the deficits of the
+    entries below 1 and the excesses of those above lie end to end on two
+    lines. A small entry's alias is the large one whose excess holds the
+    start of its deficit; a large entry whose excess ends inside a deficit
+    pays the rest from its own cell, with the next large one as alias."""
+    size = len(p)
+    if size <= 2:  # the lighter entry's cell is topped up by the heavier one
+        light = int(p[-1] < p[0])
+        prob, alias = np.ones(size), np.full(size, size - 1 - light)
+        prob[light] = size * p[light] / p.sum()
+        return prob, alias
+    q = p * (size / p.sum())
+    prob, alias = np.minimum(q, 1.0), np.arange(size)
+    small, large = np.flatnonzero(q < 1.0), np.flatnonzero(q > 1.0)
+    if small.size and large.size:
+        d_end = np.cumsum(1.0 - q[small])
+        d_start = np.concatenate(([0.0], d_end[:-1]))
+        e_end = np.cumsum(q[large] - 1.0)
+        # a round-off leftover past the last excess takes the last large entry
+        alias[small] = large[np.minimum(np.searchsorted(e_end, d_start, side="right"), large.size - 1)]
+        ends = e_end[:-1]
+        s = np.minimum(np.searchsorted(d_end, ends, side="right"), small.size - 1)
+        cut = np.flatnonzero((d_start[s] < ends) & (ends < d_end[s]))
+        prob[large[cut]] = 1.0 - (d_end[s[cut]] - ends[cut])
+        alias[large[cut]] = large[cut + 1]
+    return prob, alias
 
-    def __init__(self, spec: RecurrenceSpec):
+
+class _Column:
+    """A growable array: ``buf[:n]`` holds what was added."""
+
+    def __init__(self, dtype, width: tuple = ()):
+        self.buf, self.n = np.empty((64, *width), dtype=dtype), 0
+
+    def add(self, values) -> int:
+        """Append ``values``; returns the position of the first."""
+        start, self.n = self.n, self.n + len(values)
+        if self.n > len(self.buf):  # at least doubled
+            self.buf = np.concatenate((self.buf[:start], np.empty((self.n, *self.buf.shape[1:]), self.buf.dtype)))
+        self.buf[start : self.n] = values
+        return start
+
+
+class _RowSampler:
+    """Joint atoms drawn from a spec's float weight rows (``law_groups(n,
+    False)``) and base laws, for pending subproblems at mixed indices.
+
+    A level is compiled the first time a round meets it, with Python work
+    per group and row: each row's fields, and an alias table of its rows by
+    mass. A row linear in the leading index j draws j in closed form
+    (:func:`_closed_form`), any other from an alias table of its weights,
+    built once per cache key. A base index is a level of one row, its base
+    law as toll law and -1 (none) as children. Rounds run numpy alone.
+    """
+
+    def __init__(self, spec: RecurrenceSpec, top: int):
+        """A sampler of indices up to ``top``, which no child index exceeds."""
         self.spec = spec
-        self._tables: dict = {}
+        self._prob, self._alias, self._value = _Column(float), _Column(np.int64), _Column(float)
+        # by index: first row, pick table slot and row count (0: not compiled)
+        self._row0, self._pick, self._count = np.zeros((3, top + 1), dtype=np.int64)
+        # by row: first_start, table slot (-1: closed form), size, toll-law table slot
+        # and size (0: none), closed-form b and c, toll, slope, trailing indices
+        self._cols = (*(_Column(np.int64) for _ in range(5)), *(_Column(float) for _ in range(4)),
+                      _Column(np.int64, (spec.k - 1,)))
+        (self._fs, self._slot, self._size, self._law_slot, self._law_size,
+         self._b, self._c, self._toll, self._slope, self._others) = self._cols
+        self._keyed: dict = {}  # a weight row's table fields by cache key
+        self._kinds = dict.fromkeys(("multi", "table", "curved", "sloped", "law"), False)
 
-    def _table(self, n: int) -> tuple:
-        tab = self._tables.get(n)
-        if tab is None:
-            idx, tolls, weights = self.spec.joint_arrays(n)
-            cum = np.cumsum(weights)
-            if not (cum.size and cum[-1] > 0):
-                raise PreconditionError(f"{self.spec.name}: joint law at n={n} has no mass")
-            tab = self._tables[n] = (idx, tolls, cum / cum[-1])
-        return tab
+    def _table(self, weights: np.ndarray, values) -> int:
+        """Store an alias table of ``weights`` holding ``values``; returns its first slot."""
+        prob, alias = _alias(weights)
+        off = self._prob.add(prob)
+        self._alias.add(alias + off)
+        self._value.add(values)
+        return off
+
+    def _draw(self, off: np.ndarray, size: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One draw per uniform ``u`` from the tables of ``size`` slots at ``off``."""
+        x = u * size
+        cell = x.astype(np.int64)
+        x -= cell
+        cell += off
+        return self._value.buf[np.where(x < self._prob.buf[cell], cell, self._alias.buf[cell])]
+
+    def _compile(self, ns: np.ndarray) -> None:
+        """Compile every level of ``ns`` not met before."""
+        fresh = ns[self._count[ns] == 0]
+        if fresh.size:
+            rows: list = []
+            for n in np.unique(fresh).tolist():
+                self._level(n, rows)
+            for col, part in zip(self._cols, zip(*rows)):
+                col.add(part)
+            _, slot, _, _, law_size, _, c, _, slope, _ = zip(*rows)
+            new = (max(slot) >= 0, any(c), any(slope), any(law_size))
+            for kind, seen in zip(("table", "curved", "sloped", "law"), new):
+                self._kinds[kind] |= seen
+
+    def _level(self, n: int, rows: list) -> None:
+        """Append level n's rows to ``rows`` and store its pick table."""
+        row0, masses, spec = self._fs.n + len(rows), [], self.spec
+        if n < spec.n0:
+            base = spec.base_laws[n]
+            toll = base if len(base.values) > 1 else base.values_f[0]
+            groups = [VectorGroup(-1, np.ones(1), 1, (-1,) * (spec.k - 1), toll)]
+        else:
+            groups = spec.law_groups(n, False)
+        for g in groups:
+            law = g.toll if isinstance(g.toll, Pmf) else None
+            if law is None:
+                law_slot, law_size, toll, kept = 0, 0, float(g.toll), 1.0
+            else:
+                law_slot, law_size, toll = self._table(law.probs_f, law.values_f), len(law.values), 0.0
+                kept = float(law.probs_f.sum())
+            closed = _closed_form(g, n) if isinstance(g, VectorGroup) and g.poly else None
+            if closed is not None:
+                units = [(-1, *closed, g.scale, g.others)]
+            else:
+                ws, _, others, scales, keys = _unit_rows(g if isinstance(g, VectorBlock) else g.dense(n, False))
+                keys = [None] * len(ws) if keys is None else keys.tolist()
+                units = [(*self._row_table(w, key), s, o)
+                         for w, key, s, o in zip(ws, keys, scales, others.tolist())]
+            for slot, size, b, c, total, scale, others in units:
+                rows.append((g.first_start, slot, size, law_slot, law_size, b, c, toll, float(g.slope), others))
+                masses.append(float(scale) * total * kept)
+        total = math.fsum(masses)
+        if not (math.isfinite(total) and total > 0 and min(masses) >= 0):
+            raise PreconditionError(f"{spec.name}: joint law at n={n} has no mass, or a weight "
+                                    "that is negative or not finite")
+        self._kinds["multi"] |= len(masses) > 1
+        self._row0[n], self._count[n] = row0, len(masses)
+        self._pick[n] = self._table(np.array(masses), np.arange(row0, row0 + len(masses)))
+
+    def _row_table(self, w: np.ndarray, key) -> tuple:
+        """(table slot or -1: closed form, size, b, c, weight sum) of a weight row."""
+        got = self._keyed.get(key)
+        if got is None:
+            total = float(w.sum())
+            if len(w) == 1 or not total > 0:
+                got = (-1, 1, 1.0, 0.0, total)
+            elif not (math.isfinite(total) and w.min() >= 0):
+                raise PreconditionError(f"{self.spec.name}: joint weight that is negative or not finite")
+            else:
+                got = (self._table(w, np.arange(len(w))), len(w), 1.0, 0.0, total)
+            if key is not None:
+                self._keyed[key] = got
+        return got
 
     def __call__(self, rng: np.random.Generator, ns: np.ndarray) -> tuple:
-        u = rng.random(ns.size)
-        children = np.empty((self.spec.k, ns.size), dtype=np.int64)
-        tolls = np.empty(ns.size)
-        # particles sorted by index, one searchsorted per distinct index
-        order = np.argsort(ns, kind="stable")
-        for sel in np.split(order, np.flatnonzero(np.diff(ns[order])) + 1):
-            if sel.size:
-                idx, tab_tolls, cum = self._table(int(ns[sel[0]]))
-                picks = np.minimum(np.searchsorted(cum, u[sel], side="right"), len(cum) - 1)
-                children[:, sel] = idx[picks].T
-                tolls[sel] = tab_tolls[picks]
-        return list(children), tolls
+        """One joint atom per entry of ``ns``: the child indices, the first
+        child of every entry, then the next, and the tolls."""
+        self._compile(ns)
+        kinds = self._kinds
+        if kinds["multi"]:
+            r = self._draw(self._pick[ns], self._count[ns], rng.random(ns.size)).astype(np.int64)
+        else:
+            r = self._row0[ns]
+        v, size = rng.random(ns.size), self._size.buf[r]
+        if kinds["curved"]:  # the root of _closed_form
+            b = self._b.buf[r]
+            d = self._c.buf[r] * v
+            d += b * b
+            np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+            d += b
+            lead = np.minimum((2.0 * v / d).astype(np.int64), size - 1)
+        else:  # uniform rows: v * size stays below size
+            lead = (v * size).astype(np.int64)
+        if kinds["table"]:
+            at = np.flatnonzero(self._slot.buf[r] >= 0)
+            lead[at] = self._draw(self._slot.buf[r[at]], size[at], v[at])
+        lead += self._fs.buf[r]
+        tolls = self._toll.buf[r]
+        if kinds["sloped"]:
+            tolls += self._slope.buf[r] * lead
+        if kinds["law"]:
+            at = np.flatnonzero(self._law_size.buf[r])
+            tolls[at] += self._draw(self._law_slot.buf[r[at]], self._law_size.buf[r[at]], rng.random(at.size))
+        if self.spec.k == 1:
+            return lead, tolls
+        return np.concatenate((lead, self._others.buf[r].T.ravel())), tolls
+
+
+def _closed_form(g: VectorGroup, n: int):
+    """(size, b, c, weight sum) of a polynomial row of degree <= 1, weights
+    A + B i at i = 0..size-1, with A >= 0, A + B (size-1) >= 0 and b = (A -
+    B/2) / sum > 0, and c = 2B / sum; None for any other row. Its cumulative
+    sum scaled to 1 at size is S(x) = (c/4) x^2 + b x, so the offset of a
+    draw from the uniform v, the largest i with S(i) <= v, is the floor of
+    the root 2v / (b + sqrt(b^2 + c v))."""
+    if len(g.poly) > 2:
+        return None
+    c0, c1 = (float(x) for x in (*g.poly, 0)[:2])
+    size, first = n - g.first_start, c0 + c1 * g.first_start
+    total = size * first + c1 * size * (size - 1) / 2
+    if not (first >= 0 and first + c1 * (size - 1) >= 0 and total > 0 and first - c1 / 2 > 0):
+        return None
+    return size, (first - c1 / 2) / total, 2 * c1 / total, total
 
 
 #: particles simulated together by ``sample_many``; bounds its working memory
@@ -1236,9 +1394,10 @@ def sample_many(spec: RecurrenceSpec, n, size: int, rng: np.random.Generator) ->
     """Independent draws of the recurrence value, fully vectorized.
 
     ``n`` is the start index of every draw, or an integer array of ``size``
-    start indices, one per draw. Particles run in blocks of ``_BLOCK``; in a
-    block each round makes one sampler call over every pending subproblem,
-    so a round costs O(pending) numpy work however many indices are pending.
+    start indices, one per draw. Draws come from the spec's float weight rows
+    and base laws (:class:`_RowSampler`, one compile per distinct index met).
+    Particles run in blocks of ``_BLOCK``; each round of a block draws one
+    joint atom per pending subproblem, however many indices are pending.
     """
     starts = np.asarray(n)
     if not np.issubdtype(starts.dtype, np.integer) or starts.shape not in ((), (size,)):
@@ -1248,46 +1407,23 @@ def sample_many(spec: RecurrenceSpec, n, size: int, rng: np.random.Generator) ->
             f"{spec.name}: index must be nonnegative (got {int(starts.min())})"
         )
     starts = np.full(size, starts, dtype=np.int64) if starts.ndim == 0 else starts.astype(np.int64)
-    draw = spec.sampler or _TableSampler(spec)
-    base = [(b.values_f, np.cumsum(b.probs_f) / float(np.sum(b.probs_f))) for b in spec.base_laws]
-    out = np.empty(size)
+    draw = _RowSampler(spec, int(starts.max(initial=0)))
+    out = np.zeros(size)
     for lo in range(0, size, _BLOCK):
-        out[lo : lo + _BLOCK] = _sample_block(spec, draw, base, starts[lo : lo + _BLOCK], rng)
-    return out
-
-
-def _sample_block(spec: RecurrenceSpec, draw, base: list, ns: np.ndarray, rng) -> np.ndarray:
-    """Draws for one block of particles started at indices ``ns``.
-
-    Pending subproblems are (particle, index) pairs; base indices resolve
-    from their laws, every other pending index takes one joint draw.
-    """
-    size = ns.size
-    totals = np.zeros(size)
-    pids = np.arange(size, dtype=np.int64)
-    rounds = 0
-    while pids.size:
-        rounds += 1
-        if rounds > 10_000:
-            raise CapacityError("sampling recursion failed to terminate")
-        small = ns < spec.n0
-        if small.any():
-            for b in np.unique(ns[small]).tolist():
-                at = pids[ns == b]
-                vals, cum = base[b]
-                if len(vals) == 1:
-                    totals += vals[0] * np.bincount(at, minlength=size)
-                else:
-                    picks = np.minimum(np.searchsorted(cum, rng.random(at.size)), len(vals) - 1)
-                    totals += np.bincount(at, weights=vals[picks], minlength=size)
-            pids, ns = pids[~small], ns[~small]
-            if not pids.size:
+        # pending (particle, index) pairs; a draw's children (-1 below a base
+        # index) are pending in the next round
+        ns = starts[lo : lo + _BLOCK]
+        block, pids = out[lo : lo + ns.size], np.arange(ns.size)
+        for _ in range(10_000):
+            ns, tolls = draw(rng, ns)
+            block += np.bincount(pids, weights=tolls, minlength=block.size)
+            live = ns >= 0
+            pids, ns = (np.tile(pids, spec.k) if spec.k > 1 else pids)[live], ns[live]
+            if not ns.size:
                 break
-        children, tolls = draw(rng, ns)
-        totals += np.bincount(pids, weights=tolls, minlength=size)
-        pids = np.tile(pids, spec.k)
-        ns = np.concatenate([np.asarray(c, dtype=np.int64) for c in children])
-    return totals
+        else:
+            raise CapacityError("sampling recursion failed to terminate")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 ``brute_law`` expands every recursion path with plain dictionaries of
 fractions: no memoization, no truncation, no shared code with the solver
-beyond the joint-law tables themselves (``spec.joint_atoms``). ``broadcast_means`` runs the mean
-recurrence of the broadcast models from the index law written out in its
-docstring, without touching the catalog's tables. ``election_rounds_law`` is
-the exact law of a leader election's length, from its transition matrix;
-``broadcast_b_means`` runs the mean recurrence of the election-toll model on
-the election's own mean recurrence. ``sampled_tv`` measures a sample against
-a reference law with the bound it may reach by chance."""
+beyond the joint-law tables themselves (``spec.joint_atoms``), which
+``index_law`` collapses over the tolls. ``broadcast_index_pmf`` writes out
+the broadcast models' index law atom by atom, and ``broadcast_means`` runs
+their mean recurrence from the law in its docstring, without touching the
+catalog's tables. ``election_rounds_law`` is the exact law of a leader
+election's length, from its transition matrix, and ``leader_election_rounds``
+simulates elections coin by coin; ``broadcast_b_means`` runs the mean
+recurrence of the election-toll model on the election's own mean
+recurrence. ``sampled_tv`` measures a sample against a reference law with
+the bound it may reach by chance."""
 
 import math
 from fractions import Fraction
@@ -41,6 +44,59 @@ def brute_law(spec, n: int) -> dict:
         for v, p in combo.items():
             out[v] = out.get(v, Fraction(0)) + p
     return out
+
+
+def index_law(spec, n: int) -> dict:
+    """Joint law of the index tuple alone at n, {indices: weight}, the
+    weights of ``spec.joint_atoms(n)`` summed over the tolls."""
+    out: dict = {}
+    for idx, _, w in spec.joint_atoms(n):
+        out[idx] = out.get(idx, 0) + w
+    return out
+
+
+def broadcast_index_pmf(n: int) -> dict:
+    """Exact joint law of the two subgroup sizes after one broadcast round
+    among n contenders, {(j, k): Fraction}.
+
+    The leading size is Binomial(n, 1/2); the trailing size is 0 with
+    probability 1/2 + 2^-n and k with probability 2^-(k+1) for 1 <= k <= n-1.
+    """
+    if n < 1:
+        raise ValueError("need at least one contender")
+    half_pow = Fraction(1, 2**n)
+    out = {(0, 0): half_pow}
+    for k in range(0, n):
+        for j in range(1, n - k + 1):
+            out[(j, k)] = math.comb(n - k - 1, j - 1) * half_pow
+    return out
+
+
+def leader_election_rounds(m, rng: np.random.Generator):
+    """Rounds needed to thin ``m`` contenders to one by fair coin flipping,
+    simulated round by round.
+
+    Every contender flips each round; the heads-flippers survive whenever that
+    leaves at least one and fewer than all contenders, otherwise the round is
+    wasted. Accepts a scalar or an array of contender counts.
+    """
+    scalar = np.isscalar(m)
+    counts = np.atleast_1d(np.asarray(m, dtype=np.int64)).ravel()
+    if (counts < 1).any():
+        raise ValueError("contender counts must be at least 1")
+    rounds = np.zeros(counts.size, dtype=np.int64)
+    # only running elections are carried: their output positions and counts
+    pos = np.flatnonzero(counts > 1)
+    cur = counts[pos]
+    r = 0
+    while pos.size:
+        r += 1
+        heads = rng.binomial(cur, 0.5)
+        cur = np.where((heads >= 1) & (heads < cur), heads, cur)
+        done = cur == 1
+        rounds[pos[done]] = r
+        pos, cur = pos[~done], cur[~done]
+    return int(rounds[0]) if scalar else rounds.reshape(np.shape(m))
 
 
 def broadcast_means(n_max: int, toll_mean, base_means=(0.0, 0.0)):

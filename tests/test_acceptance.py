@@ -41,7 +41,7 @@ from recdist import (
 )
 from conftest import shared_solver
 
-from brute import broadcast_means, brute_law
+from brute import broadcast_means, brute_law, index_law
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -223,11 +223,11 @@ def test_criterion_05_proof_machinery_bound():
             if racc > 10 * total + 1e-12:
                 bound_viol.append((name, n))
 
-        def index_law(n, _spec=entry.spec):
-            return [(idx, float(w)) for idx, w in _spec.index_atoms(n)]
+        def index_weights(n, _spec=entry.spec):
+            return [(idx, float(w)) for idx, w in index_law(_spec, n).items()]
 
         rep = rate_transfer_check(
-            d_vals, r_vals, 3 * params.alpha, index_law, params.delta, 1.5
+            d_vals, r_vals, 3 * params.alpha, index_weights, params.delta, 1.5
         )
         transfer_ok[name] = rep.ok
     ok = not bound_viol and all(transfer_ok.values())

@@ -16,16 +16,25 @@ from recdist import (
     PreconditionError,
     SolveOptions,
     Solver,
-    broadcast_index_pmf,
-    leader_election_rounds,
+    VectorBlock,
+    VectorGroup,
     make,
     rate_exponent,
+    sample_many,
 )
 from recdist import catalog, engine
-from recdist.catalog import NAMES, _fair_binomial, _popcount, fit_variance_constant, leader_election_spec
-from recdist.engine import VectorBlock, _atom_groups
+from recdist.catalog import NAMES, fit_variance_constant, leader_election_spec
+from recdist.engine import _atom_groups, _RowSampler
 
-from brute import broadcast_b_means, broadcast_means, election_rounds_law, sampled_tv
+from brute import (
+    broadcast_b_means,
+    broadcast_index_pmf,
+    broadcast_means,
+    election_rounds_law,
+    index_law,
+    leader_election_rounds,
+    sampled_tv,
+)
 from conftest import shared_solver
 
 
@@ -117,7 +126,7 @@ def test_groups_expand_to_reference_tables(name):
     spec = make(name).spec
     for n in (2, 3, 7, 12, 33):
         expanded: dict = {}
-        for g in (g.dense(n, True) for g in spec.law_groups(n, True)):
+        for g in (r.dense(n, True) for g in spec.law_groups(n, True) for r in _block_rows(g)):
             tolls = list(zip(g.toll.values, g.toll.probs)) if isinstance(g.toll, Pmf) else [(g.toll, 1)]
             for j, w in enumerate(g.weights.tolist(), g.first_start):
                 if w:
@@ -167,12 +176,22 @@ def test_binomial_rows_grow_safely_from_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _block_rows(g) -> list:
+    """A block's rows as one VectorGroup each, in order; a group as it is."""
+    if not isinstance(g, VectorBlock):
+        return [g]
+    keys = [None] * len(g.rows) if g.cache_keys is None else g.cache_keys.tolist()
+    return [
+        VectorGroup(g.first_start, w, s, tuple(o), g.toll, g.slope, key)
+        for w, s, o, key in zip(g.rows, g.scales, g.others.tolist(), keys)
+    ]
+
+
 def _per_row(spec):
     """The spec with each block handed to the solver as one VectorGroup per row."""
 
     def groups(n, exact):
-        units = spec.groups(n, exact)
-        return [r for g in units for r in (g.expand() if isinstance(g, VectorBlock) else [g])]
+        return [r for g in spec.groups(n, exact) for r in _block_rows(g)]
 
     return dataclasses.replace(spec, groups=groups)
 
@@ -379,13 +398,20 @@ def test_broadcast_comparisons_exact_means_match_the_mean_recurrence():
     assert got == pytest.approx(make("broadcast_a_comparisons").solver().means_upto(40), rel=1e-12)
 
 
+def _draw_atoms(spec, ns: np.ndarray, rng) -> tuple:
+    """One round of the row sampler over the indices ``ns``: the child
+    indices as an (entries, k) array, and the tolls."""
+    children, tolls = _RowSampler(spec, int(ns.max()))(rng, ns)
+    return children.reshape(spec.k, -1).T, tolls
+
+
 def test_broadcast_sampler_matches_joint_law():
     spec = make("broadcast_a_time").spec
     rng = np.random.default_rng(31337)
     n, runs = 10, 400_000
-    idx, _ = spec.sampler(rng, np.full(runs, n))
+    idx, _ = _draw_atoms(spec, np.full(runs, n), rng)
     emp: dict = {}
-    for j, k in zip(idx[0].tolist(), idx[1].tolist()):
+    for j, k in idx.tolist():
         emp[(j, k)] = emp.get((j, k), 0) + 1
     ref = {key: float(w) for key, w in broadcast_index_pmf(n).items()}
     tv = 0.5 * sum(
@@ -398,11 +424,10 @@ MIXED_NS = (2, 3, 10, 61, 200)
 
 
 def _mixed_call(spec, per_n: int, seed: int) -> tuple:
-    """One sampler call over a shuffled array mixing every index of MIXED_NS."""
+    """One sampler round over a shuffled array mixing every index of MIXED_NS."""
     rng = np.random.default_rng(seed)
     ns = rng.permutation(np.repeat(np.array(MIXED_NS, dtype=np.int64), per_n))
-    children, tolls = spec.sampler(rng, ns)
-    return ns, np.stack([np.asarray(c) for c in children], axis=1), np.asarray(tolls, dtype=float)
+    return (ns, *_draw_atoms(spec, ns, rng))
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -425,7 +450,7 @@ def test_election_sampler_law_over_mixed_indices():
     ns, children, tolls = _mixed_call(spec, 20_000, seed=2025)
     for n in MIXED_NS:
         at = ns == n
-        index_ref = {tuple(idx): float(w) for idx, w in spec.index_atoms(n)}
+        index_ref = {idx: float(w) for idx, w in index_law(spec, n).items()}
         tv, bound = sampled_tv(list(map(tuple, children[at].tolist())), index_ref)
         assert tv <= bound, ("index", n, tv, bound)
         toll_ref = {float(r): p for r, p in election_rounds_law(n).items()}
@@ -433,30 +458,14 @@ def test_election_sampler_law_over_mixed_indices():
         assert tv <= bound, ("toll", n, tv, bound)
 
 
-def test_fair_binomial_is_exact():
-    ms = (1, 2, 63, 64, 65, 200)
-    per_m = 200_000
-    rng = np.random.default_rng(77)
-    m = rng.permutation(np.repeat(np.array(ms, dtype=np.int64), per_m))
-    draws = _fair_binomial(m, rng)
-    for mm in ms:
-        got = draws[m == mm]
-        ref = {h: math.comb(mm, h) / 2**mm for h in range(mm + 1)}
-        tv, bound = sampled_tv(got.tolist(), ref, t=0.01)
-        assert tv <= bound, (mm, tv, bound)
-        # six standard errors of the mean m/2
-        assert abs(float(got.mean()) - mm / 2) <= 6 * math.sqrt(mm / 4 / per_m)
-    assert _fair_binomial(np.zeros(5, dtype=np.int64), rng).tolist() == [0] * 5
-
-
-def test_popcount_counts_set_bits():
-    rng = np.random.default_rng(3)
-    x = np.concatenate([
-        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
-        rng.integers(0, 2**64, size=1000, dtype=np.uint64),
-    ])
-    want = [bin(v).count("1") for v in x.tolist()]
-    assert _popcount(x.copy()).tolist() == want
+@pytest.mark.parametrize("m", [2, 5, 40])
+def test_sampled_elections_follow_the_election_law(m):
+    """The election's one row refers back to m (a wasted round keeps m):
+    sample_many follows that atom round after round, and its draws have
+    the law of the election's length."""
+    draws = sample_many(leader_election_spec(), m, 20_000, np.random.default_rng(m))
+    tv, bound = sampled_tv(draws.tolist(), {float(r): p for r, p in election_rounds_law(m).items()})
+    assert tv <= bound, (m, tv, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +515,7 @@ def test_election_third_moment_scales_like_log_cubed():
 
 
 def test_contender_count_validated():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError):
         leader_election_rounds(0, np.random.default_rng(0))
 
 

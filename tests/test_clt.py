@@ -29,7 +29,7 @@ from recdist import (
 from recdist import clt
 from recdist.clt import VERIFICATION_COLUMNS, verification_row
 
-from brute import broadcast_b_means, election_rounds_law
+from brute import broadcast_b_means, broadcast_index_pmf, election_rounds_law
 from conftest import shared_solver
 
 
@@ -162,7 +162,6 @@ def test_surrogate_and_conditions_build_no_atom_table(monkeypatch):
         raise AssertionError("the float view of the joint law builds no atom table")
 
     monkeypatch.setattr(RecurrenceSpec, "joint_atoms", refuse)
-    monkeypatch.setattr(RecurrenceSpec, "index_atoms", refuse)
     entry = make("broadcast_a_time")
     solver = entry.solver()
     acc = accompanying_law(solver, 64, entry.params)
@@ -173,8 +172,6 @@ def test_surrogate_and_conditions_build_no_atom_table(monkeypatch):
 
 @pytest.mark.parametrize("model", ["broadcast_a_time", "broadcast_a_comparisons"])
 def test_conditions_k2_match_the_exact_tables(model):
-    from recdist.catalog import broadcast_index_pmf
-
     entry = make(model)
     solver = entry.solver()
     rep = check_conditions(solver, entry.params, [16, 64, 128])

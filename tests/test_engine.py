@@ -27,7 +27,7 @@ from recdist import (
     spec_from_json,
 )
 from recdist import catalog
-from recdist.engine import _BLOCK, _TableSampler, _atom_groups
+from recdist.engine import _BLOCK, _RowSampler, _atom_groups
 
 from brute import brute_law, sampled_tv
 
@@ -146,13 +146,10 @@ def test_exact_cap_enforced():
         Solver(make("quickselect").spec).law(257)
 
 
-def test_sampler_only_spec_rejects_exact():
-    # every spec has a joint law to solve: a sampler alone is refused
-    def sampler(rng, ns):
-        return [rng.integers(0, ns)], np.ones(ns.size)
-
+def test_spec_without_groups_is_refused():
+    # the weight rows are a spec's one description of its law
     with pytest.raises(PreconditionError, match="joint law"):
-        RecurrenceSpec(name="draws", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), sampler=sampler)
+        RecurrenceSpec(name="draws", k=1, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)))
 
 
 @pytest.mark.parametrize("doc", [
@@ -375,7 +372,7 @@ def test_quickselect_small_probability():
 
 
 @pytest.mark.parametrize("name", ["unsuccessful_search", "node_depth", "quickselect",
-                                  "broadcast_a_time", "broadcast_a_comparisons"])
+                                  "broadcast_a_time", "broadcast_a_comparisons", "broadcast_b_time"])
 def test_exact_vs_monte_carlo_tv_small_n(name):
     spec = make(name).spec
     solver = Solver(spec)
@@ -397,15 +394,57 @@ def test_table_sampler_law_over_mixed_indices():
         rows += [[n, i, n - 1 - i, "1/3" if i % 2 else 2, f"{i + 1}/{total}"] for i in range(n)]
     spec = spec_from_json({"name": "split", "k": 2, "n0": 2,
                            "base": [Pmf.delta(0).to_json_dict()] * 2, "rows": rows})
-    rng = np.random.default_rng(8)
+    _assert_round_draws_the_atoms(spec, mixed, seed=8)
+
+
+def _assert_round_draws_the_atoms(spec, mixed: tuple, seed: int) -> None:
+    """One round of the row sampler over a shuffled mix of the indices
+    ``mixed`` (20 000 each) draws, at each index, the law of joint_atoms."""
+    rng = np.random.default_rng(seed)
     ns = rng.permutation(np.repeat(np.array(mixed, dtype=np.int64), 20_000))
-    children, tolls = _TableSampler(spec)(rng, ns)
+    children, tolls = _RowSampler(spec, int(ns.max()))(rng, ns)
+    children = children.reshape(spec.k, -1).T
     for n in mixed:
         at = ns == n
-        keys = list(zip(zip(children[0][at].tolist(), children[1][at].tolist()), tolls[at].tolist()))
+        keys = list(zip(map(tuple, children[at].tolist()), tolls[at].tolist()))
         ref = {(tuple(idx), float(t)): float(w) for idx, t, w in spec.joint_atoms(n)}
+        assert sum(ref.values()) == pytest.approx(1.0)
         tv, bound = sampled_tv(keys, ref)
         assert tv <= bound, (n, tv, bound)
+
+
+def test_polynomial_rows_sample_their_atom_tables():
+    """Polynomial rows a quarter of the mass each: weights 1 + j^2 over
+    j = 1..n-1 (degree 2, tabulated) with a sloped toll, weights j over
+    j = 0..n-1 (degree 1 but a first weight below half the slope, tabulated)
+    and weights n - j over j = 1..n-1 (degree 1, decreasing, in closed form),
+    next to a one-entry row. One round over mixed indices draws the atoms of
+    joint_atoms."""
+
+    def groups(n, exact):
+        one = np.ones(1, dtype=object if exact else float)
+        return [
+            VectorGroup(1, scale=F(1, 4 * sum(1 + j * j for j in range(1, n))), others=(n - 1,),
+                        toll=F(1, 2), slope=1, poly=(1, 0, 1)),
+            VectorGroup(0, scale=F(1, 2 * n * (n - 1)), others=(1,), toll=2, poly=(0, 1)),
+            VectorGroup(1, scale=F(2, 4 * n * (n - 1)), others=(0,), toll=1, poly=(n, -1)),
+            VectorGroup(0, one, F(1, 4), (0,), 3),
+        ]
+
+    spec = RecurrenceSpec(name="quadratic", k=2, n0=2, base_laws=(Pmf.delta(0), Pmf.delta(0)), groups=groups)
+    _assert_round_draws_the_atoms(spec, (2, 7, 30), seed=21)
+
+
+def test_sampled_base_laws_of_several_atoms():
+    """Base laws of two atoms each are drawn from their own tables: the draws
+    at n = 6 follow the solved law."""
+    base = (Pmf.from_atoms([(0, 0.5), (3, 0.5)]), Pmf.from_atoms([(1, 0.25), (2, 0.75)]))
+    spec = RecurrenceSpec(name="spread", k=1, n0=2, base_laws=base,
+                          groups=lambda n, exact: [VectorGroup(0, scale=F(1, n), toll=1, poly=(1,))])
+    law = Solver(spec).law(6)
+    draws = sample_many(spec, 6, 50_000, np.random.default_rng(4))
+    tv, bound = sampled_tv(draws.tolist(), {float(v): float(p) for v, p in zip(law.values, law.probs)})
+    assert tv <= bound, (tv, bound)
 
 
 def test_sample_many_per_particle_starts(solver_us):
