@@ -10,6 +10,7 @@ a fitted value before any scale-sensitive analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -183,6 +184,32 @@ _FLOAT_TRAILING = np.arange(66).reshape(-1, 1)
 _FLOAT_SCALES = 2.0 ** -(_FLOAT_TRAILING[:, 0] + 1.0)
 _FLOAT_TRAILING.flags.writeable = _FLOAT_SCALES.flags.writeable = False
 
+#: float Binomial(m, 1/2) rows from this m on are kept only over their band
+#: (:func:`_binom_band`), so a level holds O(sqrt(n)) weights, not the
+#: O(n^2) of every full row below it; past every exact_cap, so the solver
+#: mixes full rows
+_BAND_FROM = 2048
+
+#: a band starts at a multiple of this, so the banded rows of a level fall
+#: into two blocks at most
+_BAND_GRID = 64
+
+
+@functools.lru_cache(maxsize=256)
+def _binom_band(m: int) -> tuple:
+    """(first i, weights) of Binomial(m, 1/2) from i = m/2 - 5 sqrt(m),
+    rounded down to a multiple of ``_BAND_GRID``, where the weights lie far
+    below ``_FLOAT_CUT`` (log b(m/2 + t) is about -2t^2/m), to the last
+    weight at or above the cut: log-weights summed one ratio (m - i)/(i + 1)
+    a step, then scaled to sum 1."""
+    lo = max(0, math.floor(m / 2 - 5 * math.sqrt(m))) // _BAND_GRID * _BAND_GRID
+    i = np.arange(lo, m - lo)
+    head = math.lgamma(m + 1) - math.lgamma(lo + 1) - math.lgamma(m - lo + 1) - m * math.log(2)
+    w = np.exp(head + np.concatenate(([0.0], np.cumsum(np.log((m - i) / (i + 1.0))))))
+    w = w[: np.flatnonzero(w >= _FLOAT_CUT)[-1] + 1] / w.sum()
+    w.flags.writeable = False
+    return lo, w
+
 
 def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
     """The joint law of the two subgroup sizes after one broadcast round among
@@ -192,7 +219,9 @@ def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
     trailing one k >= 1 with probability 2^-(k+1); the toll is toll + slope*j.
     Exact rows hold binomial coefficients under the scale 2^-n. Float rows
     are the memoized Binomial(n-k-1, 1/2) rows themselves (cache key
-    n-k-1) under 2^-(k+1), down to ``_FLOAT_CUT``.
+    n-k-1) under 2^-(k+1), down to ``_FLOAT_CUT``; the rows of m = n-k-1 >=
+    ``_BAND_FROM`` are their bands (:func:`_binom_band`), one block per band
+    start.
     """
     if exact:
         keys = np.arange(n - 1, -1, -1)
@@ -202,16 +231,25 @@ def _broadcast_groups(n: int, exact: bool, toll: int, slope: int) -> list:
         )
         scales = np.full(n, s, dtype=object)
         block = VectorBlock(1, rows, keys[::-1].reshape(-1, 1), scales, toll, slope, keys)
-    else:
-        s = 2.0**-n
-        K = min(n, len(_FLOAT_SCALES))
-        _binom_row(n - 1)
-        rows = tuple(_BINOM_ROWS[n - K : n][::-1])
-        keys = np.arange(n - 1, n - 1 - K, -1)
-        block = VectorBlock(1, rows, _FLOAT_TRAILING[:K], _FLOAT_SCALES[:K], toll, slope, keys)
-    if exact or s >= _FLOAT_CUT:  # the atom (0, 0)
-        return [VectorGroup(0, np.ones(1, dtype=object if exact else float), s, (0,), toll, slope), block]
-    return [block]
+        return [VectorGroup(0, np.ones(1, dtype=object), s, (0,), toll, slope), block]
+    s = 2.0**-n
+    K = min(n, len(_FLOAT_SCALES))
+    B = min(K, max(n - _BAND_FROM, 0))  # the trailing sizes k < B have banded rows
+    groups = [VectorGroup(0, np.ones(1), s, (0,), toll, slope)] if s >= _FLOAT_CUT else []  # the atom (0, 0)
+    bands, k0 = [_binom_band(n - 1 - k) for k in range(B)], 0
+    for k in range(1, B + 1):  # one block per band start
+        if k == B or bands[k][0] != bands[k0][0]:
+            rows = tuple(w for _, w in bands[k0:k])
+            keys = np.arange(n - 1 - k0, n - 1 - k, -1)
+            groups.append(VectorBlock(1 + bands[k0][0], rows, _FLOAT_TRAILING[k0:k], _FLOAT_SCALES[k0:k],
+                                      toll, slope, keys))
+            k0 = k
+    if B < K:
+        _binom_row(n - 1 - B)
+        rows = tuple(_BINOM_ROWS[n - K : n - B][::-1])
+        keys = np.arange(n - 1 - B, n - 1 - K, -1)
+        groups.append(VectorBlock(1, rows, _FLOAT_TRAILING[B:K], _FLOAT_SCALES[B:K], toll, slope, keys))
+    return groups
 
 
 def _broadcast_a_time() -> CatalogEntry:

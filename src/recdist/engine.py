@@ -308,8 +308,11 @@ class RecurrenceSpec:
         atoms = []
         for g in self.law_groups(n, True):
             rows, _, others, scales, _ = _unit_rows(g.dense(n, True) if isinstance(g, VectorGroup) else g)
-            atoms += [((j, *o), t + g.slope * j, s * x * p) for w, o, s in zip(rows, others.tolist(), scales)
-                      for j, x in enumerate(w.tolist(), g.first_start) if x for t, p in zip(*_toll_atoms(g.toll))]
+            for w, o, s in zip(rows, others.tolist(), scales):
+                for j, x in enumerate(w.tolist(), g.first_start):
+                    if x:
+                        for t, p in zip(*_toll_atoms(g.toll)):
+                            atoms.append(((j, *o), t + g.slope * j, s * x * p))
         return atoms
 
     def joint_arrays(self, n: int) -> tuple:
@@ -1183,34 +1186,44 @@ def _lattice_value(k: int, den: int):
 
 
 def _alias(p: np.ndarray) -> tuple:
-    """Walker's alias table of the nonnegative weights ``p`` (positive sum):
-    cell i gives i with probability ``prob[i]``, else ``alias[i]``. Vose's
-    construction as one numpy sweep: scaled to mean 1, the deficits of the
-    entries below 1 and the excesses of those above lie end to end on two
-    lines. A small entry's alias is the large one whose excess holds the
-    start of its deficit; a large entry whose excess ends inside a deficit
-    pays the rest from its own cell, with the next large one as alias."""
-    size = len(p)
-    if size <= 2:  # the lighter entry's cell is topped up by the heavier one
-        light = int(p[-1] < p[0])
-        prob, alias = np.ones(size), np.full(size, size - 1 - light)
-        prob[light] = size * p[light] / p.sum()
-        return prob, alias
-    q = p * (size / p.sum())
-    prob, alias = np.minimum(q, 1.0), np.arange(size)
+    """Walker's alias tables of the rows of ``p``, nonnegative weights of
+    positive row sums, flattened: cell i of a row gives i with probability
+    ``prob[i]``, else ``alias[i]``. Vose's construction as one numpy sweep:
+    scaled to mean 1, a row's deficits of the entries below 1 and excesses
+    of those above lie end to end on two lines. A small entry's alias is the
+    large one whose excess holds the start of its deficit; a large entry
+    whose excess ends inside a deficit pays the rest from its own cell, with
+    the next large one as alias. All rows' lines are searched at once, as
+    the complex numbers row + 1j * position, which numpy orders row first."""
+    T, W = p.shape
+    q = p * (W / p.sum(axis=1, keepdims=True))
+    prob, alias = np.minimum(q, 1.0).ravel(), np.tile(np.arange(W, dtype=np.int32), T)
     small, large = np.flatnonzero(q < 1.0), np.flatnonzero(q > 1.0)
-    if small.size and large.size:
-        d_end = np.cumsum(1.0 - q[small])
-        d_start = np.concatenate(([0.0], d_end[:-1]))
-        e_end = np.cumsum(q[large] - 1.0)
-        # a round-off leftover past the last excess takes the last large entry
-        alias[small] = large[np.minimum(np.searchsorted(e_end, d_start, side="right"), large.size - 1)]
-        ends = e_end[:-1]
-        s = np.minimum(np.searchsorted(d_end, ends, side="right"), small.size - 1)
-        cut = np.flatnonzero((d_start[s] < ends) & (ends < d_end[s]))
-        prob[large[cut]] = 1.0 - (d_end[s[cut]] - ends[cut])
-        alias[large[cut]] = large[cut + 1]
+    if not (small.size and large.size):
+        return prob, alias
+    rs, rl, rows = small // W, large // W, np.arange(T)
+    d_end = np.cumsum(np.maximum(1.0 - q, 0.0), axis=1).ravel()[small]
+    d_start = np.concatenate(([0.0], d_end[:-1]))
+    d_start[np.flatnonzero(np.diff(rs)) + 1] = 0.0  # each row's line starts at 0
+    e_end = rl + 1j * np.cumsum(np.maximum(q - 1.0, 0.0), axis=1).ravel()[large]
+    # a round-off leftover past a row's last excess takes its last large entry
+    last = np.searchsorted(rl, rows, side="right") - 1
+    has = last[rs] >= np.searchsorted(rl, rs)
+    at = np.minimum(np.searchsorted(e_end, rs + 1j * d_start, side="right"), last[rs])[has]
+    alias[small[has]] = large[at] % W
+    nxt = np.flatnonzero(rl[:-1] == rl[1:])  # large entries followed by one in their row
+    s = np.minimum(np.searchsorted(rs + 1j * d_end, e_end[nxt], side="right"),
+                   np.searchsorted(rs, rl[nxt], side="right") - 1)
+    ends = e_end.imag[nxt]
+    cut = np.flatnonzero((rs[s] == rl[nxt]) & (d_start[s] < ends) & (ends < d_end[s]))
+    prob[large[nxt[cut]]] = 1.0 - (d_end[s[cut]] - ends[cut])
+    alias[large[nxt[cut]]] = large[nxt[cut] + 1] % W
     return prob, alias
+
+
+#: a sampled weight row's table leaves out its end entries below this share
+#: of the row's weight, as the broadcast rows stop at their float cut
+_DRAW_CUT = 2.0**-66
 
 
 class _Column:
@@ -1232,138 +1245,164 @@ class _RowSampler:
     """Joint atoms drawn from a spec's float weight rows (``law_groups(n,
     False)``) and base laws, for pending subproblems at mixed indices.
 
-    A level is compiled the first time a round meets it, with Python work
-    per group and row: each row's fields, and an alias table of its rows by
-    mass. A row linear in the leading index j draws j in closed form
-    (:func:`_closed_form`), any other from an alias table of its weights,
-    built once per cache key. A base index is a level of one row, its base
-    law as toll law and -1 (none) as children. Rounds run numpy alone.
+    A level is compiled the first time a round meets it: the fields of each
+    row, and an alias table of its rows by mass. A row with a toll law is
+    one row per toll atom, so the pick draws the toll too. A row linear in
+    the leading index j draws j in closed form (:func:`_closed_form`), any
+    other from an alias table of its weights past their end entries below
+    ``_DRAW_CUT``, built once per cache key. A base index is a level of one
+    row per base-law atom, with -1 (none) as children. The tables of the
+    levels compiled in one round are built together, by width; rounds run
+    numpy alone.
     """
 
     def __init__(self, spec: RecurrenceSpec, top: int):
         """A sampler of indices up to ``top``, which no child index exceeds."""
         self.spec = spec
-        self._prob, self._alias, self._value = _Column(float), _Column(np.int64), _Column(float)
-        # by index: first row, pick table slot and row count (0: not compiled)
-        self._row0, self._pick, self._count = np.zeros((3, top + 1), dtype=np.int64)
-        # by row: first_start, table slot (-1: closed form), size, toll-law table slot
-        # and size (0: none), closed-form b and c, toll, slope, trailing indices
-        self._cols = (*(_Column(np.int64) for _ in range(5)), *(_Column(float) for _ in range(4)),
+        # alias tables: cells, and by table number the first cell and width
+        self._prob, self._alias = _Column(float), _Column(np.int32)
+        self._first, self._width = _Column(np.int64), _Column(np.int64)
+        self._queued: list = []  # weights of the tables not built yet
+        # by index: first row, pick table cell and width (0: not compiled)
+        self._row0, self._pick, self._pick_width = np.zeros((3, top + 1), dtype=np.int64)
+        # by row: first leading index, table cell (-1: closed form), table
+        # width or row size, closed-form b and c, toll, slope, trailing indices
+        self._cols = (*(_Column(np.int64) for _ in range(3)), *(_Column(float) for _ in range(4)),
                       _Column(np.int64, (spec.k - 1,)))
-        (self._fs, self._slot, self._size, self._law_slot, self._law_size,
-         self._b, self._c, self._toll, self._slope, self._others) = self._cols
-        self._keyed: dict = {}  # a weight row's table fields by cache key
-        self._kinds = dict.fromkeys(("multi", "table", "curved", "sloped", "law"), False)
+        self._fs, self._slot, self._size, self._b, self._c, self._toll, self._slope, self._others = self._cols
+        self._keyed: dict = {}  # cache key -> its row of _key_rows
+        self._key_rows = _Column(float, (4,))
 
-    def _table(self, weights: np.ndarray, values) -> int:
-        """Store an alias table of ``weights`` holding ``values``; returns its first slot."""
-        prob, alias = _alias(weights)
-        off = self._prob.add(prob)
-        self._alias.add(alias + off)
-        self._value.add(values)
-        return off
+    def _table(self, weights: np.ndarray) -> int:
+        """Queue an alias table of ``weights``; returns its table number."""
+        self._queued.append(weights)
+        return self._first.n + len(self._queued) - 1
 
-    def _draw(self, off: np.ndarray, size: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One draw per uniform ``u`` from the tables of ``size`` slots at ``off``."""
-        x = u * size
-        cell = x.astype(np.int64)
-        x -= cell
-        cell += off
-        return self._value.buf[np.where(x < self._prob.buf[cell], cell, self._alias.buf[cell])]
+    def _build(self) -> None:
+        """Build the queued tables, at once for each width: a table's length
+        rounded up to a multiple of a sixteenth of the power of two above it
+        (at most an eighth more), the added cells of zero weight."""
+        queued, self._queued = self._queued, []
+        lens = np.fromiter(map(len, queued), np.int64, len(queued))
+        shift = np.maximum(np.frexp(lens)[1] - 4, 0)
+        widths = (((lens - 1) >> shift) + 1) << shift
+        first = np.empty_like(lens)
+        for w in np.unique(widths).tolist():
+            tabs = np.flatnonzero(widths == w)
+            p = np.zeros((tabs.size, w))
+            p[np.arange(w) < lens[tabs, None]] = np.concatenate([queued[t] for t in tabs.tolist()])
+            prob, alias = _alias(p)
+            first[tabs] = self._prob.add(prob) + w * np.arange(tabs.size)
+            self._alias.add(alias)
+        self._first.add(first)
+        self._width.add(widths)
+
+    def _draw(self, first: np.ndarray, width: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One place per uniform ``u`` in the tables of ``width`` cells at
+        ``first``; overwrites ``u`` and ``first``."""
+        u *= width
+        cell = u.astype(np.int32)
+        u -= cell
+        first += cell
+        jump = self._alias.buf[first]  # to the alias, where u lies past the cell's probability
+        jump -= cell
+        jump *= u >= self._prob.buf[first]
+        cell += jump
+        return cell
 
     def _compile(self, ns: np.ndarray) -> None:
         """Compile every level of ``ns`` not met before."""
-        fresh = ns[self._count[ns] == 0]
-        if fresh.size:
-            rows: list = []
-            for n in np.unique(fresh).tolist():
-                self._level(n, rows)
-            for col, part in zip(self._cols, zip(*rows)):
-                col.add(part)
-            _, slot, _, _, law_size, _, c, _, slope, _ = zip(*rows)
-            new = (max(slot) >= 0, any(c), any(slope), any(law_size))
-            for kind, seen in zip(("table", "curved", "sloped", "law"), new):
-                self._kinds[kind] |= seen
+        fresh = ns[self._pick_width[ns] == 0]
+        if not fresh.size:
+            return
+        levels, rows = np.unique(fresh), [[] for _ in self._cols]
+        picks = [self._level(n, rows) for n in levels.tolist()]
+        self._build()
+        first, width = self._first.buf, self._width.buf
+        self._pick[levels], self._pick_width[levels] = first[picks], width[picks]
+        parts = [np.array(part, dtype=col.buf.dtype).reshape(len(rows[0]), *col.buf.shape[1:])
+                 for col, part in zip(self._cols, rows)]
+        _, slot, size, *_ = parts
+        table = slot >= 0  # table numbers become cells
+        size[table], slot[table] = width[slot[table]], first[slot[table]]
+        for col, part in zip(self._cols, parts):
+            col.add(part)
 
-    def _level(self, n: int, rows: list) -> None:
-        """Append level n's rows to ``rows`` and store its pick table."""
-        row0, masses, spec = self._fs.n + len(rows), [], self.spec
+    def _level(self, n: int, rows: list) -> int:
+        """Append level n's row fields to the lists ``rows``; returns the
+        number of its pick table."""
+        row0, masses, spec = self._fs.n + len(rows[0]), [], self.spec
         if n < spec.n0:
-            base = spec.base_laws[n]
-            toll = base if len(base.values) > 1 else base.values_f[0]
-            groups = [VectorGroup(-1, np.ones(1), 1, (-1,) * (spec.k - 1), toll)]
+            groups = [VectorGroup(-1, np.ones(1), 1, (-1,) * (spec.k - 1), spec.base_laws[n])]
         else:
             groups = spec.law_groups(n, False)
         for g in groups:
-            law = g.toll if isinstance(g.toll, Pmf) else None
-            if law is None:
-                law_slot, law_size, toll, kept = 0, 0, float(g.toll), 1.0
+            if isinstance(g.toll, Pmf):  # a row per toll atom
+                tolls, probs = g.toll.values_f.tolist(), g.toll.probs_f.tolist()
             else:
-                law_slot, law_size, toll = self._table(law.probs_f, law.values_f), len(law.values), 0.0
-                kept = float(law.probs_f.sum())
+                tolls, probs = [float(g.toll)], [1.0]
             closed = _closed_form(g, n) if isinstance(g, VectorGroup) and g.poly else None
             if closed is not None:
-                units = [(-1, *closed, g.scale, g.others)]
+                size, b, c, total = closed
+                head, mass, others = ([g.first_start], [-1], [size], [b], [c]), [float(g.scale) * total], g.others
             else:
                 ws, _, others, scales, keys = _unit_rows(g if isinstance(g, VectorBlock) else g.dense(n, False))
-                keys = [None] * len(ws) if keys is None else keys.tolist()
-                units = [(*self._row_table(w, key), s, o)
-                         for w, key, s, o in zip(ws, keys, scales, others.tolist())]
-            for slot, size, b, c, total, scale, others in units:
-                rows.append((g.first_start, slot, size, law_slot, law_size, b, c, toll, float(g.slope), others))
-                masses.append(float(scale) * total * kept)
+                tab, size, lo, totals = self._row_tables(ws, keys).T
+                head = ((lo + g.first_start).tolist(), tab.tolist(), size.tolist(), [1.0] * len(ws), [0.0] * len(ws))
+                mass, others = (np.asarray(scales, float) * totals).tolist(), others.ravel().tolist()
+            R, L = len(mass), len(tolls)
+            for col, part in zip(rows, (*(f * L for f in head), [t for t in tolls for _ in range(R)],
+                                        [float(g.slope)] * (R * L), others * L)):
+                col.extend(part)
+            masses += [p * m for p in probs for m in mass]
         total = math.fsum(masses)
         if not (math.isfinite(total) and total > 0 and min(masses) >= 0):
             raise PreconditionError(f"{spec.name}: joint law at n={n} has no mass, or a weight "
                                     "that is negative or not finite")
-        self._kinds["multi"] |= len(masses) > 1
-        self._row0[n], self._count[n] = row0, len(masses)
-        self._pick[n] = self._table(np.array(masses), np.arange(row0, row0 + len(masses)))
+        self._row0[n] = row0
+        return self._table(np.array(masses))
 
-    def _row_table(self, w: np.ndarray, key) -> tuple:
-        """(table slot or -1: closed form, size, b, c, weight sum) of a weight row."""
-        got = self._keyed.get(key)
-        if got is None:
-            total = float(w.sum())
-            if len(w) == 1 or not total > 0:
-                got = (-1, 1, 1.0, 0.0, total)
-            elif not (math.isfinite(total) and w.min() >= 0):
-                raise PreconditionError(f"{self.spec.name}: joint weight that is negative or not finite")
-            else:
-                got = (self._table(w, np.arange(len(w))), len(w), 1.0, 0.0, total)
-            if key is not None:
-                self._keyed[key] = got
-        return got
+    def _row_tables(self, ws, keys) -> np.ndarray:
+        """The rows (table number or -1: closed form, size, first tabulated
+        entry, weight sum) of the weight rows ``ws``, once per cache key."""
+        if keys is None:
+            return np.array([self._row_table(w) for w in ws], dtype=float).reshape(-1, 4)
+        keyed, keys = self._keyed, keys.tolist()
+        for key, w in zip(keys, ws):
+            if key not in keyed:
+                keyed[key] = self._key_rows.add([self._row_table(w)])
+        return self._key_rows.buf[np.fromiter(map(keyed.__getitem__, keys), np.int64, len(keys))]
+
+    def _row_table(self, w: np.ndarray) -> tuple:
+        total = float(w.sum())
+        if not (math.isfinite(total) and w.min() >= 0):
+            raise PreconditionError(f"{self.spec.name}: joint weight that is negative or not finite")
+        if len(w) == 1 or not total > 0:
+            return -1, 1, 0, total
+        kept = np.flatnonzero(w >= total * _DRAW_CUT)
+        lo, hi = int(kept[0]), int(kept[-1]) + 1
+        return self._table(w[lo:hi]), hi - lo, lo, total
 
     def __call__(self, rng: np.random.Generator, ns: np.ndarray) -> tuple:
         """One joint atom per entry of ``ns``: the child indices, the first
         child of every entry, then the next, and the tolls."""
         self._compile(ns)
-        kinds = self._kinds
-        if kinds["multi"]:
-            r = self._draw(self._pick[ns], self._count[ns], rng.random(ns.size)).astype(np.int64)
-        else:
-            r = self._row0[ns]
-        v, size = rng.random(ns.size), self._size.buf[r]
-        if kinds["curved"]:  # the root of _closed_form
-            b = self._b.buf[r]
-            d = self._c.buf[r] * v
-            d += b * b
-            np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-            d += b
-            lead = np.minimum((2.0 * v / d).astype(np.int64), size - 1)
-        else:  # uniform rows: v * size stays below size
-            lead = (v * size).astype(np.int64)
-        if kinds["table"]:
-            at = np.flatnonzero(self._slot.buf[r] >= 0)
-            lead[at] = self._draw(self._slot.buf[r[at]], size[at], v[at])
+        r = self._row0[ns]
+        r += self._draw(self._pick[ns], self._pick_width[ns], rng.random(ns.size))
+        v, b, size = rng.random(ns.size), self._b.buf[r], self._size.buf[r]
+        d = self._c.buf[r]  # the root of _closed_form
+        d *= v
+        d += b * b
+        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+        d += b
+        np.divide(v, d, out=d)
+        d *= 2.0
+        lead = np.minimum(d.astype(np.int64), size - 1)
+        at = np.flatnonzero(self._slot.buf[r] >= 0)
+        lead[at] = self._draw(self._slot.buf[r[at]], size[at], v[at])
         lead += self._fs.buf[r]
-        tolls = self._toll.buf[r]
-        if kinds["sloped"]:
-            tolls += self._slope.buf[r] * lead
-        if kinds["law"]:
-            at = np.flatnonzero(self._law_size.buf[r])
-            tolls[at] += self._draw(self._law_slot.buf[r[at]], self._law_size.buf[r[at]], rng.random(at.size))
+        tolls = self._slope.buf[r] * lead
+        tolls += self._toll.buf[r]
         if self.spec.k == 1:
             return lead, tolls
         return np.concatenate((lead, self._others.buf[r].T.ravel())), tolls

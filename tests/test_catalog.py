@@ -176,6 +176,52 @@ def test_binomial_rows_grow_safely_from_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_float_broadcast_bands_match_the_full_rows():
+    """From _BAND_FROM on, a float Binomial(m, 1/2) row is kept over its band
+    only: the band starts on the grid, agrees with the full row to 1e-12 and
+    leaves out under 2^-50 of its mass. A level past the cap lists the same
+    atoms as the full rows, each weight within 1e-15."""
+    for m in (catalog._BAND_FROM, catalog._BAND_FROM + 1, 2200):
+        lo, w = catalog._binom_band(m)
+        full = catalog._binom_row(m)
+        assert lo % catalog._BAND_GRID == 0
+        assert np.abs(w / full[lo : lo + len(w)] - 1).max() < 1e-12
+        assert math.fsum(full[:lo]) + math.fsum(full[lo + len(w) :]) < 2.0**-50
+    spec = make("broadcast_a_time").spec
+    for n in (2049, 2115, 2200):
+        idx, _, weights = spec.joint_arrays(n)
+        got = np.zeros((n + 1, 66))
+        np.add.at(got, (idx[:, 0], idx[:, 1]), weights)
+        want = np.zeros((n + 1, 66))
+        for k in range(66):
+            want[1 : n - k + 1, k] = catalog._binom_row(n - 1 - k) * 2.0 ** -(k + 1)
+        assert np.abs(got - want).max() < 1e-15
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_float_broadcast_levels_far_past_the_cap_hold_bands_only(monkeypatch):
+    """A float broadcast level at n = 2^16 builds no full Binomial row: its 66
+    rows are bands of O(sqrt(n)) weights in at most two blocks, so drawing
+    there takes no O(n^2) memory. A round of the row sampler at n = 5000
+    draws the level's atoms."""
+    monkeypatch.setattr(catalog, "_BINOM_ROWS", [np.array([1.0])])
+    spec = make("broadcast_a_time").spec
+    n = 1 << 16
+    groups = spec.law_groups(n, False)
+    assert len(catalog._BINOM_ROWS) == 1
+    assert len(groups) <= 2 and all(isinstance(g, VectorBlock) for g in groups)
+    rows = [row for g in groups for row in g.rows]
+    assert len(rows) == 66 and max(map(len, rows)) <= 10 * math.sqrt(n) + catalog._BAND_GRID
+    for n in range(2049, 9000, 61):  # band starts grow with m: two band blocks at most
+        assert sum(g.first_start > 1 for g in spec.law_groups(n, False)) <= 2
+    n = 5000
+    idx, _ = _draw_atoms(spec, np.full(40_000, n), np.random.default_rng(77))
+    ref_idx, _, weights = spec.joint_arrays(n)
+    ref = dict(zip(map(tuple, ref_idx.tolist()), weights.tolist()))
+    tv, bound = sampled_tv(list(map(tuple, idx.tolist())), ref)
+    assert tv <= bound, (tv, bound)
+
+
 def _block_rows(g) -> list:
     """A block's rows as one VectorGroup each, in order; a group as it is."""
     if not isinstance(g, VectorBlock):

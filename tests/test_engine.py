@@ -27,7 +27,7 @@ from recdist import (
     spec_from_json,
 )
 from recdist import catalog
-from recdist.engine import _BLOCK, _RowSampler, _atom_groups
+from recdist.engine import _BLOCK, _RowSampler, _alias, _atom_groups
 
 from brute import brute_law, sampled_tv
 
@@ -411,6 +411,27 @@ def _assert_round_draws_the_atoms(spec, mixed: tuple, seed: int) -> None:
         assert sum(ref.values()) == pytest.approx(1.0)
         tv, bound = sampled_tv(keys, ref)
         assert tv <= bound, (n, tv, bound)
+
+
+def test_alias_tables_give_back_their_rows_laws():
+    """Alias tables built together, over rows with zero weights (the padding
+    of a narrower table), ties and spread-out weights: the cells of each row
+    give back its law to round-off."""
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        T, W = (int(x) for x in rng.integers(1, 9, 2))
+        p = rng.random((T, W)) ** int(rng.integers(1, 8))
+        p[rng.random((T, W)) < 0.3] = 0.0
+        if rng.random() < 0.3:
+            p = np.round(p * 4) + 1  # ties
+        p[:, 0] += 1e-3
+        prob, alias = _alias(p)
+        assert ((prob >= 0) & (prob <= 1)).all() and ((alias >= 0) & (alias < W)).all()
+        cells = np.arange(T * W)
+        law = np.zeros(T * W)
+        np.add.at(law, cells, prob / W)
+        np.add.at(law, cells // W * W + alias, (1 - prob) / W)
+        assert np.abs(law.reshape(T, W) - p / p.sum(axis=1, keepdims=True)).max() < 1e-14
 
 
 def test_polynomial_rows_sample_their_atom_tables():
