@@ -42,8 +42,26 @@ contracted with its coefficients by ``np.einsum``, which never enters
 threaded BLAS, so memory stays bounded and the cost does not depend on the
 machine's load. The probe finds the sign changes of the integrand by
 bisecting all bracketed roots at once on the quadrature's integrand and
-skeleton, and takes expectations of its piecewise cubic in blocks of
-(pieces x components), anchored at the mean of the law.
+skeleton, three steps per batched evaluation, and takes expectations of its
+piecewise cubic in blocks of (pieces x components), anchored at the mean of
+the law.
+
+The normal functions are computed here in numpy alone, as exp(-a^2/2) times
+a smooth factor in a = |z|, with the sign of z handled by reflection; where
+Cody's rational Chebyshev approximations of erfc (Math. Comp. 23, 1969) split
+the line into three ranges, one approximation covers it. The CDF
+(:func:`_ndtr`) writes Phi(-a) = exp(-a^2/2) (1 - v) P(v) with v = a / (4 + a)
+and P of degree 23, a Chebyshev interpolant derived in 50-digit arithmetic;
+Phi(z) for z >= 0 is the complement, from one rounding. Against 40-digit
+references on dense grids, Phi is within 1.5 ulps for z >= 0 and 4 ulps on
+[-1, 0]. Further left the error is mostly that of exp(-a^2/2), whose argument
+carries the rounding of a^2: about 13 ulps on [-5, -1], 140 on [-20, -5] and
+520 on [-38, -20]. On each of these five bands the largest error is below
+that of ``scipy.special.ndtr``. The excess E (Z - z)+^2, which the zeta3
+integrand sums (:func:`_normal_excess_kernel`), has its own factor, a
+rational function of degree (8, 11) fitted in 60-digit arithmetic, so it
+costs no Phi: it is within 2.5 ulps for z <= 0, 32 on [0, 5] and 1100 on
+[5, 30], where the formula (1 + z^2) Phi(-z) - z phi(z) cancels to nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +72,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import MomentMismatchError, PreconditionError
 from .pmf import Pmf
@@ -70,6 +87,55 @@ _MOMENT_MATCH_TOL = 1e-9
 
 def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.square(z)) / _SQRT2PI
+
+
+#: Phi(-a) exp(a^2/2) = (1 - v) P(v) for a >= 0 and v = a / (_MILLS_K + a).
+#: These are the coefficients of P in powers of v, lowest first. P is the
+#: Chebyshev interpolant at 24 nodes in s = 1 - 2v over [-1, 1] of
+#: Phi(-a) exp(a^2/2) / (1 - v), computed with mpmath at 50 digits and
+#: re-expanded in powers of v (rederived in tests/test_metrics.py). With the
+#: coefficients rounded to floats, (1 - v) P(v) is within 0.35 ulp of
+#: Phi(-a) exp(a^2/2) for a <= 1 and 4.3 ulps beyond, in exact arithmetic;
+#: P(0) = 1/2 exactly.
+_MILLS_K = 4.0
+_MILLS_P = (
+    0.5, -1.0957691216057235, 1.3084617567871668,
+    -0.798076013277488, 0.0738489151859271, 0.17900833187336815,
+    -0.03008073065034517, -0.054447697136988424, -0.0006473990892808275,
+    0.01863616256362598, 0.0011959890856637157, 0.01576117850877917,
+    -0.06295938491634542, 0.14130077057713186, -0.26945517775013006,
+    0.40677041096631866, -0.47272555893602786, 0.4179463641499789,
+    -0.2693686519032599, 0.1156361842494191, -0.026235691866638447,
+    -0.0005863538863196291, 0.0018345278502986256, -0.0003132406787726121,
+)
+
+
+def _ndtr(z: np.ndarray, scratch=None) -> np.ndarray:
+    """Phi(z), the standard normal CDF, written over the finite float64 array
+    ``z``. ``scratch`` holds three arrays shaped like z (allocated when None).
+
+    With a = |z|, Phi(-a) = exp(-a^2/2) (1 - v) P(v) (see ``_MILLS_P``); that
+    is Phi(z) for z < 0, and 1 - Phi(-a), one rounding, for z >= 0."""
+    if scratch is None:
+        scratch = np.empty((3,) + z.shape)
+    v, upper, acc = scratch[:3]
+    np.greater_equal(z, 0.0, out=upper, casting="unsafe")  # 1.0 where z >= 0
+    np.abs(z, out=z)
+    np.add(z, _MILLS_K, out=v)
+    np.divide(z, v, out=v)
+    np.multiply(v, _MILLS_P[-1], out=acc)
+    for c in _MILLS_P[-2:0:-1]:
+        acc += c
+        acc *= v
+    acc += _MILLS_P[0]
+    v *= acc
+    acc -= v  # (1 - v) P(v)
+    np.square(z, out=v)
+    v *= -0.5
+    np.exp(v, out=v)
+    acc *= v  # Phi(-a)
+    np.subtract(upper, acc, out=z)
+    return np.abs(z, out=z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +232,8 @@ def normal_partial_square_moment(t, mean=0.0, sd=1.0):
     if sd == 0:
         out = np.square(np.maximum(mean - t_arr, 0.0))
     else:
-        z = (t_arr - mean) / sd
-        out = sd * sd * ((1.0 + np.square(z)) * ndtr(-z) - z * _phi(z))
-        out = np.maximum(out, 0.0)
+        z = np.atleast_1d((t_arr - mean) / sd)
+        out = sd * sd * _normal_excess_kernel(z).reshape(t_arr.shape)
     return float(out) if np.isscalar(t) else out
 
 
@@ -214,7 +279,7 @@ class _Law:
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
         out = np.zeros(flat.size)
-        _blocked_sum(flat, self.means, self.sds, self.weights, _normal_cdf_kernel, out)
+        _blocked_sum(flat, self.means, self.sds, self.weights, _ndtr, out)
         if self.atoms.size:
             below = _atom_sums(self, 0.0)[1][0]
             out += below[np.searchsorted(self.atoms, flat, side="right")]
@@ -255,43 +320,83 @@ def _atom_sums(d: _Law, center: float) -> tuple:
 _BLOCK = 1 << 14
 
 
-def _normal_excess_kernel(z, a, b):
-    """(1 + z^2) Phi(-z) - z phi(z), clipped at 0, in place of z (a, b scratch)."""
-    np.square(z, out=a)
-    a *= -0.5
-    np.exp(a, out=a)
-    a /= _SQRT2PI
-    a *= z
-    np.negative(z, out=b)
-    ndtr(b, out=b)
+#: k(a) exp(a^2/2) = P(a) / Q(a) for a >= 0, where k(z) = E (Z - z)+^2 for a
+#: standard normal Z. These are the coefficients of P and of the monic Q in
+#: powers of a, lowest first (Q's leading 1 left out). P / Q is a weighted
+#: least-squares rational fit of degree (8, 11) to 60-digit mpmath values at
+#: about 700 points of [0, 38.6], iterated to near-minimax (Sanathanan-Koerner
+#: steps with Lawson reweighting), in relative error weighted by
+#: 1 / max(1/4, a^2/2) ulps. Its error is at most 2.7 max(1/4, a^2/2) ulps
+#: (0.7 ulp at 0); past 38.6, exp(-a^2/2) underflows to 0. P(0) / Q(0) = 1/2
+#: exactly.
+_EXCESS_P = (
+    359005.15968758595, 355054.2940663205, 183373.7038931534,
+    61717.197320048406, 14561.194939154278, 2447.8509673472536,
+    286.165614904405, 21.403357312714018, 0.797884561944099,
+)
+_EXCESS_Q = (
+    718010.3193751719, 1855887.2847858213, 2251299.5509650037,
+    1696010.2388185593, 884235.79762759, 336178.91700152797,
+    95517.88184223672, 20392.65319306801, 3228.877961903708,
+    364.6553906604502, 26.825130559495477,
+)
+#: P / Q is evaluated at min(a, _EXCESS_CAP), so its powers never overflow
+_EXCESS_CAP = 40.0
+
+
+def _normal_excess_kernel(z, scratch=None):
+    """k(z) = E (Z - z)+^2 = (1 + z^2) Phi(-z) - z phi(z) over the float64
+    array z, which it overwrites; returns one of the three scratch arrays
+    shaped like z (allocated when ``scratch`` is None).
+
+    With a = |z|, k(a) = exp(-a^2/2) P(a) / Q(a) (see ``_EXCESS_P``) and
+    k(-a) = 1 + a^2 - k(a). The formula's two terms cancel to about
+    2 phi(z) / z^3 as z grows; the ratio keeps k's relative accuracy."""
+    if scratch is None:
+        scratch = np.empty((3,) + z.shape)
+    a, num, den = scratch[:3]
+    neg = np.signbit(z)
+    np.abs(z, out=a)
+    if a.max(initial=0.0) > _EXCESS_CAP:
+        np.minimum(a, _EXCESS_CAP, out=a)
+    np.multiply(a, _EXCESS_P[-1], out=num)
+    num += _EXCESS_P[-2]
+    for c in _EXCESS_P[-3::-1]:
+        num *= a
+        num += c
+    np.add(a, _EXCESS_Q[-1], out=den)
+    for c in _EXCESS_Q[-2::-1]:
+        den *= a
+        den += c
+    num /= den
     np.square(z, out=z)
+    np.multiply(z, -0.5, out=den)
+    np.exp(den, out=den)
+    num *= den  # k(a)
     z += 1.0
-    z *= b
-    z -= a
-    return np.maximum(z, 0.0, out=z)
-
-
-def _normal_cdf_kernel(z, a, b):
-    return ndtr(z, out=z)
+    return np.subtract(z, num, out=num, where=neg)
 
 
 def _blocked_sum(ts, centers, scales, coefs, kernel, out) -> None:
     """out += sum_j coefs[j] * kernel((ts - centers[j]) / scales[j]), one block
-    of at most _BLOCK (point, component) pairs at a time."""
+    of at most _BLOCK (point, component) pairs at a time. A kernel may
+    overwrite its first argument and the three scratch arrays of its second,
+    and returns its values in one of them."""
     ncomp = centers.size
     if ncomp == 0:
         return
     cols = min(ncomp, _BLOCK)
     rows = _BLOCK // cols
-    bufs = np.empty((3, rows * cols))
+    bufs = np.empty((4, rows * cols))
+    inv = 1.0 / scales
     for j in range(0, ncomp, cols):
         c = centers[j : j + cols]
         for i in range(0, ts.size, rows):
             t = ts[i : i + rows]
-            z, a, b = (buf[: t.size * c.size].reshape(t.size, c.size) for buf in bufs)
+            z, *scratch = bufs[:, : t.size * c.size].reshape(4, t.size, c.size)
             np.subtract(t[:, None], c, out=z)
-            z /= scales[j : j + cols]
-            out[i : i + rows] += np.einsum("ij,j->i", kernel(z, a, b), coefs[j : j + cols])
+            z *= inv[j : j + cols]
+            out[i : i + rows] += np.einsum("ij,j->i", kernel(z, scratch), coefs[j : j + cols])
 
 
 def _excess_squares(d: _Law, center: float) -> tuple:
@@ -355,13 +460,20 @@ def _moments_about(d: _Law, center: float) -> tuple:
     return math.fsum(w), math.fsum(w * u), math.fsum(w * (u * u + var))
 
 
-def _tail_cube(d: _Law, t: float, side: float) -> float:
-    """E (side * (X - t))+^3: with side +1 (above t) or -1 (below t) it bounds
-    the integral remainder outside the window on that side."""
-    atoms = float(np.dot(np.maximum(side * (d.atoms - t), 0.0) ** 3, d.masses))
-    z = side * (t - d.means) / d.sds  # how far t lies past each mean, into the tail
-    val = _phi(z) * (z * z + 2.0) - z * (z * z + 3.0) * ndtr(-z)
-    return atoms + float(d.sds**3 * np.maximum(val, 0.0) @ d.weights)
+def _tail_cubes(laws: tuple, lo: float, hi: float) -> float:
+    """Sum over the laws of E (X - hi)+^3 + E (lo - X)+^3, which bounds the
+    integral remainder outside the window [lo, hi]. The normal components of
+    all four (law, side) terms go through one call of :func:`_ndtr`."""
+    terms = [(d, t, side) for t, side in ((hi, 1.0), (lo, -1.0)) for d in laws]
+    # how far t lies past each mean, into the tail
+    z = np.concatenate([side * (t - d.means) / d.sds for d, t, side in terms])
+    val = np.maximum(_phi(z) * (z * z + 2.0) - z * (z * z + 3.0) * _ndtr(-z), 0.0)
+    total, start = 0.0, 0
+    for d, t, side in terms:
+        atoms = float(np.dot(np.maximum(side * (d.atoms - t), 0.0) ** 3, d.masses))
+        total += atoms + float(d.sds**3 * val[start : start + d.sds.size] @ d.weights)
+        start += d.sds.size
+    return total
 
 
 def _window(ds: Sequence[_Law], pad_sds: float) -> tuple:
@@ -570,12 +682,7 @@ def _zeta3_quad(x: _Law, y: _Law) -> tuple:
     seeds = _breakpoints((x, y), lo, hi, center)
     val, err = _adaptive_abs_integral(fn, seeds, _QUAD_ATOL, _QUAD_RTOL)
     err += _residue_charge(x, y, lo, center)
-    tail = (
-        _tail_cube(x, hi, 1.0)
-        + _tail_cube(y, hi, 1.0)
-        + _tail_cube(x, lo, -1.0)
-        + _tail_cube(y, lo, -1.0)
-    ) / 3.0
+    tail = _tail_cubes((x, y), lo, hi) / 3.0
     return 0.5 * val, 0.5 * err + tail
 
 
@@ -701,7 +808,7 @@ def _piece_partials(breaks: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> tup
     pieces unbounded). J0 differences the smaller tail of each side, so a
     piece far out in a tail keeps its relative accuracy."""
     z = (breaks[:, None] - mean) / sd
-    tail = ndtr(-np.abs(z))
+    tail = _ndtr(-np.abs(z))
     below = np.where(z <= 0, tail, 1.0 - tail)  # Phi(z)
     above = np.where(z > 0, tail, 1.0 - tail)  # 1 - Phi(z)
     ones, zeros = np.ones((1, mean.size)), np.zeros((1, mean.size))
@@ -730,6 +837,8 @@ def random_smooth_member(rng: np.random.Generator, lo: float, hi: float, max_kno
 _ROOT_XTOL = 1e-13
 #: points per skeleton segment at which the probe looks for sign changes of H
 _PROBE_POINTS = 9
+#: bisection steps taken per batched evaluation of H
+_BISECT_STEPS = 3
 
 
 def _sign_change_points(x: _Law, y: _Law, lo: float, hi: float) -> tuple:
@@ -737,9 +846,13 @@ def _sign_change_points(x: _Law, y: _Law, lo: float, hi: float) -> tuple:
 
     H is the quadrature's integrand (:func:`_excess_gap`), evaluated on
     ``_PROBE_POINTS`` points per segment of the quadrature's skeleton in one
-    batched call; every bracketed sign change is then bisected at once, one
-    batched call of the same evaluator per step, so a bracket never loses its
-    sign change.
+    batched call; every bracketed sign change is then bisected at once, so a
+    bracket never loses its sign change. One batched call of the same
+    evaluator serves ``_BISECT_STEPS`` steps: it takes every midpoint those
+    steps can visit (7 per bracket for 3 steps), computed as bisection
+    computes them, so the steps end on the brackets that one call per step
+    would reach, in a third of the calls. The probes' single-component
+    targets pay those calls mostly in per-call overhead.
     """
     fn, center = _excess_gap(x, y)
     seeds = _breakpoints((x, y), lo, hi, center)
@@ -750,13 +863,31 @@ def _sign_change_points(x: _Law, y: _Law, lo: float, hi: float) -> tuple:
     roots = [left[sign[:, :-1] == 0]]
     bracket = sign[:, :-1] * sign[:, 1:] < 0
     a, b, sa = left[bracket], right[bracket], sign[:, :-1][bracket]
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if np.all(b - a <= _ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(mid)):
-            break
-        stay = np.sign(fn(mid)) == sa  # the sign change lies right of mid
-        a = np.where(stay, mid, a)
-        b = np.where(stay, b, mid)
+    rows, steps = np.arange(a.size), 0
+
+    def narrow() -> bool:
+        return steps == 200 or np.all(b - a <= _ROOT_XTOL + 4 * np.finfo(float).eps * np.abs(0.5 * (a + b)))
+
+    while not narrow():
+        # the midpoints of every node of the next steps' bisection tree, level
+        # by level, each level's nodes left to right
+        levels, lo_, hi_ = [], a[:, None], b[:, None]
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo_ + hi_)
+            levels.append(mid)
+            lo_, hi_ = (np.stack(ends, axis=2).reshape(a.size, -1) for ends in ((lo_, mid), (mid, hi_)))
+        pts = np.concatenate(levels, axis=1)
+        signs = np.sign(fn(pts.ravel())).reshape(pts.shape)
+        node = np.zeros(a.size, dtype=int)
+        for level in range(_BISECT_STEPS):
+            if narrow():
+                break
+            at = (rows, 2**level - 1 + node)
+            stay = signs[at] == sa  # the sign change lies right of the midpoint
+            a = np.where(stay, pts[at], a)
+            b = np.where(stay, b, pts[at])
+            node = 2 * node + stay
+            steps += 1
     roots.append(0.5 * (a + b))
     roots = np.unique(np.concatenate(roots))
     roots = roots[(roots > lo) & (roots < hi)]

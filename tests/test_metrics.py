@@ -69,6 +69,121 @@ def test_partial_square_moment_general_params_against_quadrature():
     assert normal_partial_square_moment(t, m, s) == pytest.approx(oracle, abs=1e-8 + err)
 
 
+def _reference(mp, xs, fn):
+    """40-digit values of fn at xs, as (high, low) pairs of floats."""
+    with mp.workdps(40):
+        vals = [fn(mp.mpf(float(x))) for x in xs]
+        hi = np.array([float(v) for v in vals])
+        lo = np.array([float(v - h) for v, h in zip(vals, hi)])
+    return hi, lo
+
+
+def _ulp_errors(got, ref):
+    """|got - reference| in ulps of the reference."""
+    hi, lo = ref
+    return np.abs((got - hi) - lo) / np.spacing(hi)
+
+
+def test_mills_coefficients_are_the_chebyshev_interpolant():
+    # the derivation the table's comment states: interpolate
+    # Phi(-a) exp(a^2/2) / (1 - v) at the Chebyshev nodes in s = 1 - 2v,
+    # with a = K v / (1 - v), and re-expand in powers of v
+    mp = pytest.importorskip("mpmath")
+    k, size = metrics_module._MILLS_K, len(metrics_module._MILLS_P)
+    with mp.workdps(50):
+        nodes = [mp.cos(mp.pi * (j + mp.mpf(1) / 2) / size) for j in range(size)]
+        vals = []
+        for s in nodes:
+            v = (1 - s) / 2
+            a = k * v / (1 - v)
+            vals.append(mp.ncdf(-a) * mp.exp(a * a / 2) / (1 - v))
+        cheb = [2 * mp.fsum(f * mp.cos(mp.pi * i * (j + mp.mpf(1) / 2) / size) for j, f in enumerate(vals)) / size
+                for i in range(size)]
+        cheb[0] /= 2
+        # T_i(1 - 2v) in powers of v, by T_{i+1} = 2 (1 - 2v) T_i - T_{i-1}
+        prev, cur = [mp.mpf(1)], [mp.mpf(1), mp.mpf(-2)]
+        poly = [cheb[0] + cheb[1], -2 * cheb[1]] + [mp.mpf(0)] * (size - 2)
+        for i in range(2, size):
+            nxt = [2 * c for c in cur] + [mp.mpf(0)]
+            for j, c in enumerate(cur):
+                nxt[j + 1] -= 4 * c
+            for j, c in enumerate(prev):
+                nxt[j] -= c
+            prev, cur = cur, nxt
+            for j, c in enumerate(cur):
+                poly[j] += cheb[i] * c
+        derived = [float(c) for c in poly]
+    assert derived[0] == metrics_module._MILLS_P[0] == 0.5
+    np.testing.assert_allclose(metrics_module._MILLS_P, derived, rtol=1e-15, atol=0)
+
+
+#: (lo, hi, grid points, ulp bound) per band. Past -1 the error is mostly that
+#: of exp(-x^2/2), whose argument carries the rounding of x^2.
+_NDTR_BANDS = (
+    (-38.0, -20.0, 2001, 768.0),
+    (-20.0, -5.0, 3001, 192.0),
+    (-5.0, -1.0, 4001, 16.0),
+    (-1.0, 0.0, 4001, 4.0),
+    (0.0, 8.3, 8001, 1.5),
+)
+
+
+@pytest.mark.parametrize("lo, hi, points, bound", _NDTR_BANDS)
+def test_ndtr_is_within_its_ulp_bound_and_no_worse_than_scipy(lo, hi, points, bound):
+    mp = pytest.importorskip("mpmath")
+    xs = np.linspace(lo, hi, points)
+    ref = _reference(mp, xs, mp.ncdf)
+    ours = _ulp_errors(metrics_module._ndtr(xs.copy()), ref).max()
+    assert ours <= bound
+    assert ours <= _ulp_errors(ndtr(xs), ref).max()
+
+
+def test_ndtr_keeps_its_input_shape():
+    zs = np.linspace(-9.0, 9.0, 12).reshape(3, 4)
+    out = metrics_module._ndtr(zs.copy(), np.empty((3,) + zs.shape))
+    assert out.shape == zs.shape
+    np.testing.assert_allclose(out, ndtr(zs), rtol=1e-14, atol=0)
+    assert metrics_module._ndtr(np.zeros(1))[0] == 0.5
+
+
+#: (lo, hi, grid points, ulp bound) per band for E (Z - z)+^2. Right of 0
+#: the bound grows like that of Phi left of 0, for the same reason.
+_EXCESS_BANDS = (
+    (-30.0, -5.0, 3001, 1.5),
+    (-5.0, 0.0, 4001, 2.5),
+    (0.0, 5.0, 4001, 48.0),
+    (5.0, 30.0, 3001, 1536.0),
+)
+
+
+@pytest.mark.parametrize("lo, hi, points, bound", _EXCESS_BANDS)
+def test_normal_excess_kernel_matches_a_40_digit_reference(lo, hi, points, bound):
+    # E (Z - z)+^2 = (1 + z^2) Phi(-z) - z phi(z). Right of 0 the two terms
+    # cancel to about 2 phi(z) / z^3; the same formula on scipy's ndtr is the
+    # yardstick, measured in ulps of the value like the kernel
+    mp = pytest.importorskip("mpmath")
+    zs = np.linspace(lo, hi, points)
+    ref = _reference(mp, zs, lambda z: (1 + z * z) * mp.ncdf(-z) - z * mp.npdf(z))
+    ours = metrics_module._normal_excess_kernel(zs.copy())
+    formula = (1 + zs * zs) * ndtr(-zs) - zs * np.exp(-zs * zs / 2) / math.sqrt(2 * math.pi)
+    assert _ulp_errors(ours, ref).max() <= bound
+    if lo >= 0:
+        assert _ulp_errors(ours, ref).max() * 100 <= _ulp_errors(np.maximum(formula, 0.0), ref).max()
+
+
+def test_normal_excess_kernel_reflects_and_caps():
+    zs = np.array([-1e100, -45.0, -0.0, 0.0, 45.0, 1e100])
+    out = metrics_module._normal_excess_kernel(zs.copy())
+    assert out[0] == 1e200 and out[1] == 1.0 + 45.0**2
+    assert out[2] == out[3] == 0.5
+    assert out[4] == out[5] == 0.0
+    z = np.linspace(-6.0, 6.0, 13)
+    np.testing.assert_allclose(
+        metrics_module._normal_excess_kernel(z.copy()) + metrics_module._normal_excess_kernel(-z), 1 + z * z,
+        rtol=4e-16,
+    )
+
+
 def test_partial_square_moment_degenerate_sd():
     assert normal_partial_square_moment(1.0, mean=3.0, sd=0.0) == 4.0
     assert normal_partial_square_moment(5.0, mean=3.0, sd=0.0) == 0.0
@@ -135,6 +250,37 @@ def test_import_leaves_scipy_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # scipy.special alone took about half of the package's import time and
+    # memory; the normal CDF is computed in numpy
+    src = os.path.dirname(os.path.dirname(metrics_module.__file__))
+    code = "import sys, recdist.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "unsuccessful-search", "--ns", "16:64"],
+    ["zeta3", "--model", "broadcast-b-time", "--ns", "64"],
+    ["rate", "--model", "node-depth", "--ns", "64:512"],
+    ["fixed-point", "--equation", "quickselect", "--population", "20000", "--iterations", "5"],
+])
+def test_every_phi_path_runs_with_scipy_blocked(tmp_path, argv):
+    # verify and zeta3 integrate normal mixtures, rate the standardized laws
+    # against the normal, and fixed-point reports a Kolmogorov distance to it
+    src = os.path.dirname(os.path.dirname(metrics_module.__file__))
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from recdist import cli\n"
+        f"sys.exit(cli.main({argv + ['--output', str(tmp_path / 'out.json')]!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "out.json").stat().st_size > 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +542,47 @@ def test_probe_grid_brackets_two_close_sign_changes(monkeypatch):
     for points in (probe, 129):
         roots, signs = found[points]
         assert roots == pytest.approx([0.3, 0.4], abs=1e-12) and signs == [1.0, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("name, n", [("unsuccessful_search", 256), ("broadcast_a_time", 64), ("node_depth", 256)])
+def test_batched_bisection_ends_on_the_roots_of_one_call_per_step(monkeypatch, name, n):
+    # one evaluation of H takes the midpoints of three bisection steps; the
+    # steps land on the same roots, to the bit, as one evaluation per step,
+    # in a third of the evaluations
+    entry = make(name)
+    law, tau = standardized_law(entry.solver(), n, entry.params)
+    x, y = _law(law), _law(NormalMixture.normal(0.0, tau))
+    y, _ = metrics_module._match_moments(x, y)
+    lo, hi = metrics_module._window((x, y), metrics_module._WINDOW_SDS)
+    fn, center = metrics_module._excess_gap(x, y)
+    found, calls = {}, {}
+
+    def counted(ts):
+        calls[steps] += 1
+        return fn(ts)
+
+    monkeypatch.setattr(metrics_module, "_excess_gap", lambda x, y: (counted, center))
+    for steps in (1, metrics_module._BISECT_STEPS):
+        calls[steps] = 0
+        monkeypatch.setattr(metrics_module, "_BISECT_STEPS", steps)
+        found[steps] = metrics_module._sign_change_points(x, y, lo, hi)
+    assert found[1][0], "no root to bisect"
+    assert found[1] == found[3]
+    assert calls[3] <= calls[1] // 3 + 3
+
+
+def test_tail_cubes_match_quadrature():
+    # E (X - hi)+^3 + E (lo - X)+^3 summed over a mixture with point masses
+    # and a normal target, all four terms through one Phi call
+    mix = _law(NormalMixture((0.5, 0.3, 0.2), (-0.4, 0.6, 1.5), (0.7, 0.0, 0.4)))
+    target = _law(NormalMixture.normal(0.2, 1.1))
+    lo, hi = -2.5, 3.0
+    oracle = 0.3 * max(0.6 - hi, 0.0) ** 3 + 0.3 * max(lo - 0.6, 0.0) ** 3
+    for w, m, s in ((0.5, -0.4, 0.7), (0.2, 1.5, 0.4), (1.0, 0.2, 1.1)):
+        pdf = lambda u: math.exp(-0.5 * ((u - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+        oracle += w * quad(lambda u: (u - hi) ** 3 * pdf(u), hi, math.inf, epsabs=1e-15)[0]
+        oracle += w * quad(lambda u: (lo - u) ** 3 * pdf(u), -math.inf, lo, epsabs=1e-15)[0]
+    assert metrics_module._tail_cubes((mix, target), lo, hi) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_probe_on_identical_laws_takes_every_grid_point_for_a_root():
