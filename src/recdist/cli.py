@@ -142,13 +142,28 @@ def _seed(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _degenerate_solver(args) -> Solver:
+    """The solver of a catalog model whose limit equation is degenerate; a
+    nondegenerate model is refused."""
+    entry = _entry(args)
+    if entry.params is None:
+        raise PreconditionError(
+            f"{entry.name} is routed to the fixed-point module (nondegenerate limit)"
+        )
+    return entry.solver(_opts(args))
+
+
+def _emit_pmf_csv(args, pmf) -> None:
+    """Write a law as the value,prob CSV of ``dist`` and ``fixed-point``."""
+    rows = [{"value": float(v), "prob": float(p)} for v, p in zip(pmf.values, pmf.probs)]
+    _emit(args, None, rows, ("value", "prob"))
+
+
 def _cmd_dist(args) -> int:
     _, solver = _spec_and_solver(args)
     law = solver.law(args.n)
     if args.format == "csv":
-        _emit(args, None, [
-            {"value": float(v), "prob": float(p)} for v, p in zip(law.values, law.probs)
-        ], ("value", "prob"))
+        _emit_pmf_csv(args, law)
     else:
         _emit(args, {"model": args.model or args.spec_json, "n": args.n, "pmf": law.to_json_dict()})
     return EXIT_OK
@@ -206,12 +221,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_zeta3(args) -> int:
-    entry = _entry(args)
-    if entry.params is None:
-        raise PreconditionError(
-            f"{entry.name} is routed to the fixed-point module (nondegenerate limit)"
-        )
-    solver = entry.solver(_opts(args))
+    solver = _degenerate_solver(args)
     rows = []
     for n in _parse_ns(args.ns):
         rep = clt.zeta3_to_normal(solver, n)
@@ -222,15 +232,9 @@ def _cmd_zeta3(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    entry = _entry(args)
-    if entry.params is None:
-        raise PreconditionError(
-            f"{entry.name} is routed to the fixed-point module (nondegenerate limit)"
-        )
-    solver = entry.solver(_opts(args))
-    ns = _parse_ns(args.ns)
+    solver = _degenerate_solver(args)
     series = []
-    for n in ns:
+    for n in _parse_ns(args.ns):
         if args.metric == "zeta3":
             series.append((n, clt.zeta3_to_normal(solver, n).value))
         else:
@@ -306,11 +310,7 @@ def _cmd_fixed_point(args) -> int:
     if args.equation == "quickselect":
         payload["kolmogorov_to_normal"] = kolmogorov(res.pmf, NormalMixture.std_normal())
     if args.format == "csv":
-        rows = [
-            {"value": float(v), "prob": float(p)}
-            for v, p in zip(res.pmf.values, res.pmf.probs)
-        ]
-        _emit(args, None, rows, ("value", "prob"))
+        _emit_pmf_csv(args, res.pmf)
     else:
         _emit(args, payload)
     return EXIT_OK

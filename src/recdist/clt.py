@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,25 +220,27 @@ def _zeta3_surrogate(acc: AccompanyingLaw) -> MetricReport:
     return zeta3(acc.mixture, NormalMixture.normal(0.0, acc.sd))
 
 
-def zeta3_to_normal(solver: Solver, n: int) -> MetricReport:
-    """Distance of the unit-variance standardized law to the standard normal."""
+def _unit_law(solver: Solver, n: int) -> Pmf:
+    """The exact law at n shifted to mean 0 and scaled to variance 1; a
+    vanishing variance is refused."""
     sd = solver.sd(n)
     if sd == 0.0:
         raise PreconditionError(
             f"variance at n={n} vanishes; the unit-variance scaling is undefined"
         )
     mu = float(solver.mean(n))
-    law = solver.law(n).affine(1.0 / sd, -mu / sd)
-    return zeta3(law, NormalMixture.std_normal())
+    return solver.law(n).affine(1.0 / sd, -mu / sd)
+
+
+def zeta3_to_normal(solver: Solver, n: int) -> MetricReport:
+    """Distance of the unit-variance standardized law to the standard normal."""
+    return zeta3(_unit_law(solver, n), NormalMixture.std_normal())
 
 
 def kolmogorov_to_normal(solver: Solver, n: int) -> float:
-    sd = solver.sd(n)
-    if sd == 0.0:
-        raise PreconditionError(f"variance at n={n} vanishes")
-    mu = float(solver.mean(n))
-    law = solver.law(n).affine(1.0 / sd, -mu / sd)
-    return kolmogorov(law, NormalMixture.std_normal())
+    """Kolmogorov distance of the unit-variance standardized law to the
+    standard normal."""
+    return kolmogorov(_unit_law(solver, n), NormalMixture.std_normal())
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +307,10 @@ class RateFit:
     residual: float  # max relative deviation over the fit window
 
 
-def fit_rate(series: Sequence[tuple], model: str = "c/ln^e n") -> RateFit:
-    """Least-squares fit of d_n = c / ln^e n on a (n, d_n) series."""
-    if model != "c/ln^e n":
-        raise PreconditionError(f"unknown rate model {model!r}")
+def fit_rate(series: Sequence[tuple]) -> RateFit:
+    """Least-squares fit of d_n = c / ln^e n, the one rate model, on a series
+    of at least 4 (n, d_n) pairs with n >= 2 and d_n > 0: a line through
+    (ln ln n, ln d_n)."""
     pts = [(int(n), float(d)) for n, d in series]
     if len(pts) < 4:
         raise PreconditionError("rate fit needs at least 4 points")
@@ -371,50 +373,6 @@ def log_power_ratio_check(alpha: float, n_max: int) -> list:
         for b in np.nonzero(lhs > rhs + 1e-12)[0]:
             violations.append((int(n[b]), int(i[b]), float(lhs[b]), float(rhs[b])))
     return violations
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    ok: bool
-    first_violation: int | None
-    sup_d_scaled: float  # sup of d_n * ln^(beta-1) n over the window
-    sup_r_scaled: float  # sup of r_n * ln^beta n over the window
-    margins: list  # (n, rhs - d_n)
-
-
-def rate_transfer_check(
-    d_values: dict,
-    r_values: dict,
-    gamma: float,
-    index_law: Callable[[int], Sequence[tuple]],
-    delta: float,
-    beta: float,
-    slack: float = 1e-9,
-) -> TransferReport:
-    """Verify the recursion hypothesis d_n <= E[(scale ratio)^gamma d_child] + r_n
-    pointwise against a supplied index law, and report the scaled suprema that
-    witness the transferred decay rate."""
-    margins: list = []
-    first_bad = None
-    for n in sorted(r_values):
-        ln_n = padded_log(n, delta)
-        rhs = float(r_values[n])
-        for idx, w in index_law(n):
-            for i in idx:
-                rhs += (
-                    float(w)
-                    * (padded_log(int(i), delta) / ln_n) ** gamma
-                    * float(d_values[int(i)])
-                )
-        margin = rhs - float(d_values[n])
-        margins.append((n, margin))
-        if margin < -slack * max(1.0, abs(rhs)) and first_bad is None:
-            first_bad = n
-    sup_d = max(
-        float(d_values[n]) * math.log(n) ** (beta - 1.0) for n in r_values if n >= 2
-    )
-    sup_r = max(float(r_values[n]) * math.log(n) ** beta for n in r_values if n >= 2)
-    return TransferReport(first_bad is None, first_bad, sup_d, sup_r, margins)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,10 @@ def _ndtr(z: np.ndarray, scratch=None) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class NormalMixture:
     """Finite mixture of normals; zero-sd components are point masses. Its
-    weights, means and sds are read-only float64 arrays of equal length."""
+    weights, means and sds are read-only float64 arrays of equal length.
+    ``mean``, ``variance`` and ``cdf`` read the law view every distance reads
+    (``_law``); the variance sums squared deviations from the mean, so it
+    keeps its accuracy on mixtures far from zero."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -174,11 +177,11 @@ class NormalMixture:
 
     @property
     def mean(self) -> float:
-        return float(np.dot(self.weights, self.means))
+        return _law(self).mean
 
     @property
     def variance(self) -> float:
-        return float(np.dot(self.weights, np.square(self.means) + np.square(self.sds)) - self.mean**2)
+        return _law(self).variance
 
     def scaled_shifted(self, scale: float, shift: float = 0.0) -> "NormalMixture":
         if scale == 0:

@@ -6,17 +6,21 @@ beyond the joint-law tables themselves (``spec.joint_atoms``), which
 ``index_law`` collapses over the tolls. ``broadcast_index_pmf`` writes out
 the broadcast models' index law atom by atom, and ``broadcast_means`` runs
 their mean recurrence from the law in its docstring, without touching the
-catalog's tables. ``election_rounds_law`` is the exact law of a leader
-election's length, from its transition matrix, and ``leader_election_rounds``
-simulates elections coin by coin; ``broadcast_b_means`` runs the mean
-recurrence of the election-toll model on the election's own mean
-recurrence. ``sampled_tv`` measures a sample against a reference law with
-the bound it may reach by chance."""
+catalog's tables. ``recursion_violations`` checks the recursion inequality
+that transfers a surrogate rate to the exact laws over ``index_law``.
+``election_rounds_law`` is the exact law of a leader election's length, from
+its transition matrix, and ``leader_election_rounds`` simulates elections
+coin by coin; ``broadcast_b_means`` runs the mean recurrence of the
+election-toll model on the election's own mean recurrence. ``sampled_tv``
+measures a sample against a reference law with the bound it may reach by
+chance."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from recdist import padded_log
 
 
 def brute_law(spec, n: int) -> dict:
@@ -53,6 +57,24 @@ def index_law(spec, n: int) -> dict:
     for idx, _, w in spec.joint_atoms(n):
         out[idx] = out.get(idx, 0) + w
     return out
+
+
+def recursion_violations(spec, d: dict, r: dict, gamma: float, delta: float,
+                         slack: float = 1e-9) -> list:
+    """The n of ``r`` where the recursion inequality
+    d_n <= sum over the index law at n of w * sum_i (ln i / ln n)^gamma d_i + r_n
+    fails by more than ``slack`` relative to its right side, with the logs
+    padded as ``padded_log`` pads them. ``d`` must hold every index reached."""
+    bad = []
+    for n in sorted(r):
+        ln_n = padded_log(n, delta)
+        rhs = float(r[n])
+        for idx, w in index_law(spec, n).items():
+            for i in idx:
+                rhs += float(w) * (padded_log(i, delta) / ln_n) ** gamma * float(d[i])
+        if float(d[n]) - rhs > slack * max(1.0, abs(rhs)):
+            bad.append(n)
+    return bad
 
 
 def broadcast_index_pmf(n: int) -> dict:

@@ -29,7 +29,6 @@ from recdist import (
     quickselect_equation,
     random_smooth_member,
     rate_exponent,
-    rate_transfer_check,
     sample_many,
     standardized_law,
     surrogate_gap_terms,
@@ -41,7 +40,7 @@ from recdist import (
 )
 from conftest import shared_solver
 
-from brute import broadcast_means, brute_law, index_law
+from brute import broadcast_means, brute_law, recursion_violations
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -222,14 +221,9 @@ def test_criterion_05_proof_machinery_bound():
             total = surrogate_gap_terms(solver, n, params).total
             if racc > 10 * total + 1e-12:
                 bound_viol.append((name, n))
-
-        def index_weights(n, _spec=entry.spec):
-            return [(idx, float(w)) for idx, w in index_law(_spec, n).items()]
-
-        rep = rate_transfer_check(
-            d_vals, r_vals, 3 * params.alpha, index_weights, params.delta, 1.5
+        transfer_ok[name] = not recursion_violations(
+            entry.spec, d_vals, r_vals, 3 * params.alpha, params.delta
         )
-        transfer_ok[name] = rep.ok
     ok = not bound_viol and all(transfer_ok.values())
     _report(
         5,

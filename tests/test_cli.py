@@ -426,6 +426,32 @@ def test_catalog_only_commands_refuse_spec_json(capsys, command):
     assert "unrecognized arguments: --spec-json" in capsys.readouterr().err
 
 
+def test_rate_kolmogorov_series_is_the_distance_at_each_n(capsys, solver_nd):
+    from recdist import clt
+
+    code, out, err = _main_in_process(
+        capsys, ["rate", "--model", "node-depth", "--ns", "64:1024", "--metric", "kolmogorov"]
+    )
+    assert code == 0, err
+    series = json.loads(out)["series"]
+    assert [row["n"] for row in series] == [64, 128, 256, 512, 1024]
+    for row in series:
+        assert row["value"] == clt.kolmogorov_to_normal(solver_nd, row["n"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta3", "--ns", "1"],
+    ["rate", "--ns", "1:16"],
+    ["rate", "--ns", "1:16", "--metric", "kolmogorov"],
+], ids=["zeta3", "rate-zeta3", "rate-kolmogorov"])
+def test_vanishing_variance_is_a_precondition_error(capsys, argv):
+    # node depth is 0 at n = 1: the unit-variance scaling is undefined
+    code, out, err = _main_in_process(capsys, argv + ["--model", "node-depth"])
+    assert code == 4, err
+    assert err.startswith("precondition error:") and "n=1" in err
+    assert out == ""
+
+
 def test_every_export_resolves():
     import recdist
 

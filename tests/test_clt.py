@@ -17,7 +17,6 @@ from recdist import (
     make,
     padded_log,
     rate_exponent,
-    rate_transfer_check,
     standardized_law,
     surrogate_gap_terms,
     zeta3,
@@ -407,35 +406,6 @@ def test_log_power_ratio_pair_blocks_cover_the_triangle(monkeypatch):
 def test_log_power_ratio_validates_input():
     with pytest.raises(PreconditionError):
         log_power_ratio_check(0.5, 2)
-
-
-def test_rate_transfer_trivial_cases():
-    # constant d, zero r, contracting uniform index law: hypothesis holds
-    d = {n: 1.0 for n in range(0, 33)}
-    r = {n: 1.0 - sum(
-        (padded_log(i, 0.1) / padded_log(n, 0.1)) ** 1.5 / (n - 1) for i in range(1, n)
-    ) for n in range(2, 33)}
-
-    def index_law(n):
-        return [((i,), 1.0 / (n - 1)) for i in range(1, n)]
-
-    rep = rate_transfer_check(d, r, 1.5, index_law, 0.1, 1.5)
-    assert rep.ok
-    # all-zero distances are admissible
-    zero = rate_transfer_check({n: 0.0 for n in range(33)},
-                               {n: 0.0 for n in range(2, 33)}, 1.5, index_law, 0.1, 1.5)
-    assert zero.ok and zero.sup_d_scaled == 0.0
-
-
-def test_rate_transfer_flags_violation():
-    d = {0: 0.0, 1: 0.0, 2: 5.0}
-    r = {2: 0.0}
-
-    def index_law(n):
-        return [((1,), 1.0)]
-
-    rep = rate_transfer_check(d, r, 1.5, index_law, 0.1, 1.5)
-    assert not rep.ok and rep.first_violation == 2
 
 
 def test_verification_row_schema(solver_us):

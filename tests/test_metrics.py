@@ -222,6 +222,17 @@ def test_blocked_mixture_kernels_match_one_shot_reference(monkeypatch, block):
     assert mix.cdf(ts.reshape(1, -1, 1)).shape == (1, ts.size, 1)
 
 
+@pytest.mark.parametrize("weights, means, sds, variance", [
+    ((0.5, 0.5), (1e8, 1e8 + 1), (1.0, 1.0), 1.25),
+    ((0.25, 0.75), (3e7, 3e7 + 2), (0.5, 2.0), 3.8125),
+])
+def test_mixture_moments_stay_accurate_far_from_zero(weights, means, sds, variance):
+    # E[m^2 + s^2] - mean^2 cancels every digit of these variances
+    m = NormalMixture(weights, means, sds)
+    assert m.variance == variance
+    assert m.mean == _law(m).mean == math.fsum(w * u for w, u in zip(weights, means))
+
+
 def test_zeta3_memory_stays_bounded_on_a_large_mixture():
     # 10^5 copies of the two components of a bimodal law: the law, hence the
     # distance, is the two-component one. A (points x components) matrix over
